@@ -6,17 +6,21 @@ float64 numpy arrays of any shape; a loss must be a scalar. Parameter arrays
 are bound to a tape with ``Tape.watch`` so that repeated use of the same
 array accumulates into a single gradient.
 
-Also hosts the small-MLP container, the adaptive-moment optimizer, the
-finite-difference gradient checker, and the binary checkpoint format shared
-by every learned model in the package.
+Also hosts the small-MLP container, the adaptive-moment optimizer and the
+training loop every learned model uses, the finite-difference gradient
+checker, and the binary checkpoint format shared by every learned model in
+the package.
 """
 
 from __future__ import annotations
 
+import logging
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
+
+log = logging.getLogger(__name__)
 
 
 class ShapeError(ValueError):
@@ -25,6 +29,10 @@ class ShapeError(ValueError):
 
 class CheckpointError(ValueError):
     """Checkpoint file is malformed or does not match the expected model."""
+
+
+class TrainingDiverged(RuntimeError):
+    """A training loss or a parameter became non-finite."""
 
 
 # ---------------------------------------------------------------------------
@@ -456,6 +464,46 @@ def adam_step(params, grads, state: OptimizerState) -> OptimizerState:
     return state
 
 
+def fit(model, epochs: int, steps, validate, lr: float, label: str):
+    """Adam training with the best-validation parameters restored at the end.
+
+    ``steps(epoch)`` yields one function per optimizer step; it takes a
+    fresh Tape, records the scalar loss on it and returns that node.
+    ``validate()`` returns the validation columns of a history row,
+    ``val_loss`` among them. ``model.history`` gains the pre-training row
+    (epoch 0), one row per epoch, and a final ``"best"`` row that copies the
+    validation columns of the restored epoch.
+    """
+    if epochs < 1:
+        raise ValueError(f"{label}: epochs must be at least 1, got {epochs}")
+    params = model.parameters()
+    opt = adam_init(params, lr=lr)
+    model.history.append({"epoch": 0, "train_loss": None, **validate()})
+    best_row = best_snapshot = None
+    for epoch in range(1, epochs + 1):
+        epoch_loss = 0.0
+        n_steps = 0
+        for build_loss in steps(epoch):
+            tape = Tape()
+            loss = build_loss(tape)
+            tape.backward(loss)
+            adam_step(params, [tape.grad(p) for p in params], opt)
+            epoch_loss += float(loss.value)
+            n_steps += 1
+        if not np.isfinite(epoch_loss) or any(not np.all(np.isfinite(p)) for p in params):
+            raise TrainingDiverged(f"{label}: non-finite values at epoch {epoch}")
+        row = {"epoch": epoch, "train_loss": epoch_loss / n_steps, **validate()}
+        model.history.append(row)
+        log.info("%s epoch %d train %.6g val %.6g", label, epoch, row["train_loss"], row["val_loss"])
+        if best_row is None or row["val_loss"] < best_row["val_loss"]:
+            best_row = row
+            best_snapshot = [p.copy() for p in params]
+    for p, snap in zip(params, best_snapshot):
+        np.copyto(p, snap)
+    model.history.append(dict(best_row, epoch="best", train_loss=None))
+    return model
+
+
 # ---------------------------------------------------------------------------
 # gradient checking
 
@@ -524,8 +572,8 @@ def save_checkpoint(path, kind: str, meta, arrays) -> None:
         fh.write(flat.astype("<f8").tobytes())
 
 
-def load_checkpoint(path, expected_kind: str):
-    """Read and validate a checkpoint; returns (meta list, flat float array)."""
+def _read_checkpoint(path):
+    """(kind, meta list, flat float array) of a well-formed checkpoint file."""
     with open(path, "rb") as fh:
         raw = fh.read()
     if len(raw) < 16 or raw[:4] != CHECKPOINT_MAGIC:
@@ -534,17 +582,24 @@ def load_checkpoint(path, expected_kind: str):
     if version != CHECKPOINT_VERSION:
         raise CheckpointError(f"{path}: unsupported version {version}")
     kind = raw[8:12].decode("ascii", errors="replace")
-    if kind != expected_kind:
-        raise CheckpointError(f"{path}: kind {kind!r}, expected {expected_kind!r}")
     (n_meta,) = struct.unpack_from("<I", raw, 12)
-    off = 16
-    meta = list(struct.unpack_from(f"<{n_meta}I", raw, off))
-    off += 4 * n_meta
+    off = 16 + 4 * n_meta
+    if len(raw) < off + 8:
+        raise CheckpointError(f"{path}: truncated header")
+    meta = list(struct.unpack_from(f"<{n_meta}I", raw, 16))
     (n_floats,) = struct.unpack_from("<Q", raw, off)
     off += 8
     if len(raw) - off != 8 * n_floats:
         raise CheckpointError(f"{path}: truncated or oversized float payload")
     flat = np.frombuffer(raw, dtype="<f8", count=n_floats, offset=off).astype(float)
+    return kind, meta, flat
+
+
+def load_checkpoint(path, expected_kind: str):
+    """Read and validate a checkpoint; returns (meta list, flat float array)."""
+    kind, meta, flat = _read_checkpoint(path)
+    if kind != expected_kind:
+        raise CheckpointError(f"{path}: kind {kind!r}, expected {expected_kind!r}")
     return meta, flat
 
 
@@ -552,14 +607,20 @@ def unpack_mlp(meta, flat, offset_meta, offset_flat, activation_codes=ACTIVATION
     """Rebuild an MlpParams from checkpoint meta starting at ``offset_meta``.
 
     Meta layout: act_code, n_sizes, sizes...  Returns (params, next_meta
-    offset, next_flat offset).
+    offset, next_flat offset). Raises CheckpointError when the meta or the
+    floats run out first; meta that ends early mid-list shows in the returned
+    offset.
     """
+    if len(meta) < offset_meta + 2 or meta[offset_meta] >= len(activation_codes):
+        raise CheckpointError("MLP meta is truncated or names an unknown activation")
     act = activation_codes[meta[offset_meta]]
     n_sizes = meta[offset_meta + 1]
     sizes = meta[offset_meta + 2 : offset_meta + 2 + n_sizes]
     weights, biases = [], []
     pos = offset_flat
     for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
+        if pos + fan_out * (fan_in + 1) > len(flat):
+            raise CheckpointError("MLP parameters are truncated")
         weights.append(flat[pos : pos + fan_out * fan_in].reshape(fan_out, fan_in).copy())
         pos += fan_out * fan_in
         biases.append(flat[pos : pos + fan_out].copy())
@@ -570,3 +631,49 @@ def unpack_mlp(meta, flat, offset_meta, offset_flat, activation_codes=ACTIVATION
 def pack_mlp_meta(params: MlpParams, activation_codes=ACTIVATIONS):
     sizes = params.sizes()
     return [activation_codes.index(params.activation), len(sizes)] + sizes
+
+
+def save_parts(path, kind: str, header, parts) -> None:
+    """Write a model as its header ints and its parts in order.
+
+    Each part is an MlpParams, whose layer description follows the header in
+    the meta ints, or an array, which adds floats only.
+    """
+    meta, arrays = [int(h) for h in header], []
+    for part in parts:
+        if isinstance(part, MlpParams):
+            meta += pack_mlp_meta(part)
+            arrays += part.parameters()
+        else:
+            arrays.append(part)
+    save_checkpoint(path, kind, meta, arrays)
+
+
+def load_parts(path, header_sizes: dict, layout):
+    """Read a checkpoint written by ``save_parts``.
+
+    ``header_sizes`` maps each accepted kind tag to its number of header
+    ints; ``layout(header)`` lists the parts in file order, each ``MlpParams``
+    or the shape of an array. The parts must consume the meta ints and the
+    floats exactly. Returns (header, parts).
+    """
+    kind, meta, flat = _read_checkpoint(path)
+    if kind not in header_sizes:
+        raise CheckpointError(f"{path}: kind {kind!r}, expected one of {sorted(header_sizes)}")
+    m_off = header_sizes[kind]
+    if len(meta) < m_off:
+        raise CheckpointError(f"{path}: header is truncated")
+    header, f_off, parts = meta[:m_off], 0, []
+    for spec in layout(header):
+        if spec is MlpParams:
+            mlp, m_off, f_off = unpack_mlp(meta, flat, m_off, f_off)
+            parts.append(mlp)
+            continue
+        size = int(np.prod(spec))
+        if f_off + size > flat.size:
+            raise CheckpointError(f"{path}: array part is truncated")
+        parts.append(flat[f_off : f_off + size].reshape(spec).copy())
+        f_off += size
+    if m_off != len(meta) or f_off != flat.size:
+        raise CheckpointError(f"{path}: parts do not consume the payload exactly")
+    return header, parts

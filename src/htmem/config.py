@@ -136,6 +136,22 @@ def validate_config(cfg: RunConfig) -> None:
     _require(d.trajectory_length >= 1, "data.trajectory_length", "must be at least 1")
     _require(0 <= d.n_holdout < d.n_contexts, "data.n_holdout", "must leave a training context")
     _require(0 <= d.val_fraction < 1, "data.val_fraction", "must lie in [0, 1)")
+    # With one trajectory per context, a far pair for the classifier must lie
+    # on the same trajectory, and every step has one only from this length on.
+    _require(
+        d.trajectories_per_context > 1 or d.trajectory_length >= 2 * cfg.sptm.l - 1,
+        "data.trajectories_per_context",
+        f"must be at least 2 unless trajectory_length >= {2 * cfg.sptm.l - 1}"
+        " (twice the sptm negative offset, minus 1)",
+    )
+    for section in ("cvae", "cpc", "sptm", "inverse"):
+        hidden = getattr(cfg, section).hidden
+        _require(
+            isinstance(hidden, tuple)
+            and all(isinstance(h, int) and not isinstance(h, bool) and h >= 1 for h in hidden),
+            f"{section}.hidden",
+            "must be a list of positive integers",
+        )
 
     g = cfg.cvae
     _require(g.d_z >= 1, "cvae.d_z", "must be at least 1")
@@ -158,10 +174,15 @@ def validate_config(cfg: RunConfig) -> None:
     _require(s.l > s.horizon, "sptm.negative_offset", "must exceed the positive horizon")
     _require(0 <= s.phi <= 1, "sptm.phi", "must lie in [0, 1]")
     _require(s.lr > 0, "sptm.lr", "must be positive")
+    _require(s.batch_pairs >= 1, "sptm.batch_pairs", "must be at least 1")
+    for section, scorer in (("cpc", c), ("sptm", s)):
+        for key in ("epochs", "steps_per_epoch", "val_batches"):
+            _require(getattr(scorer, key) >= 1, f"{section}.{key}", "must be at least 1")
 
     i = cfg.inverse
     _require(i.lr > 0, "inverse.lr", "must be positive")
     _require(i.epochs >= 1, "inverse.epochs", "must be at least 1")
+    _require(i.batch_size >= 1, "inverse.batch_size", "must be at least 1")
 
     p = cfg.planning
     _require(p.m_samples >= 0, "planning.m_samples", "must be nonnegative")

@@ -12,36 +12,25 @@ operation symmetrizes them.
 
 from __future__ import annotations
 
-import copy
-import logging
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import (
+from .autodiff import (  # noqa: F401  TrainingDiverged is re-exported
     MlpParams,
     Tape,
-    adam_init,
-    adam_step,
+    TrainingDiverged,
     derived_seed,
-    load_checkpoint,
+    fit,
+    load_parts,
     mlp_apply,
     mlp_init,
-    pack_mlp_meta,
-    save_checkpoint,
-    sigmoid,
-    unpack_mlp,
+    save_parts,
 )
 from .data import TransitionDataset, split_context_ids
 from .world import BlockWorld
-
-log = logging.getLogger(__name__)
-
-
-class TrainingDiverged(RuntimeError):
-    pass
 
 
 @dataclass
@@ -78,8 +67,26 @@ class SptmConfig:
         return 4 * self.horizon if self.negative_offset is None else self.negative_offset
 
 
-class _BilinearScorer:
-    """Shared scoring surface: encoder + bilinear matrix."""
+@dataclass
+class ConnectivityModel:
+    """Context-conditioned encoder g and bilinear matrix W.
+
+    One class serves both scorers: the contrastive model has no
+    ``negative_offset`` and is saved as ``CPCE``; the classifier baseline
+    records the offset of its far pairs and is saved as ``SPTM``.
+    """
+
+    encoder: MlpParams
+    bilinear: np.ndarray  # (d, d), zero-initialized
+    obs_dim: int
+    ctx_dim: int
+    d: int
+    horizon: int = 5
+    negative_offset: int | None = None
+    history: list = field(default_factory=list, repr=False)
+
+    def parameters(self):
+        return self.encoder.parameters() + [self.bilinear]
 
     def encode(self, obs, ctx) -> np.ndarray:
         obs = np.atleast_2d(np.asarray(obs, dtype=float))
@@ -98,89 +105,37 @@ class _BilinearScorer:
         z_to = self.encode(o_to, ctx)[0]
         return float(z_to @ self.bilinear @ z_from)
 
-
-@dataclass
-class ConnectivityModel(_BilinearScorer):
-    encoder: MlpParams
-    bilinear: np.ndarray  # (d, d), zero-initialized
-    obs_dim: int
-    ctx_dim: int
-    d: int
-    horizon: int = 5
-    history: list = field(default_factory=list, repr=False)
-
-    def parameters(self):
-        return self.encoder.parameters() + [self.bilinear]
-
     def save(self, path):
-        meta = [self.obs_dim, self.ctx_dim, self.d, self.horizon] + pack_mlp_meta(self.encoder)
-        save_checkpoint(path, "CPCE", meta, self.parameters())
+        header = [self.obs_dim, self.ctx_dim, self.d, self.horizon]
+        if self.negative_offset is None:
+            save_parts(path, "CPCE", header, [self.encoder, self.bilinear])
+        else:
+            save_parts(path, "SPTM", header + [self.negative_offset], [self.encoder, self.bilinear])
 
     @classmethod
     def load(cls, path) -> "ConnectivityModel":
-        meta, flat = load_checkpoint(path, "CPCE")
-        obs_dim, ctx_dim, d, horizon = meta[:4]
-        encoder, _, f_off = unpack_mlp(meta, flat, 4, 0)
-        if flat.size - f_off != d * d:
-            raise ad.CheckpointError(f"{path}: bilinear block size mismatch")
-        w = flat[f_off:].reshape(d, d).copy()
-        return cls(encoder, w, obs_dim, ctx_dim, d, horizon)
+        header, (encoder, w) = load_parts(
+            path, {"CPCE": 4, "SPTM": 5}, lambda header: (MlpParams, (header[2], header[2]))
+        )
+        return cls(encoder, w, *header)
 
 
-@dataclass
-class SptmClassifier(_BilinearScorer):
-    encoder: MlpParams
-    bilinear: np.ndarray
-    obs_dim: int
-    ctx_dim: int
-    d: int
-    horizon: int = 5
-    negative_offset: int = 20
-    history: list = field(default_factory=list, repr=False)
-
-    def parameters(self):
-        return self.encoder.parameters() + [self.bilinear]
-
-    def probability(self, o_from, o_to, ctx) -> float:
-        return float(sigmoid(self.score_pair(o_from, o_to, ctx)))
-
-    def save(self, path):
-        meta = [
-            self.obs_dim,
-            self.ctx_dim,
-            self.d,
-            self.horizon,
-            self.negative_offset,
-        ] + pack_mlp_meta(self.encoder)
-        save_checkpoint(path, "SPTM", meta, self.parameters())
-
-    @classmethod
-    def load(cls, path) -> "SptmClassifier":
-        meta, flat = load_checkpoint(path, "SPTM")
-        obs_dim, ctx_dim, d, horizon, l = meta[:5]
-        encoder, _, f_off = unpack_mlp(meta, flat, 5, 0)
-        if flat.size - f_off != d * d:
-            raise ad.CheckpointError(f"{path}: bilinear block size mismatch")
-        w = flat[f_off:].reshape(d, d).copy()
-        return cls(encoder, w, obs_dim, ctx_dim, d, horizon, l)
+# The classifier baseline is the same model; the name is kept for callers.
+SptmClassifier = ConnectivityModel
 
 
-def connectivity_init(obs_dim, ctx_dim, cfg: CpcConfig) -> ConnectivityModel:
+def connectivity_init(obs_dim, ctx_dim, cfg: CpcConfig | SptmConfig) -> ConnectivityModel:
+    """Zero-bilinear scorer; an SptmConfig gives it the classifier's offset."""
     encoder = mlp_init(
         [obs_dim + ctx_dim, *cfg.hidden, cfg.d], "relu", seed=derived_seed(cfg.seed, "enc")
     )
+    negative_offset = cfg.l if isinstance(cfg, SptmConfig) else None
     return ConnectivityModel(
-        encoder, np.zeros((cfg.d, cfg.d)), obs_dim, ctx_dim, cfg.d, cfg.horizon
+        encoder, np.zeros((cfg.d, cfg.d)), obs_dim, ctx_dim, cfg.d, cfg.horizon, negative_offset
     )
 
 
-def sptm_init(obs_dim, ctx_dim, cfg: SptmConfig) -> SptmClassifier:
-    encoder = mlp_init(
-        [obs_dim + ctx_dim, *cfg.hidden, cfg.d], "relu", seed=derived_seed(cfg.seed, "enc")
-    )
-    return SptmClassifier(
-        encoder, np.zeros((cfg.d, cfg.d)), obs_dim, ctx_dim, cfg.d, cfg.horizon, cfg.l
-    )
+sptm_init = connectivity_init
 
 
 # ---------------------------------------------------------------------------
@@ -216,6 +171,12 @@ def _context_arrays(dataset, world, ids):
     obs_by_ctx = {cid: [t.observations for t in dataset.trajectories[cid]] for cid in ids}
     enc_by_ctx = {cid: world.encode_context(dataset.context_by_id(cid)) for cid in ids}
     return obs_by_ctx, enc_by_ctx
+
+
+# Redraws allowed per observation of a context before a rejection sampler
+# gives up. An admissible negative that exists is missed with probability at
+# most exp(-64), so running out means the context has none.
+MAX_DRAWS_PER_OBSERVATION = 64
 
 
 def sample_cpc_batch(
@@ -259,18 +220,20 @@ def sample_cpc_batch(
         offsets[i] = k
         pool = hallucinations.get(cid) if hallucinations else None
         n_h = int(round(cfg.phi * n_neg)) if pool is not None and len(pool) else 0
+        max_draws = MAX_DRAWS_PER_OBSERVATION * len(trajs) * (t_len + 1)
         for j in range(n_neg):
             if j < n_h:
                 negatives[i, j] = pool[rng.integers(len(pool))]
                 halluc_mask[i, j] = True
                 continue
-            while True:
+            for _ in range(max_draws):
                 tj = int(rng.integers(len(trajs)))
                 tt = int(rng.integers(0, t_len + 1))
-                if tj == ti and tt == t0 + k:
-                    continue  # exact positive index excluded
-                negatives[i, j] = trajs[tj][tt]
-                break
+                if tj != ti or tt != t0 + k:  # exact positive index excluded
+                    negatives[i, j] = trajs[tj][tt]
+                    break
+            else:
+                raise ValueError(f"context {cid}: no negative other than the positive")
     return CpcBatch(anchors, positives, negatives, contexts, offsets, halluc_mask)
 
 
@@ -315,13 +278,17 @@ def sample_sptm_batch(
             to_obs[i] = pool[rng.integers(len(pool))]
             halluc_mask[i] = True
             continue
-        while True:
+        for _ in range(MAX_DRAWS_PER_OBSERVATION * len(trajs) * (t_len + 1)):
             tj = int(rng.integers(len(trajs)))
             tt = int(rng.integers(0, t_len + 1))
-            if tj == ti and abs(tt - t0) < cfg.l:
-                continue
-            to_obs[i] = trajs[tj][tt]
-            break
+            if tj != ti or abs(tt - t0) >= cfg.l:
+                to_obs[i] = trajs[tj][tt]
+                break
+        else:
+            raise ValueError(
+                f"context {cid}: no observation {cfg.l} or more steps from step {t0} "
+                f"of trajectory {ti}"
+            )
     return SptmBatch(from_obs, to_obs, labels, contexts, halluc_mask)
 
 
@@ -353,7 +320,7 @@ def cpc_loss(model: ConnectivityModel, batch: CpcBatch, tape: Tape | None = None
     return float(loss.value) if own_tape else loss
 
 
-def sptm_bce_loss(model: SptmClassifier, batch: SptmBatch, tape: Tape | None = None):
+def sptm_bce_loss(model: ConnectivityModel, batch: SptmBatch, tape: Tape | None = None):
     """Mean binary cross-entropy of sigmoid(logit) against the near/far
     labels, in the numerically safe softplus form."""
     if len(batch) == 0:
@@ -391,42 +358,18 @@ def _train_scorer(model, dataset, world, cfg, sample_fn, loss_fn, hallucinations
         for i in range(cfg.val_batches)
     ]
 
-    def validate():
-        return float(np.mean([loss_fn(model, b) for b in val_batches]))
-
-    params = model.parameters()
-    opt = adam_init(params, lr=cfg.lr)
-    best = None
-    best_snapshot = None
-    model.history.append({"epoch": 0, "train_loss": None, "val_loss": validate()})
-    step = 0
-    for epoch in range(1, cfg.epochs + 1):
-        epoch_loss = 0.0
-        for _ in range(cfg.steps_per_epoch):
+    def steps(epoch):
+        for i in range(cfg.steps_per_epoch):
+            step = (epoch - 1) * cfg.steps_per_epoch + i
             batch = sample_fn(
                 dataset, world, train_ids, cfg, derived_seed(cfg.seed, "train", step), hallucinations
             )
-            tape = Tape()
-            loss = loss_fn(model, batch, tape)
-            tape.backward(loss)
-            adam_step(params, [tape.grad(p) for p in params], opt)
-            epoch_loss += float(loss.value)
-            step += 1
-        if not np.isfinite(epoch_loss) or any(not np.all(np.isfinite(p)) for p in params):
-            raise TrainingDiverged(f"{label}: non-finite values at epoch {epoch}")
-        val_loss = validate()
-        model.history.append(
-            {"epoch": epoch, "train_loss": epoch_loss / cfg.steps_per_epoch, "val_loss": val_loss}
-        )
-        log.info("%s epoch %d train %.4f val %.4f", label, epoch, epoch_loss / cfg.steps_per_epoch, val_loss)
-        if best is None or val_loss < best:
-            best = val_loss
-            best_snapshot = [p.copy() for p in params]
-    if best_snapshot is not None:
-        for p, snap in zip(params, best_snapshot):
-            np.copyto(p, snap)
-    model.history.append({"epoch": "best", "train_loss": None, "val_loss": best})
-    return model
+            yield lambda tape: loss_fn(model, batch, tape)
+
+    def validate():
+        return {"val_loss": float(np.mean([loss_fn(model, b) for b in val_batches]))}
+
+    return fit(model, cfg.epochs, steps, validate, cfg.lr, label)
 
 
 def train_cpc(
@@ -446,8 +389,8 @@ def train_sptm(
     world: BlockWorld,
     cfg: SptmConfig,
     hallucinations: dict | None = None,
-) -> SptmClassifier:
-    model = sptm_init(world.obs_dim, world.ctx_dim, cfg)
+) -> ConnectivityModel:
+    model = connectivity_init(world.obs_dim, world.ctx_dim, cfg)
     return _train_scorer(
         model, dataset, world, cfg, sample_sptm_batch, sptm_bce_loss, hallucinations, "sptm"
     )

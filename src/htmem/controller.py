@@ -10,36 +10,28 @@ inverse-model-only baseline.
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import (
+from .autodiff import (  # noqa: F401  TrainingDiverged is re-exported
     MlpParams,
     Tape,
-    adam_init,
-    adam_step,
+    TrainingDiverged,
     derived_seed,
-    load_checkpoint,
+    fit,
+    load_parts,
     mlp_apply,
     mlp_init,
-    pack_mlp_meta,
-    save_checkpoint,
-    unpack_mlp,
+    save_parts,
 )
+from .connectivity import ConnectivityModel
 from .cvae import CvaeModel
 from .data import TransitionDataset, split_context_ids
 from .plangraph import NoPathError, Plan, PlanningConfig, plan_end_to_end
 from .world import BlockWorld, Task
-
-log = logging.getLogger(__name__)
-
-
-class TrainingDiverged(RuntimeError):
-    pass
 
 
 @dataclass
@@ -63,18 +55,14 @@ class InverseModel:
         return self.net.parameters()
 
     def save(self, path):
-        meta = [self.obs_dim, self.ctx_dim] + pack_mlp_meta(self.net)
-        save_checkpoint(path, "INVM", meta, [np.array([self.a_max])] + self.parameters())
+        save_parts(path, "INVM", [self.obs_dim, self.ctx_dim], [np.array([self.a_max]), self.net])
 
     @classmethod
     def load(cls, path) -> "InverseModel":
-        meta, flat = load_checkpoint(path, "INVM")
-        obs_dim, ctx_dim = meta[:2]
-        a_max = float(flat[0])
-        net, _, f_off = unpack_mlp(meta, flat[1:], 2, 0)
-        if f_off != flat.size - 1:
-            raise ad.CheckpointError(f"{path}: parameter count mismatch")
-        return cls(net, a_max, obs_dim, ctx_dim)
+        (obs_dim, ctx_dim), (a_max, net) = load_parts(
+            path, {"INVM": 2}, lambda header: ((1,), MlpParams)
+        )
+        return cls(net, float(a_max[0]), obs_dim, ctx_dim)
 
 
 def inverse_init(obs_dim, ctx_dim, a_max, cfg: InverseConfig) -> InverseModel:
@@ -126,43 +114,18 @@ def train_inverse(dataset: TransitionDataset, world: BlockWorld, cfg: InverseCon
     xv, tv, cv, av = _gather_transitions(dataset, world, val_ids or train_ids[:1])
 
     model = inverse_init(world.obs_dim, world.ctx_dim, world.spec.a_max, cfg)
-    params = model.parameters()
-    opt = adam_init(params, lr=cfg.lr)
     rng = np.random.default_rng(derived_seed(cfg.seed, "shuffle"))
 
-    def validate():
-        return inverse_loss(model, xv, tv, cv, av)
-
-    best = None
-    best_snapshot = None
-    model.history.append({"epoch": 0, "train_loss": None, "val_loss": validate()})
-    n = len(x)
-    for epoch in range(1, cfg.epochs + 1):
-        perm = rng.permutation(n)
-        epoch_loss = 0.0
-        n_batches = 0
-        for start in range(0, n, cfg.batch_size):
+    def steps(epoch):
+        perm = rng.permutation(len(x))
+        for start in range(0, len(x), cfg.batch_size):
             idx = perm[start : start + cfg.batch_size]
-            tape = Tape()
-            loss = inverse_loss(model, x[idx], tgt[idx], ctx[idx], act[idx], tape)
-            tape.backward(loss)
-            adam_step(params, [tape.grad(p) for p in params], opt)
-            epoch_loss += float(loss.value)
-            n_batches += 1
-        if not np.isfinite(epoch_loss) or any(not np.all(np.isfinite(p)) for p in params):
-            raise TrainingDiverged(f"non-finite values at epoch {epoch}")
-        val_loss = validate()
-        model.history.append(
-            {"epoch": epoch, "train_loss": epoch_loss / n_batches, "val_loss": val_loss}
-        )
-        log.info("inverse epoch %d train %.6f val %.6f", epoch, epoch_loss / n_batches, val_loss)
-        if best is None or val_loss < best:
-            best = val_loss
-            best_snapshot = [p.copy() for p in params]
-    if best_snapshot is not None:
-        for p, snap in zip(params, best_snapshot):
-            np.copyto(p, snap)
-    return model
+            yield lambda tape: inverse_loss(model, x[idx], tgt[idx], ctx[idx], act[idx], tape)
+
+    def validate():
+        return {"val_loss": inverse_loss(model, xv, tv, cv, av)}
+
+    return fit(model, cfg.epochs, steps, validate, cfg.lr, "inverse")
 
 
 # ---------------------------------------------------------------------------
@@ -172,7 +135,7 @@ def train_inverse(dataset: TransitionDataset, world: BlockWorld, cfg: InverseCon
 @dataclass
 class ModelBundle:
     cvae: CvaeModel
-    scorer: object  # ConnectivityModel or SptmClassifier
+    scorer: ConnectivityModel
     inverse: InverseModel
 
 

@@ -7,34 +7,24 @@ builds its graph from.
 
 from __future__ import annotations
 
-import copy
-import logging
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import (
+from .autodiff import (  # noqa: F401  TrainingDiverged is re-exported
     MlpParams,
     Tape,
-    adam_init,
-    adam_step,
+    TrainingDiverged,
     derived_seed,
-    load_checkpoint,
+    fit,
+    load_parts,
     mlp_apply,
     mlp_init,
-    pack_mlp_meta,
-    save_checkpoint,
-    unpack_mlp,
+    save_parts,
 )
 from .data import TransitionDataset, split_context_ids
 from .world import BlockWorld
-
-log = logging.getLogger(__name__)
-
-
-class TrainingDiverged(RuntimeError):
-    pass
 
 
 @dataclass
@@ -68,21 +58,13 @@ class CvaeModel:
         return np.clip(out, 0.0, 1.0)
 
     def save(self, path):
-        meta = (
-            [self.obs_dim, self.ctx_dim, self.d_z]
-            + pack_mlp_meta(self.encoder)
-            + pack_mlp_meta(self.decoder)
-        )
-        save_checkpoint(path, "CVAE", meta, self.encoder.parameters() + self.decoder.parameters())
+        save_parts(path, "CVAE", [self.obs_dim, self.ctx_dim, self.d_z], [self.encoder, self.decoder])
 
     @classmethod
     def load(cls, path) -> "CvaeModel":
-        meta, flat = load_checkpoint(path, "CVAE")
-        obs_dim, ctx_dim, d_z = meta[0], meta[1], meta[2]
-        encoder, m_off, f_off = unpack_mlp(meta, flat, 3, 0)
-        decoder, m_off, f_off = unpack_mlp(meta, flat, m_off, f_off)
-        if f_off != flat.size:
-            raise ad.CheckpointError(f"{path}: parameter count mismatch")
+        (obs_dim, ctx_dim, d_z), (encoder, decoder) = load_parts(
+            path, {"CVAE": 3}, lambda header: (MlpParams, MlpParams)
+        )
         model = cls(encoder, decoder, obs_dim, ctx_dim, d_z)
         if model.encoder.sizes()[0] != obs_dim + ctx_dim or model.encoder.sizes()[-1] != 2 * d_z:
             raise ad.CheckpointError(f"{path}: encoder dims inconsistent with header")
@@ -160,62 +142,23 @@ def train_cvae(dataset: TransitionDataset, world: BlockWorld, cfg: CvaeConfig) -
     x_val, c_val = _gather_pairs(dataset, world, val_ids or train_ids[:1])
 
     model = cvae_init(world.obs_dim, world.ctx_dim, cfg)
-    params = model.parameters()
-    opt = adam_init(params, lr=cfg.lr)
     rng = np.random.default_rng(derived_seed(cfg.seed, "shuffle"))
     val_seed = derived_seed(cfg.seed, "val-noise")
 
-    def validate():
-        return cvae_elbo(model, x_val, c_val, val_seed, cfg.beta)
-
-    best = None
-    best_snapshot = None
-    total, recon, kl = validate()
-    model.history.append(
-        {"epoch": 0, "train_loss": None, "val_loss": total, "val_recon": recon, "val_kl": kl}
-    )
-    n = len(x_train)
-    for epoch in range(1, cfg.epochs + 1):
-        perm = rng.permutation(n)
-        epoch_loss = 0.0
-        n_batches = 0
-        for start in range(0, n, cfg.batch_size):
+    def steps(epoch):
+        perm = rng.permutation(len(x_train))
+        for batch, start in enumerate(range(0, len(x_train), cfg.batch_size)):
             idx = perm[start : start + cfg.batch_size]
-            tape = Tape()
-            loss, _, _ = cvae_elbo(
-                model,
-                x_train[idx],
-                c_train[idx],
-                derived_seed(cfg.seed, "noise", epoch, n_batches),
-                cfg.beta,
-                tape,
-            )
-            tape.backward(loss)
-            adam_step(params, [tape.grad(p) for p in params], opt)
-            epoch_loss += float(loss.value)
-            n_batches += 1
-        if not np.isfinite(epoch_loss) or any(
-            not np.all(np.isfinite(p)) for p in params
-        ):
-            raise TrainingDiverged(f"non-finite values at epoch {epoch}")
-        total, recon, kl = validate()
-        model.history.append(
-            {
-                "epoch": epoch,
-                "train_loss": epoch_loss / max(n_batches, 1),
-                "val_loss": total,
-                "val_recon": recon,
-                "val_kl": kl,
-            }
-        )
-        log.info("cvae epoch %d train %.4f val %.4f", epoch, epoch_loss / n_batches, total)
-        if best is None or total < best:
-            best = total
-            best_snapshot = [p.copy() for p in params]
-    if best_snapshot is not None:
-        for p, snap in zip(params, best_snapshot):
-            np.copyto(p, snap)
-    return model
+            noise_seed = derived_seed(cfg.seed, "noise", epoch, batch)
+            yield lambda tape: cvae_elbo(
+                model, x_train[idx], c_train[idx], noise_seed, cfg.beta, tape
+            )[0]
+
+    def validate():
+        total, recon, kl = cvae_elbo(model, x_val, c_val, val_seed, cfg.beta)
+        return {"val_loss": total, "val_recon": recon, "val_kl": kl}
+
+    return fit(model, cfg.epochs, steps, validate, cfg.lr, "cvae")
 
 
 @dataclass

@@ -14,7 +14,6 @@ from __future__ import annotations
 import csv
 import json
 import math
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,7 +22,7 @@ from .autodiff import derived_seed
 from .controller import ExecutionConfig, ModelBundle, execute, plan_seed
 from .cvae import HallucinationSet, hallucinate
 from .plangraph import Plan, PlanningConfig
-from .world import BlockWorld, Task
+from .world import BlockWorld, EvaluationError, Task
 
 CSV_COLUMNS = [
     "task_id",
@@ -60,7 +59,7 @@ def fidelity(world: BlockWorld, ctx, samples: HallucinationSet | np.ndarray) -> 
     for o in obs:
         try:
             st = world.decode(o)
-        except Exception:
+        except EvaluationError:
             continue
         valid += world.state_valid(ctx, st)
     return valid / len(obs)

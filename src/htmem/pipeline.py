@@ -1,6 +1,5 @@
 """End-to-end orchestration: collect data, train every model, benchmark on
-held-out contexts, and produce the score-model x weight-scheme ablation.
-Shared by the command-line tool and the acceptance suite."""
+held-out contexts, and produce the score-model x weight-scheme ablation."""
 
 from __future__ import annotations
 
@@ -10,12 +9,11 @@ from dataclasses import dataclass
 
 from .autodiff import derived_seed
 from .config import RunConfig, config_hash
-from .connectivity import ConnectivityModel, SptmClassifier, train_cpc, train_sptm
+from .connectivity import ConnectivityModel, train_cpc, train_sptm
 from .controller import InverseModel, ModelBundle, train_inverse
 from .cvae import CvaeModel, hallucinate, train_cvae
 from .data import TransitionDataset, collect_dataset, split_context_ids
 from .metrics import (
-    ABLATION_SCHEMES,
     AblationGrid,
     MetricsReport,
     make_benchmark_tasks,
@@ -35,7 +33,7 @@ class PipelineArtifacts:
     cvae: CvaeModel
     pools: dict  # context_id -> generated observation pool
     cpc: ConnectivityModel
-    sptm: SptmClassifier
+    sptm: ConnectivityModel
     inverse: InverseModel
 
     def htm_bundle(self) -> ModelBundle:

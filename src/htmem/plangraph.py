@@ -12,11 +12,11 @@ from __future__ import annotations
 
 import heapq
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import derived_seed, logsumexp_np, sigmoid
+from .autodiff import logsumexp_np, sigmoid
 from .cvae import CvaeModel, hallucinate
 
 WEIGHT_SCHEMES = ("inverse", "normalized", "sptm_threshold", "sptm_exp")

@@ -11,11 +11,9 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-
-from .autodiff import derived_seed
 
 
 class ConfigurationError(ValueError):

@@ -274,3 +274,60 @@ def test_uniform_softmax_loss_equals_log_n():
     pos = ad.reshape(ad.slice_cols(logits, 0, 1), (-1,))
     loss = ad.mean_all(ad.sub(ad.logsumexp(logits), pos))
     assert abs(float(loss.value) - math.log(8)) < 1e-12
+
+
+class _Vector:
+    """One parameter vector trained toward a target by squared error."""
+
+    def __init__(self):
+        self.w = np.zeros(2)
+        self.history = []
+
+    def parameters(self):
+        return [self.w]
+
+    def loss(self, target, tape=None):
+        t = Tape() if tape is None else tape
+        diff = ad.sub(t.watch(self.w), np.asarray(target, dtype=float))
+        loss = ad.sum_all(ad.mul(diff, diff))
+        return loss if tape is not None else float(loss.value)
+
+
+def test_fit_raises_the_single_training_diverged_with_the_label():
+    from htmem import connectivity, controller, cvae
+
+    assert cvae.TrainingDiverged is connectivity.TrainingDiverged is controller.TrainingDiverged
+    assert cvae.TrainingDiverged is ad.TrainingDiverged
+    model = _Vector()
+
+    def steps(epoch):
+        yield lambda tape: ad.mul(model.loss([1.0, 1.0], tape), np.inf)
+
+    with pytest.raises(ad.TrainingDiverged, match="toy"), np.errstate(invalid="ignore"):
+        ad.fit(model, 3, steps, lambda: {"val_loss": 0.0}, 0.1, "toy")
+
+
+def test_fit_restores_the_parameters_of_the_best_row():
+    # training pulls w through the validation target and past it, so the best
+    # validation epoch lies well before the last one
+    model = _Vector()
+
+    def steps(epoch):
+        yield lambda tape: model.loss([1.0, 1.0], tape)
+
+    def validate():
+        return {"val_loss": model.loss([0.5, 0.5]), "w0": float(model.w[0])}
+
+    ad.fit(model, 30, steps, validate, 0.1, "toy")
+    epochs = model.history[1:-1]
+    best = model.history[-1]
+    assert [row["epoch"] for row in model.history] == list(range(31)) + ["best"]
+    assert best["train_loss"] is None
+    assert best["val_loss"] == min(row["val_loss"] for row in epochs)
+    assert best["val_loss"] < epochs[-1]["val_loss"]
+    assert validate() == {k: v for k, v in best.items() if k not in ("epoch", "train_loss")}
+
+
+def test_fit_rejects_zero_epochs():
+    with pytest.raises(ValueError, match="epochs"):
+        ad.fit(_Vector(), 0, lambda epoch: iter(()), lambda: {"val_loss": 0.0}, 0.1, "toy")

@@ -244,6 +244,18 @@ def test_sample_sptm_batch_labeling_rule():
             assert f_tid != t_tid or abs(t_t - f_t) >= 6
 
 
+
+def test_sample_sptm_batch_without_far_partners_raises():
+    # one 20-step trajectory: most anchors have no step 20 or more away
+    world = BlockWorld(WorldSpec(max_walls=1))
+    ds = collect_dataset(
+        world, DataConfig(n_contexts=1, trajectories_per_context=1, trajectory_length=20, n_holdout=0)
+    )
+    cfg = SptmConfig(horizon=5, batch_pairs=64, phi=0.0)
+    assert cfg.l == 20
+    with pytest.raises(ValueError, match="context 0"):
+        sample_sptm_batch(ds, world, [0], cfg, seed=0)
+
 # ---------------------------------------------------------------------------
 # sptm loss
 

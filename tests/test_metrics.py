@@ -193,3 +193,14 @@ def test_ablation_grid_shape_and_accessors(tmp_path):
     assert header == "score_model,sptm_threshold,inverse,normalized"
     text = grid.to_text()
     assert "cpc" in text and "normalized" in text
+
+
+def test_fidelity_propagates_errors_other_than_undecodable_samples(monkeypatch):
+    world, ctx = world_and_ctx()
+
+    def broken_decode(obs):
+        raise RuntimeError("decoder bug")
+
+    monkeypatch.setattr(world, "decode", broken_decode)
+    with pytest.raises(RuntimeError, match="decoder bug"):
+        fidelity(world, ctx, np.zeros((3, 2)))
