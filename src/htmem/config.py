@@ -53,35 +53,42 @@ def default_config() -> RunConfig:
     return RunConfig()
 
 
+def _coerce(key: str, value, like):
+    """``value`` checked against, and converted to, the type of ``like``.
+
+    ``like`` is the field's default: a tuple's elements follow the type of
+    the default's first element, and a field whose default is None takes
+    None or follows the integer rules.
+    """
+    if like is None and value is None:
+        return None
+    if isinstance(like, tuple):
+        if not isinstance(value, (list, tuple)):
+            raise ConfigError(key, "expected a list")
+        return tuple(_coerce(key, v, like[0]) for v in value)
+    if isinstance(like, bool):
+        if not isinstance(value, bool):
+            raise ConfigError(key, "expected a boolean")
+    elif like is None or isinstance(like, (int, float)):
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise ConfigError(key, "expected a number")
+        if isinstance(like, float):
+            return float(value)
+        if isinstance(value, float) and not value.is_integer():
+            raise ConfigError(key, "expected an integer")
+        return int(value)
+    elif isinstance(like, str):
+        if not isinstance(value, str):
+            raise ConfigError(key, "expected a string")
+    return value
+
+
 def _merge_section(obj, section: str, overrides: dict):
-    valid = {f.name: f for f in fields(obj)}
+    valid = {f.name for f in fields(obj)}
     for key, value in overrides.items():
         if key not in valid:
             raise ConfigError(f"{section}.{key}", "unknown key")
-        current = getattr(obj, key)
-        if isinstance(current, tuple):
-            if not isinstance(value, (list, tuple)):
-                raise ConfigError(f"{section}.{key}", "expected a list")
-            value = tuple(value)
-        elif isinstance(current, bool):
-            if not isinstance(value, bool):
-                raise ConfigError(f"{section}.{key}", "expected a boolean")
-        elif isinstance(current, int) and not isinstance(current, bool):
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise ConfigError(f"{section}.{key}", "expected a number")
-            if isinstance(value, float) and not value.is_integer():
-                raise ConfigError(f"{section}.{key}", "expected an integer")
-            value = int(value)
-        elif isinstance(current, float):
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise ConfigError(f"{section}.{key}", "expected a number")
-            value = float(value)
-        elif isinstance(current, str):
-            if not isinstance(value, str):
-                raise ConfigError(f"{section}.{key}", "expected a string")
-        elif current is None and key == "negative_offset":
-            value = None if value is None else int(value)
-        setattr(obj, key, value)
+        setattr(obj, key, _coerce(f"{section}.{key}", value, getattr(obj, key)))
 
 
 def config_from_dict(d: dict) -> RunConfig:

@@ -10,7 +10,6 @@ paths maximize a likelihood bound along the way (checkable via
 
 from __future__ import annotations
 
-import heapq
 import json
 from dataclasses import dataclass
 
@@ -116,41 +115,69 @@ def build_graph(node_obs, scorer, ctx_encoding, scheme="normalized", s_shortcut=
 def shortest_path(graph: PlanGraph, start_idx: int, goal_idx: int) -> Plan:
     """Dijkstra over the dense digraph; weights are positive by construction.
 
-    Heap labels carry (distance, path) so equal-cost ties resolve to the
-    lexicographically smallest node-index sequence.
+    Distances, predecessors and the settled set live in arrays: each step
+    settles the closest frontier node and relaxes every edge out of it in
+    one vector operation. Equal-cost ties, both in choosing the node to
+    settle and in relaxing an edge, resolve to the lexicographically
+    smallest node-index sequence.
     """
     n = graph.n_nodes
     w = graph.weights
     if not (0 <= start_idx < n and 0 <= goal_idx < n):
         raise ValueError("start/goal index out of range")
-    best: dict = {}
-    heap = [(0.0, (start_idx,))]
-    settled = set()
-    goal_label = None
-    while heap:
-        dist, path = heapq.heappop(heap)
-        u = path[-1]
-        if u in settled:
-            continue
-        settled.add(u)
+    out = np.ascontiguousarray(w.T)  # row u: costs of the edges u -> v
+    dist = np.full(n, np.inf)
+    key = np.full(n, np.inf)  # dist on the frontier, inf elsewhere
+    dist[start_idx] = key[start_idx] = 0.0
+    pred = np.full(n, -1)
+    frontier = np.zeros(n, dtype=bool)  # reached, not yet settled
+    frontier[start_idx] = True
+    unsettled = np.ones(n, dtype=bool)
+    paths = {-1: ()}  # settled node -> its path; a settled path never changes
+
+    def path_via(v):  # path of a frontier node through its predecessor
+        return paths[int(pred[v])] + (int(v),)
+
+    while True:
+        dmin = key.min()
+        # a finite path can still sum to inf; then every frontier node ties
+        ties = np.flatnonzero(key == dmin if dmin < np.inf else frontier)
+        if not len(ties):
+            raise NoPathError(f"no path from node {start_idx} to node {goal_idx}")
+        if len(ties) > 1:  # of ties sharing a predecessor, the smallest index wins
+            ties = ties[np.unique(pred[ties], return_index=True)[1]]
+        u = int(ties[0]) if len(ties) == 1 else min((int(v) for v in ties), key=path_via)
+        paths[u] = path_via(u)
+        frontier[u] = unsettled[u] = False
+        key[u] = np.inf
         if u == goal_idx:
-            goal_label = (dist, path)
             break
-        col = w[:, u]  # costs of edges u -> v live in column u
-        for v in range(n):
-            if v in settled or not np.isfinite(col[v]):
-                continue
-            cand = (dist + col[v], path + (v,))
-            if v not in best or cand < best[v]:
-                best[v] = cand
-                heapq.heappush(heap, cand)
-    if goal_label is None:
-        raise NoPathError(f"no path from node {start_idx} to node {goal_idx}")
-    dist, path = goal_label
-    idx = list(path)
-    edge_w = np.array([w[idx[t + 1], idx[t]] for t in range(len(idx) - 1)])
-    edge_l = np.array([graph.logits[idx[t + 1], idx[t]] for t in range(len(idx) - 1)])
-    return Plan(idx, graph.observations[idx], edge_w, edge_l, float(dist), graph.scheme)
+        row = out[u]
+        cand = dist[u] + row
+        edge = unsettled & np.isfinite(row)
+        better = edge & (~frontier | (cand < dist))
+        tied = np.flatnonzero(edge & frontier & (cand == dist))
+        if len(tied):  # empty unless costs tie exactly; np.unique costs as much as a step
+            for p in np.unique(pred[tied]):  # compare paths[u] + (v,) with paths[p] + (v,)
+                group = tied[pred[tied] == p]
+                pu, pp = paths[u], paths[int(p)]
+                if pu[: len(pp)] == pp:  # p lies on u's path: its successor there decides
+                    better[group] = group > pu[len(pp)]
+                else:
+                    better[group] = pu < pp
+        np.copyto(dist, cand, where=better)
+        np.copyto(key, cand, where=better)
+        np.copyto(pred, u, where=better)
+        frontier |= better
+    idx = list(paths[goal_idx])
+    return Plan(
+        idx,
+        graph.observations[idx],
+        w[idx[1:], idx[:-1]],
+        graph.logits[idx[1:], idx[:-1]],
+        float(dist[goal_idx]),
+        graph.scheme,
+    )
 
 
 @dataclass

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from htmem.autodiff import MlpParams
 from htmem.cvae import CvaeModel
@@ -69,6 +71,24 @@ def brute_force_shortest(weights, start, goal):
                 total += w
             if ok:
                 best = min(best, total)
+    return best
+
+
+def lexicographic_brute_force(weights, start, goal):
+    """Minimum of (total summed in path order, path) over all simple paths,
+    or None when the goal is unreachable."""
+    if start == goal:
+        return 0.0, (start,)
+    nodes = [v for v in range(len(weights)) if v not in (start, goal)]
+    best = None
+    for r in range(len(nodes) + 1):
+        for mid in itertools.permutations(nodes, r):
+            path = (start, *mid, goal)
+            total = 0.0
+            for a, b in zip(path, path[1:]):
+                total += weights[b][a]
+            if math.isfinite(total) and (best is None or (total, path) < best):
+                best = (total, path)
     return best
 
 
@@ -243,6 +263,65 @@ def test_tie_break_lexicographic_smallest_sequence():
     g = graph_from_weights(w)
     plan = shortest_path(g, 0, 3)
     assert plan.node_indices == [0, 1, 3]
+
+
+def test_tie_break_when_tiny_weights_are_absorbed():
+    # 1.0 + 1e-20 == 1.0, so nodes 1, 3 and 4 all tie at distance 1 with
+    # different predecessors; settling 3 before 1 would lose the smaller
+    # route to 3 through 1, and with it the smallest route to 4
+    inf, tiny = math.inf, 1e-20
+    w = np.full((5, 5), inf)
+    w[2, 0] = tiny  # 0 -> 2
+    w[3, 0] = 1.0  # 0 -> 3
+    w[1, 2] = 1.0  # 2 -> 1
+    w[4, 2] = 1.0  # 2 -> 4
+    w[3, 1] = tiny  # 1 -> 3
+    w[1, 4] = tiny  # 4 -> 1
+    w[4, 3] = tiny  # 3 -> 4
+    plan = shortest_path(graph_from_weights(w), 0, 4)
+    assert plan.node_indices == [0, 2, 1, 3, 4]
+    assert plan.total_weight == 1.0
+
+
+def test_path_whose_total_overflows_is_still_a_path():
+    w = np.full((3, 3), math.inf)
+    w[1, 0] = 1e308  # 0 -> 1
+    w[2, 1] = 1e308  # 1 -> 2
+    with np.errstate(over="ignore"):
+        plan = shortest_path(graph_from_weights(w), 0, 2)
+    assert plan.node_indices == [0, 1, 2]
+    assert plan.total_weight == math.inf
+
+
+WEIGHT_KINDS = {
+    "integer": st.integers(1, 3).map(float),
+    "ones": st.just(1.0),
+    "real": st.floats(0.05, 5.0),
+}
+
+
+@st.composite
+def search_problems(draw):
+    n = draw(st.integers(2, 7))
+    weight = WEIGHT_KINDS[draw(st.sampled_from(sorted(WEIGHT_KINDS)))]
+    absent = st.just(math.inf)
+    w = [[draw(st.one_of(absent, weight)) for _ in range(n)] for _ in range(n)]
+    return w, draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+
+
+@settings(max_examples=400, deadline=None)
+@given(search_problems())
+def test_shortest_path_is_the_lexicographic_minimum_of_cost_and_path(problem):
+    weights, start, goal = problem
+    g = graph_from_weights(weights)
+    want = lexicographic_brute_force(g.weights, start, goal)
+    if want is None:
+        with pytest.raises(NoPathError):
+            shortest_path(g, start, goal)
+        return
+    plan = shortest_path(g, start, goal)
+    assert tuple(plan.node_indices) == want[1]
+    assert plan.total_weight == want[0]  # identical, not approximately equal
 
 
 def test_no_path_under_threshold_scheme():
