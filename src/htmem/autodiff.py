@@ -85,14 +85,18 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
 
 
 class Node:
-    __slots__ = ("tape", "value", "parents", "vjp", "grad")
+    """One recorded value. ``needs_grad`` holds for watched arrays and for
+    every node computed from one; the backward pass leaves the others alone."""
 
-    def __init__(self, tape, value, parents=(), vjp=None):
+    __slots__ = ("tape", "value", "parents", "vjp", "grad", "needs_grad")
+
+    def __init__(self, tape, value, parents=(), vjp=None, needs_grad=False):
         self.tape = tape
         self.value = value
         self.parents = parents
         self.vjp = vjp
         self.grad = None
+        self.needs_grad = needs_grad
 
     @property
     def shape(self):
@@ -138,11 +142,12 @@ class Tape:
         node = self._watched.get(id(array))
         if node is None:
             node = self.leaf(array)
+            node.needs_grad = True
             self._watched[id(array)] = node
         return node
 
     def _push(self, value, parents, vjp) -> Node:
-        node = Node(self, value, parents, vjp)
+        node = Node(self, value, parents, vjp, any(p.needs_grad for p in parents))
         self.nodes.append(node)
         return node
 
@@ -156,11 +161,13 @@ class Tape:
             if node.grad is None or node.vjp is None:
                 continue
             for parent, g in zip(node.parents, node.vjp(node.grad)):
-                if g is None:
+                if g is None or not parent.needs_grad:
                     continue
                 if parent.grad is None:
-                    parent.grad = np.zeros_like(parent.value)
-                parent.grad = parent.grad + g
+                    shape = parent.value.shape
+                    parent.grad = g if g.shape == shape else np.broadcast_to(g, shape)
+                else:
+                    parent.grad = parent.grad + g
 
     def grad(self, array: np.ndarray) -> np.ndarray:
         """Gradient of the last backward pass w.r.t. a watched array."""
@@ -220,9 +227,10 @@ def matmul(a: Node, b: Node) -> Node:
         raise ShapeError("matmul expects 2-D operands")
     value = a.value @ b.value
     av, bv = a.value, b.value
+    a_grad, b_grad = a.needs_grad, b.needs_grad
 
     def vjp(g):
-        return g @ bv.T, av.T @ g
+        return (g @ bv.T if a_grad else None), (av.T @ g if b_grad else None)
 
     return a.tape._push(value, (a, b), vjp)
 
@@ -239,9 +247,10 @@ def linear(x: Node, w: Node, b: Node) -> Node:
         )
     value = x.value @ w.value.T + b.value
     xv, wv = x.value, w.value
+    x_grad = x.needs_grad  # False for a data batch: skip the input-side product
 
     def vjp(g):
-        return g @ wv, g.T @ xv, g.sum(axis=0)
+        return (g @ wv if x_grad else None), g.T @ xv, g.sum(axis=0)
 
     return x.tape._push(value, (x, w, b), vjp)
 

@@ -167,129 +167,142 @@ class SptmBatch:
         return len(self.labels)
 
 
-def _context_arrays(dataset, world, ids):
-    obs_by_ctx = {cid: [t.observations for t in dataset.trajectories[cid]] for cid in ids}
-    enc_by_ctx = {cid: world.encode_context(dataset.context_by_id(cid)) for cid in ids}
-    return obs_by_ctx, enc_by_ctx
+@dataclass(frozen=True, eq=False)
+class ContextStack:
+    """The observations, encodings and generated pools of a fixed list of
+    contexts, stacked once so that the samplers gather batches by index.
+
+    Context ``i`` of the stack is ``context_ids[i]``; its observations are
+    indexed by trajectory and step, and its pool is the rows
+    ``pool_start[i]`` to ``pool_start[i] + pool_size[i]`` of ``pool``.
+    """
+
+    context_ids: tuple
+    observations: np.ndarray  # (C, J, T+1, obs_dim)
+    encodings: np.ndarray  # (C, ctx_dim)
+    pool: np.ndarray  # (P, obs_dim), every context's generated observations
+    pool_start: np.ndarray  # (C,)
+    pool_size: np.ndarray  # (C,), 0 for a context without a pool
+
+    @classmethod
+    def build(
+        cls, dataset: TransitionDataset, world: BlockWorld, ids, hallucinations: dict | None = None
+    ) -> "ContextStack":
+        """Stack ``ids``; ``hallucinations`` maps a context id to its pool."""
+        ids = tuple(ids)
+        if not ids:
+            raise ValueError("no contexts to stack")
+        shapes = {}
+        for cid in ids:
+            trajs = dataset.trajectories[cid]
+            shapes[cid] = (len(trajs), sorted({t.observations.shape[0] for t in trajs}))
+        first = shapes[ids[0]]
+        for cid, (n_traj, lengths) in shapes.items():
+            if len(lengths) != 1 or (n_traj, lengths) != first:
+                raise ValueError(
+                    f"context {cid}: {n_traj} trajectories of {lengths} observations, but "
+                    f"stacked contexts need one count and one length (first: {first[0]} of "
+                    f"{first[1]})"
+                )
+        observations = np.stack(
+            [np.stack([t.observations for t in dataset.trajectories[cid]]) for cid in ids]
+        )
+        encodings = np.stack([world.encode_context(dataset.context_by_id(cid)) for cid in ids])
+        pools = [(hallucinations or {}).get(cid) for cid in ids]
+        pools = [np.reshape([] if p is None else p, (-1, world.obs_dim)) for p in pools]
+        pool_size = np.array([len(p) for p in pools])
+        pool_start = np.concatenate([[0], np.cumsum(pool_size)[:-1]])
+        return cls(ids, observations, encodings, np.concatenate(pools), pool_start, pool_size)
+
+    def flat_observations(self) -> np.ndarray:
+        """(C, J*(T+1), obs_dim): index ``j*(T+1) + t`` is step t of trajectory j."""
+        c, j, t1, obs_dim = self.observations.shape
+        return self.observations.reshape(c, j * t1, obs_dim)
+
+    def draw_pool(self, ctx_index, rng) -> np.ndarray:
+        """One uniform pool row for each context index in ``ctx_index``;
+        every context indexed must have a nonempty pool."""
+        return self.pool[self.pool_start[ctx_index] + rng.integers(self.pool_size[ctx_index])]
 
 
-# Redraws allowed per observation of a context before a rejection sampler
-# gives up. An admissible negative that exists is missed with probability at
-# most exp(-64), so running out means the context has none.
-MAX_DRAWS_PER_OBSERVATION = 64
-
-
-def sample_cpc_batch(
-    dataset: TransitionDataset,
-    world: BlockWorld,
-    context_ids,
-    cfg: CpcConfig,
-    seed: int,
-    hallucinations: dict | None = None,
-):
+def sample_cpc_batch(stack: ContextStack, cfg: CpcConfig, seed: int) -> CpcBatch:
     """One contrastive batch: anchors with their k-step successors as the
     positive class and same-context candidates as negatives.
 
-    Offsets are uniform on 1..horizon. A phi fraction of each negative set is
-    drawn from ``hallucinations`` (context_id -> observation pool) when the
-    anchor's context has a pool; the rest are uniform dataset observations
-    from the anchor's context, never the positive's own index.
+    Contexts, offsets (uniform on 1..horizon), trajectories and start steps
+    are uniform. A phi fraction of each negative set is drawn from the
+    anchor's context pool when it has one; the rest are uniform over the
+    context's observations other than the positive's own index.
     """
     rng = np.random.default_rng(seed)
-    obs_by_ctx, enc_by_ctx = _context_arrays(dataset, world, context_ids)
+    flat = stack.flat_observations()
+    n_ctx, n_flat, _ = flat.shape
+    n_traj, t1 = stack.observations.shape[1:3]
+    if t1 < 2:
+        raise ValueError(f"context {stack.context_ids[0]} has no transitions")
     b, n_neg = cfg.batch_anchors, cfg.n_candidates - 1
-    obs_dim = world.obs_dim
-    anchors = np.empty((b, obs_dim))
-    positives = np.empty((b, obs_dim))
-    negatives = np.empty((b, n_neg, obs_dim))
-    contexts = np.empty((b, world.ctx_dim))
-    offsets = np.empty(b, dtype=int)
-    halluc_mask = np.zeros((b, n_neg), dtype=bool)
-    for i in range(b):
-        cid = context_ids[rng.integers(len(context_ids))]
-        trajs = obs_by_ctx[cid]
-        t_len = trajs[0].shape[0] - 1
-        if t_len < 1:
-            raise ValueError(f"context {cid} has no transitions")
-        k = int(rng.integers(1, min(cfg.horizon, t_len) + 1))
-        ti = int(rng.integers(len(trajs)))
-        t0 = int(rng.integers(0, t_len - k + 1))
-        anchors[i] = trajs[ti][t0]
-        positives[i] = trajs[ti][t0 + k]
-        contexts[i] = enc_by_ctx[cid]
-        offsets[i] = k
-        pool = hallucinations.get(cid) if hallucinations else None
-        n_h = int(round(cfg.phi * n_neg)) if pool is not None and len(pool) else 0
-        max_draws = MAX_DRAWS_PER_OBSERVATION * len(trajs) * (t_len + 1)
-        for j in range(n_neg):
-            if j < n_h:
-                negatives[i, j] = pool[rng.integers(len(pool))]
-                halluc_mask[i, j] = True
-                continue
-            for _ in range(max_draws):
-                tj = int(rng.integers(len(trajs)))
-                tt = int(rng.integers(0, t_len + 1))
-                if tj != ti or tt != t0 + k:  # exact positive index excluded
-                    negatives[i, j] = trajs[tj][tt]
-                    break
-            else:
-                raise ValueError(f"context {cid}: no negative other than the positive")
-    return CpcBatch(anchors, positives, negatives, contexts, offsets, halluc_mask)
+    c = rng.integers(n_ctx, size=b)
+    offsets = rng.integers(1, min(cfg.horizon, t1 - 1) + 1, size=b)
+    start = rng.integers(n_traj, size=b) * t1 + rng.integers(t1 - offsets)
+    positive = start + offsets
+    u = rng.integers(n_flat - 1, size=(b, n_neg))
+    u += u >= positive[:, None]  # skip the positive's index
+    negatives = flat[c[:, None], u]
+    n_h = np.where(stack.pool_size[c] > 0, int(round(cfg.phi * n_neg)), 0)
+    halluc_mask = np.arange(n_neg) < n_h[:, None]
+    rows, cols = np.nonzero(halluc_mask)
+    negatives[rows, cols] = stack.draw_pool(c[rows], rng)
+    return CpcBatch(
+        flat[c, start], flat[c, positive], negatives, stack.encodings[c], offsets, halluc_mask
+    )
 
 
-def sample_sptm_batch(
-    dataset: TransitionDataset,
-    world: BlockWorld,
-    context_ids,
-    cfg: SptmConfig,
-    seed: int,
-    hallucinations: dict | None = None,
-):
-    """Labeled near/far pairs: positives are <= horizon steps apart on one
-    trajectory; negatives are >= negative_offset apart or from another
-    trajectory of the same context (random exploration makes unrelated
-    rollouts temporally far); a phi fraction of negatives is generated."""
+def sample_sptm_batch(stack: ContextStack, cfg: SptmConfig, seed: int) -> SptmBatch:
+    """Labeled near/far pairs, alternating from a positive: positives are
+    <= horizon steps apart on one trajectory; negatives are >= negative_offset
+    apart or from another trajectory of the same context (random exploration
+    makes unrelated rollouts temporally far), uniform over that set; a phi
+    fraction of negatives is generated."""
     rng = np.random.default_rng(seed)
-    obs_by_ctx, enc_by_ctx = _context_arrays(dataset, world, context_ids)
+    flat = stack.flat_observations()
+    n_ctx, n_flat, _ = flat.shape
+    n_traj, t1 = stack.observations.shape[1:3]
     b = cfg.batch_pairs
-    from_obs = np.empty((b, world.obs_dim))
-    to_obs = np.empty((b, world.obs_dim))
-    labels = np.empty(b)
-    contexts = np.empty((b, world.ctx_dim))
+    c = rng.integers(n_ctx, size=b)
+    traj = rng.integers(n_traj, size=b)
+    labels = (np.arange(b) % 2 == 0).astype(float)
+    pos, neg = slice(0, None, 2), slice(1, None, 2)
+    step = np.empty(b, dtype=int)
+    to_idx = np.empty(b, dtype=int)
+    k = rng.integers(1, min(cfg.horizon, t1 - 1) + 1, size=len(step[pos]))
+    step[pos] = rng.integers(t1 - k)
+    to_idx[pos] = traj[pos] * t1 + step[pos] + k
+    step[neg] = rng.integers(t1, size=len(step[neg]))
+
+    neg_c, neg_traj, neg_step = c[neg], traj[neg], step[neg]
     halluc_mask = np.zeros(b, dtype=bool)
-    for i in range(b):
-        cid = context_ids[rng.integers(len(context_ids))]
-        trajs = obs_by_ctx[cid]
-        t_len = trajs[0].shape[0] - 1
-        ti = int(rng.integers(len(trajs)))
-        positive = i % 2 == 0
-        labels[i] = 1.0 if positive else 0.0
-        contexts[i] = enc_by_ctx[cid]
-        if positive:
-            k = int(rng.integers(1, min(cfg.horizon, t_len) + 1))
-            t0 = int(rng.integers(0, t_len - k + 1))
-            from_obs[i] = trajs[ti][t0]
-            to_obs[i] = trajs[ti][t0 + k]
-            continue
-        t0 = int(rng.integers(0, t_len + 1))
-        from_obs[i] = trajs[ti][t0]
-        pool = hallucinations.get(cid) if hallucinations else None
-        if pool is not None and len(pool) and rng.random() < cfg.phi:
-            to_obs[i] = pool[rng.integers(len(pool))]
-            halluc_mask[i] = True
-            continue
-        for _ in range(MAX_DRAWS_PER_OBSERVATION * len(trajs) * (t_len + 1)):
-            tj = int(rng.integers(len(trajs)))
-            tt = int(rng.integers(0, t_len + 1))
-            if tj != ti or abs(tt - t0) >= cfg.l:
-                to_obs[i] = trajs[tj][tt]
-                break
-        else:
-            raise ValueError(
-                f"context {cid}: no observation {cfg.l} or more steps from step {t0} "
-                f"of trajectory {ti}"
-            )
-    return SptmBatch(from_obs, to_obs, labels, contexts, halluc_mask)
+    halluc_mask[neg] = (stack.pool_size[neg_c] > 0) & (rng.random(len(neg_c)) < cfg.phi)
+    # The same trajectory's steps less than l away form one window of flat
+    # indices; a uniform draw over the rest skips it.
+    lo = np.clip(neg_step - cfg.l + 1, 0, t1)
+    width = np.maximum(np.clip(neg_step + cfg.l, 0, t1) - lo, 0)
+    admissible = n_flat - width
+    empty = (admissible == 0) & ~halluc_mask[neg]
+    if empty.any():
+        i = int(np.argmax(empty))
+        raise ValueError(
+            f"context {stack.context_ids[neg_c[i]]}: no observation {cfg.l} or more steps "
+            f"from step {neg_step[i]} of trajectory {neg_traj[i]}"
+        )
+    u = rng.integers(np.maximum(admissible, 1))
+    window = neg_traj * t1 + lo
+    to_idx[neg] = u + width * (u >= window)
+
+    to_obs = flat[c, to_idx]
+    to_obs[halluc_mask] = stack.draw_pool(c[halluc_mask], rng)
+    return SptmBatch(
+        flat[c, traj * t1 + step], to_obs, labels, stack.encodings[c], halluc_mask
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -339,11 +352,6 @@ def sptm_bce_loss(model: ConnectivityModel, batch: SptmBatch, tape: Tape | None 
     return float(loss.value) if own_tape else loss
 
 
-def score_pair(model, o_from, o_to, ctx) -> float:
-    """Directed log-score of moving from ``o_from`` to ``o_to``."""
-    return model.score_pair(o_from, o_to, ctx)
-
-
 # ---------------------------------------------------------------------------
 # training
 
@@ -352,18 +360,16 @@ def _train_scorer(model, dataset, world, cfg, sample_fn, loss_fn, hallucinations
     train_ids, val_ids, _ = split_context_ids(dataset)
     if not train_ids:
         raise ValueError("no training contexts after holdout/validation split")
-    val_source = val_ids or train_ids[:1]
+    train = ContextStack.build(dataset, world, train_ids, hallucinations)
+    val = ContextStack.build(dataset, world, val_ids or train_ids[:1], hallucinations)
     val_batches = [
-        sample_fn(dataset, world, val_source, cfg, derived_seed(cfg.seed, "val", i), hallucinations)
-        for i in range(cfg.val_batches)
+        sample_fn(val, cfg, derived_seed(cfg.seed, "val", i)) for i in range(cfg.val_batches)
     ]
 
     def steps(epoch):
         for i in range(cfg.steps_per_epoch):
             step = (epoch - 1) * cfg.steps_per_epoch + i
-            batch = sample_fn(
-                dataset, world, train_ids, cfg, derived_seed(cfg.seed, "train", step), hallucinations
-            )
+            batch = sample_fn(train, cfg, derived_seed(cfg.seed, "train", step))
             yield lambda tape: loss_fn(model, batch, tape)
 
     def validate():

@@ -139,6 +139,30 @@ def test_grad_check_passes_on_composite_loss():
     assert report.passed, report.max_rel_error
 
 
+def test_unwatched_input_gets_no_gradient_and_parameter_gradients_are_unchanged():
+    params = mlp_init([3, 6, 2], "tanh", seed=5)
+    x = np.random.default_rng(1).normal(size=(4, 3))
+
+    def build(tape, x_node=None):
+        out = mlp_apply(params, x if x_node is None else x_node, tape)
+        return ad.mean_all(ad.mul(out, out))
+
+    def gradients(watch_input):
+        tape = Tape()
+        x_node = tape.watch(x) if watch_input else tape.leaf(x)
+        tape.backward(build(tape, x_node))
+        return x_node.grad, [tape.grad(p) for p in params.parameters()]
+
+    x_grad, grads = gradients(watch_input=False)
+    assert x_grad is None
+    x_grad_watched, grads_watched = gradients(watch_input=True)
+    assert x_grad_watched.shape == x.shape
+    for g, g_watched in zip(grads, grads_watched):
+        assert np.array_equal(g, g_watched)
+    # the loss of test_grad_check_passes_on_composite_loss
+    assert grad_check(build, params.parameters()).passed
+
+
 def test_grad_check_linear_loss_near_exact():
     w = np.array([1.0, -2.0, 0.5])
     coef = np.array([2.0, 3.0, -1.0])

@@ -1,6 +1,10 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from htmem.config import ConfigError, config_from_dict
+from htmem.config import ConfigError, config_from_dict, config_hash, config_to_dict
+from htmem.plangraph import WEIGHT_SCHEMES
+from htmem.world import MODES
 
 SPTM_OFFSET = 20  # default sptm negative offset: 4 * horizon 5
 
@@ -52,3 +56,64 @@ def test_one_trajectory_per_context_accepted_once_every_step_has_a_far_partner()
         {"data": {"trajectories_per_context": 1, "trajectory_length": 2 * SPTM_OFFSET - 1}}
     )
     assert cfg.data.trajectories_per_context == 1
+
+
+def _positive_range(low, high):
+    """A (low, high) pair with 0 < low <= high, as ints or floats."""
+    number = st.floats(low, high)
+    if high >= 1:
+        number |= st.integers(max(1, int(low)), int(high))
+    return st.lists(number, min_size=2, max_size=2).map(sorted)
+
+
+@st.composite
+def valid_overrides(draw):
+    """Config overrides drawn from the ranges ``validate_config`` accepts."""
+    max_walls = draw(st.integers(0, 4))
+    low_walls = draw(st.integers(0, max_walls))
+    sptm_horizon = draw(st.integers(1, 8))
+    negative_offset = draw(
+        st.one_of(st.none(), st.integers(sptm_horizon + 1, 40), st.integers(sptm_horizon + 1, 40).map(float))
+    )
+    offset = 4 * sptm_horizon if negative_offset is None else int(negative_offset)
+    n_contexts = draw(st.integers(1, 50))
+    per_context = draw(st.integers(1, 20))
+    hidden = st.lists(st.integers(1, 64), max_size=3)
+    return {
+        "world": {
+            "mode": draw(st.sampled_from(MODES)),
+            "max_walls": max_walls,
+            "n_walls": [low_walls, draw(st.integers(low_walls, max_walls))],
+            "wall_thickness": draw(_positive_range(1e-3, 0.2)),
+            "wall_length_frac": draw(_positive_range(0.1, 2.0)),
+            "wall_offset_frac": draw(_positive_range(0.1, 1.0)),
+        },
+        "data": {
+            "n_contexts": n_contexts,
+            "n_holdout": draw(st.integers(0, n_contexts - 1)),
+            "trajectories_per_context": per_context,
+            # one trajectory per context needs a far partner for every step
+            "trajectory_length": draw(st.integers(1 if per_context > 1 else 2 * offset - 1, 100)),
+            "val_fraction": draw(st.floats(0.0, 0.99)),
+        },
+        "cvae": {"hidden": draw(hidden), "beta": draw(st.floats(0.0, 10.0) | st.integers(0, 10))},
+        "cpc": {
+            "hidden": draw(hidden),
+            "horizon": draw(st.integers(1, 10)),
+            "phi": draw(st.floats(0.0, 1.0)),
+            "lr": draw(st.floats(1e-6, 1.0)),
+        },
+        "sptm": {"hidden": draw(hidden), "horizon": sptm_horizon, "negative_offset": negative_offset},
+        "inverse": {"hidden": draw(hidden)},
+        "planning": {"scheme": draw(st.sampled_from(WEIGHT_SCHEMES)), "m_samples": draw(st.integers(0, 1000))},
+        "evaluation": {"ablation_seeds": draw(st.lists(st.integers(0, 2**31), min_size=1, max_size=4))},
+    }
+
+
+@settings(max_examples=200, deadline=None)
+@given(valid_overrides())
+def test_config_round_trips_through_its_dict(overrides):
+    cfg = config_from_dict(overrides)
+    again = config_from_dict(config_to_dict(cfg))
+    assert again == cfg
+    assert config_hash(again) == config_hash(cfg)

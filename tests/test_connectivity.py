@@ -6,6 +6,7 @@ import pytest
 from htmem.autodiff import MlpParams, grad_check, sigmoid
 from htmem.connectivity import (
     ConnectivityModel,
+    ContextStack,
     CpcBatch,
     CpcConfig,
     SptmBatch,
@@ -15,17 +16,18 @@ from htmem.connectivity import (
     cpc_loss,
     sample_cpc_batch,
     sample_sptm_batch,
-    score_pair,
     sptm_bce_loss,
     sptm_init,
     successor_ranking_rate,
     train_cpc,
     train_sptm,
 )
-from htmem.data import DataConfig, collect_dataset
+from htmem.data import DataConfig, collect_dataset, split_context_ids
 from htmem.world import BlockWorld, WorldSpec
 
 CHI2_CRIT_DF4_P01 = 13.2767  # chi-square critical value, df=4, alpha=0.01
+CHI2_CRIT_DF72_P001 = 114.835  # df=72, alpha=0.001
+CHI2_CRIT_DF172_P001 = 235.053  # df=172, alpha=0.001
 
 
 def identity_scorer(d=4, w=None, cls=ConnectivityModel, **extra):
@@ -61,6 +63,34 @@ def tiny_dataset(mode="state", horizon_len=6):
     return world, collect_dataset(world, cfg)
 
 
+def numbered_stack(n_ctx, n_traj, t1):
+    """A stack whose one-dimensional observations are their own flat index
+    ``(context * n_traj + trajectory) * t1 + step``."""
+    obs = np.arange(float(n_ctx * n_traj * t1)).reshape(n_ctx, n_traj, t1, 1)
+    empty = np.zeros(n_ctx, dtype=int)
+    return ContextStack(tuple(range(n_ctx)), obs, np.zeros((n_ctx, 1)), np.empty((0, 1)), empty, empty)
+
+
+def chi2_uniform(counts_by_cell):
+    """Summed Pearson statistic of each cell's counts against uniform."""
+    total = 0.0
+    for counts in counts_by_cell.values():
+        counts = np.asarray(counts, dtype=float)
+        expected = counts.sum() / len(counts)
+        total += float(((counts - expected) ** 2 / expected).sum())
+    return total
+
+
+def occurrences(ds, context_ids):
+    """Observation bytes -> every (context, trajectory, step) showing it."""
+    where = {}
+    for cid in context_ids:
+        for traj in ds.trajectories[cid]:
+            for t, o in enumerate(traj.observations):
+                where.setdefault(o.tobytes(), set()).add((cid, traj.trajectory_id, t))
+    return where
+
+
 # ---------------------------------------------------------------------------
 # scoring
 
@@ -70,7 +100,7 @@ def test_zero_bilinear_scores_zero_everywhere():
     rng = np.random.default_rng(0)
     for _ in range(5):
         a, b = rng.uniform(size=2), rng.uniform(size=2)
-        assert score_pair(model, a, b, np.zeros(2)) == 0.0
+        assert model.score_pair(a, b, np.zeros(2)) == 0.0
     logits = model.pairwise_logits(rng.uniform(size=(6, 2)), np.zeros(2))
     assert np.array_equal(logits, np.zeros((6, 6)))
 
@@ -80,7 +110,7 @@ def test_score_pair_is_directed():
     model = identity_scorer(w=rng.normal(size=(4, 4)))
     a, b = rng.uniform(size=2), rng.uniform(size=2)
     ctx = rng.uniform(size=2)
-    assert score_pair(model, a, b, ctx) != pytest.approx(score_pair(model, b, a, ctx))
+    assert model.score_pair(a, b, ctx) != pytest.approx(model.score_pair(b, a, ctx))
 
 
 def test_pairwise_logits_match_score_pair():
@@ -92,7 +122,7 @@ def test_pairwise_logits_match_score_pair():
     for i in range(5):
         for j in range(5):
             assert logits[i, j] == pytest.approx(
-                score_pair(model, obs[j], obs[i], ctx), abs=1e-12
+                model.score_pair(obs[j], obs[i], ctx), abs=1e-12
             )
 
 
@@ -157,7 +187,7 @@ def test_cpc_loss_gradients_pass_fd_check():
     cfg = CpcConfig(d=5, hidden=(8,), horizon=3, n_candidates=5, batch_anchors=4, seed=1)
     model = connectivity_init(world.obs_dim, world.ctx_dim, cfg)
     model.bilinear[...] = np.random.default_rng(5).normal(size=(5, 5)) * 0.2
-    batch = sample_cpc_batch(ds, world, [0, 1], cfg, seed=7)
+    batch = sample_cpc_batch(ContextStack.build(ds, world, [0, 1]), cfg, seed=7)
 
     def build(tape):
         return cpc_loss(model, batch, tape)
@@ -185,32 +215,32 @@ def test_cpc_loss_finite_for_extreme_logits():
 def test_sample_cpc_batch_offsets_and_context_membership():
     world, ds = tiny_dataset()
     cfg = CpcConfig(horizon=1, n_candidates=6, batch_anchors=40, phi=0.0)
-    batch = sample_cpc_batch(ds, world, [0, 1, 2], cfg, seed=0)
+    batch = sample_cpc_batch(ContextStack.build(ds, world, [0, 1, 2]), cfg, seed=0)
     assert np.all(batch.offsets == 1)
     assert not batch.halluc_mask.any()
 
-    # positives are the exact k-step successors and negatives stay in-context
-    obs_index = {}
-    for cid in (0, 1, 2):
-        for traj in ds.trajectories[cid]:
-            for t, o in enumerate(traj.observations):
-                obs_index[o.tobytes()] = (cid, traj.trajectory_id, t)
+    # positives are the exact k-step successors and negatives stay in-context.
+    # A blocked move repeats an observation, so each maps to all its indices.
+    where = occurrences(ds, (0, 1, 2))
     for i in range(len(batch)):
-        a_cid, a_tid, a_t = obs_index[batch.anchors[i].tobytes()]
-        p_cid, p_tid, p_t = obs_index[batch.positives[i].tobytes()]
-        assert (a_cid, a_tid) == (p_cid, p_tid)
-        assert p_t - a_t == batch.offsets[i]
+        a_at, p_at = where[batch.anchors[i].tobytes()], where[batch.positives[i].tobytes()]
+        assert any(
+            (a_cid, a_tid) == (p_cid, p_tid) and p_t - a_t == batch.offsets[i]
+            for a_cid, a_tid, a_t in a_at
+            for p_cid, p_tid, p_t in p_at
+        )
         for j in range(batch.negatives.shape[1]):
-            n_cid, n_tid, n_t = obs_index[batch.negatives[i, j].tobytes()]
-            assert n_cid == a_cid
-            assert (n_tid, n_t) != (p_tid, p_t)  # positive never among negatives
+            n_at = where[batch.negatives[i, j].tobytes()]
+            assert any(n_cid == a_cid for n_cid, _, _ in n_at for a_cid, _, _ in a_at)
+            # positive never among negatives
+            assert any(n != p for n in n_at for p in p_at)
 
 
 def test_sample_cpc_batch_uses_hallucination_pool():
     world, ds = tiny_dataset()
     cfg = CpcConfig(horizon=3, n_candidates=16, batch_anchors=30, phi=0.25)
     pool = {cid: np.full((10, 2), 0.5) + cid * 0.01 for cid in (0, 1, 2)}
-    batch = sample_cpc_batch(ds, world, [0, 1, 2], cfg, seed=3, hallucinations=pool)
+    batch = sample_cpc_batch(ContextStack.build(ds, world, [0, 1, 2], pool), cfg, seed=3)
     per_anchor = batch.halluc_mask.sum(axis=1)
     assert np.all(per_anchor == round(0.25 * 15))
 
@@ -218,7 +248,7 @@ def test_sample_cpc_batch_uses_hallucination_pool():
 def test_sample_cpc_batch_offset_histogram_uniform():
     world, ds = tiny_dataset()
     cfg = CpcConfig(horizon=5, n_candidates=4, batch_anchors=10_000, phi=0.0)
-    batch = sample_cpc_batch(ds, world, [0, 1, 2], cfg, seed=11)
+    batch = sample_cpc_batch(ContextStack.build(ds, world, [0, 1, 2]), cfg, seed=11)
     counts = np.bincount(batch.offsets, minlength=6)[1:]
     expected = len(batch) / 5
     chi2 = float(((counts - expected) ** 2 / expected).sum())
@@ -228,21 +258,15 @@ def test_sample_cpc_batch_offset_histogram_uniform():
 def test_sample_sptm_batch_labeling_rule():
     world, ds = tiny_dataset(horizon_len=8)
     cfg = SptmConfig(horizon=3, negative_offset=6, batch_pairs=60, phi=0.0)
-    batch = sample_sptm_batch(ds, world, [0, 1], cfg, seed=2)
-    obs_index = {}
-    for cid in (0, 1):
-        for traj in ds.trajectories[cid]:
-            for t, o in enumerate(traj.observations):
-                obs_index[o.tobytes()] = (cid, traj.trajectory_id, t)
+    batch = sample_sptm_batch(ContextStack.build(ds, world, [0, 1]), cfg, seed=2)
+    where = occurrences(ds, (0, 1))
     for i in range(len(batch)):
-        f_cid, f_tid, f_t = obs_index[batch.from_obs[i].tobytes()]
-        t_cid, t_tid, t_t = obs_index[batch.to_obs[i].tobytes()]
-        assert f_cid == t_cid
+        f_at, t_at = where[batch.from_obs[i].tobytes()], where[batch.to_obs[i].tobytes()]
+        pairs = [(f, t) for f in f_at for t in t_at if f[0] == t[0]]
         if batch.labels[i] == 1.0:
-            assert f_tid == t_tid and 1 <= t_t - f_t <= 3
+            assert any(f[1] == t[1] and 1 <= t[2] - f[2] <= 3 for f, t in pairs)
         else:
-            assert f_tid != t_tid or abs(t_t - f_t) >= 6
-
+            assert any(f[1] != t[1] or abs(t[2] - f[2]) >= 6 for f, t in pairs)
 
 
 def test_sample_sptm_batch_without_far_partners_raises():
@@ -254,7 +278,75 @@ def test_sample_sptm_batch_without_far_partners_raises():
     cfg = SptmConfig(horizon=5, batch_pairs=64, phi=0.0)
     assert cfg.l == 20
     with pytest.raises(ValueError, match="context 0"):
-        sample_sptm_batch(ds, world, [0], cfg, seed=0)
+        sample_sptm_batch(ContextStack.build(ds, world, [0]), cfg, seed=0)
+
+def test_sample_cpc_batch_real_negatives_uniform_except_the_positive():
+    n_ctx, n_traj, t1 = 2, 2, 4
+    n_flat = n_traj * t1
+    cfg = CpcConfig(horizon=3, n_candidates=8, batch_anchors=6000, phi=0.0)
+    batch = sample_cpc_batch(numbered_stack(n_ctx, n_traj, t1), cfg, seed=5)
+    positive = batch.positives[:, 0].astype(int)
+    negative = batch.negatives[..., 0].astype(int)
+    assert np.all(negative != positive[:, None])
+    assert np.all(negative // n_flat == (positive // n_flat)[:, None])  # anchor's context
+    # per positive index, every other index of its context is equally likely
+    counts = {}
+    for p, row in zip(positive, negative):
+        cell = counts.setdefault(p, np.zeros(n_flat, dtype=int))
+        np.add.at(cell, row % n_flat, 1)
+    assert len(counts) == n_ctx * n_traj * (t1 - 1)  # every step with a predecessor
+    others = {p: np.delete(c, p % n_flat) for p, c in counts.items()}
+    # df = 12 positives x (7 - 1)
+    assert chi2_uniform(others) < CHI2_CRIT_DF72_P001
+
+
+def test_sample_sptm_batch_far_negatives_uniform_over_the_admissible_set():
+    n_traj, t1, l = 2, 8, 3
+    cfg = SptmConfig(horizon=1, negative_offset=l, batch_pairs=40_000, phi=0.0)
+    batch = sample_sptm_batch(numbered_stack(1, n_traj, t1), cfg, seed=4)
+    far = batch.labels == 0.0
+    counts = {}
+    for f, t in zip(batch.from_obs[far, 0].astype(int), batch.to_obs[far, 0].astype(int)):
+        cell = counts.setdefault(f, np.zeros(n_traj * t1, dtype=int))
+        cell[t] += 1
+    assert len(counts) == n_traj * t1
+    admissible_counts = {}
+    for f, cell in counts.items():
+        same = np.arange(n_traj * t1) // t1 == f // t1
+        admissible = ~same | (np.abs(np.arange(n_traj * t1) - f) >= l)
+        assert cell[~admissible].sum() == 0
+        assert cell[same & admissible].sum() > 0  # same-trajectory far steps are drawn
+        admissible_counts[f] = cell[admissible]
+    # df = sum over the 16 anchors of (admissible count - 1) = 172
+    assert sum(len(c) - 1 for c in admissible_counts.values()) == 172
+    assert chi2_uniform(admissible_counts) < CHI2_CRIT_DF172_P001
+
+
+def test_context_stack_rejects_contexts_of_different_shapes():
+    world, ds = tiny_dataset()
+    ds.trajectories[1] = ds.trajectories[1][:-1]
+    with pytest.raises(ValueError, match="context 1"):
+        ContextStack.build(ds, world, [0, 1])
+
+
+def test_train_cpc_encodes_each_context_once(monkeypatch):
+    world, ds = tiny_dataset()
+    calls = []
+    encode = BlockWorld.encode_context
+
+    def counting(self, ctx):
+        calls.append(ctx.id)
+        return encode(self, ctx)
+
+    monkeypatch.setattr(BlockWorld, "encode_context", counting)
+    cfg = CpcConfig(
+        d=4, hidden=(8,), horizon=2, n_candidates=4, batch_anchors=4, epochs=2, steps_per_epoch=5,
+        val_batches=3, seed=1,
+    )
+    train_cpc(ds, world, cfg)
+    train_ids, val_ids, _ = split_context_ids(ds)
+    assert len(calls) <= len(train_ids) + len(val_ids or train_ids[:1])
+
 
 # ---------------------------------------------------------------------------
 # sptm loss
@@ -298,7 +390,7 @@ def test_sptm_loss_gradients_pass_fd_check():
     cfg = SptmConfig(d=5, hidden=(8,), horizon=3, negative_offset=5, batch_pairs=6, seed=2)
     model = sptm_init(world.obs_dim, world.ctx_dim, cfg)
     model.bilinear[...] = np.random.default_rng(8).normal(size=(5, 5)) * 0.2
-    batch = sample_sptm_batch(ds, world, [0, 1], cfg, seed=9)
+    batch = sample_sptm_batch(ContextStack.build(ds, world, [0, 1]), cfg, seed=9)
 
     def build(tape):
         return sptm_bce_loss(model, batch, tape)
