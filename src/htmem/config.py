@@ -211,15 +211,6 @@ def validate_config(cfg: RunConfig) -> None:
     _require(v.halluc_pool >= 0, "evaluation.halluc_pool", "must be nonnegative")
 
 
-def load_config(path) -> RunConfig:
-    with open(path) as fh:
-        try:
-            raw = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError("<file>", f"invalid JSON: {exc}") from exc
-    return config_from_dict(raw)
-
-
 def config_to_dict(cfg: RunConfig) -> dict:
     out = dataclasses.asdict(cfg)
 

@@ -120,10 +120,6 @@ class ConnectivityModel:
         return cls(encoder, w, *header)
 
 
-# The classifier baseline is the same model; the name is kept for callers.
-SptmClassifier = ConnectivityModel
-
-
 def connectivity_init(obs_dim, ctx_dim, cfg: CpcConfig | SptmConfig) -> ConnectivityModel:
     """Zero-bilinear scorer; an SptmConfig gives it the classifier's offset."""
     encoder = mlp_init(
@@ -133,9 +129,6 @@ def connectivity_init(obs_dim, ctx_dim, cfg: CpcConfig | SptmConfig) -> Connecti
     return ConnectivityModel(
         encoder, np.zeros((cfg.d, cfg.d)), obs_dim, ctx_dim, cfg.d, cfg.horizon, negative_offset
     )
-
-
-sptm_init = connectivity_init
 
 
 # ---------------------------------------------------------------------------

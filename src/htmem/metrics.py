@@ -55,14 +55,15 @@ def fidelity(world: BlockWorld, ctx, samples: HallucinationSet | np.ndarray) -> 
     obs = samples.observations if isinstance(samples, HallucinationSet) else np.asarray(samples)
     if len(obs) == 0:
         return 1.0
-    valid = 0
+    decoded = []
     for o in obs:
         try:
             st = world.decode(o)
         except EvaluationError:
             continue
-        valid += world.state_valid(ctx, st)
-    return valid / len(obs)
+        decoded.append((st.x, st.y))
+    xy = np.array(decoded, dtype=float).reshape(-1, 2)
+    return int(world.positions_valid(ctx, xy[:, 0], xy[:, 1]).sum()) / len(obs)
 
 
 def feasibility(world: BlockWorld, ctx, plan: Plan, horizon: int) -> float:

@@ -10,7 +10,6 @@ normalized wall parameters or an obstacle raster.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -172,6 +171,7 @@ class BlockWorld:
         if not 0 < spec.agent_radius < spec.arena_size / 4:
             raise ConfigurationError("agent_radius out of range for arena")
         self.spec = spec
+        self._edges = {}
 
     # -- dimensions -------------------------------------------------------
 
@@ -197,14 +197,55 @@ class BlockWorld:
             point_rect_distance(state.x, state.y, w) >= r for w in ctx.walls
         )
 
+    def positions_valid(self, ctx: Context, x, y, radius=None) -> np.ndarray:
+        """``state_valid`` of a disc at every position of the broadcast
+        arrays ``x`` and ``y``, equal to it element by element."""
+        r = self.spec.agent_radius if radius is None else radius
+        s = ctx.arena_size
+        x, y = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
+        valid = (r <= x) & (x <= s - r) & (r <= y) & (y <= s - r)
+        for w in ctx.walls:
+            dx = np.maximum(np.abs(x - w.cx) - w.half_w, 0.0)
+            dy = np.maximum(np.abs(y - w.cy) - w.half_h, 0.0)
+            d = np.hypot(dx, dy)
+            clear = d >= r
+            # np.hypot and math.hypot can differ in the last bit, so a
+            # distance this close to r is decided by math.hypot.
+            for i in np.flatnonzero(np.abs(d - r) <= 1e-9 * r):
+                clear.flat[i] = math.hypot(dx.flat[i], dy.flat[i]) >= r
+            valid &= clear
+        return valid
+
     def swept_free(self, ctx: Context, p0, p1, radius=None) -> bool:
         """True when the disc swept from p0 to p1 stays valid throughout."""
         r = self.spec.agent_radius if radius is None else radius
         s = ctx.arena_size
-        for p in (p0, p1):
-            if not (r <= p[0] <= s - r and r <= p[1] <= s - r):
+        if not (r <= p0[0] <= s - r and r <= p0[1] <= s - r):
+            return False
+        return self._move_clear(ctx, p0, p1, r)
+
+    @staticmethod
+    def _move_clear(ctx: Context, p0, p1, r) -> bool:
+        """p1 lies inside the arena and ``segment_rect_distance(p0, p1, w) >= r``
+        for every wall. A wall whose box lies more than 2r from the segment's
+        box along an axis is that far from the segment itself, so it is
+        skipped without computing the distance."""
+        s = ctx.arena_size
+        if not (r <= p1[0] <= s - r and r <= p1[1] <= s - r):
+            return False
+        x_lo, x_hi = min(p0[0], p1[0]), max(p0[0], p1[0])
+        y_lo, y_hi = min(p0[1], p1[1]), max(p0[1], p1[1])
+        for w in ctx.walls:
+            if (
+                w.cx - w.half_w - x_hi > 2 * r
+                or x_lo - (w.cx + w.half_w) > 2 * r
+                or w.cy - w.half_h - y_hi > 2 * r
+                or y_lo - (w.cy + w.half_h) > 2 * r
+            ):
+                continue
+            if segment_rect_distance(p0, p1, w) < r:
                 return False
-        return all(segment_rect_distance(p0, p1, w) >= r for w in ctx.walls)
+        return True
 
     # -- contexts ---------------------------------------------------------
 
@@ -256,39 +297,31 @@ class BlockWorld:
         s = ctx.arena_size
         k = int(math.ceil(s / cell))
         centers = (np.arange(k) + 0.5) * (s / k)
-        r = self.spec.agent_radius
-        free = np.zeros((k, k), dtype=bool)
-        for i, y in enumerate(centers):
-            for j, x in enumerate(centers):
-                free[i, j] = self.state_valid(ctx, AgentState(x, y, r))
-        total = int(free.sum())
-        if total == 0:
+        free = self.positions_valid(ctx, centers[None, :], centers[:, None])
+        if not free.any():
             return False
-        start = tuple(np.argwhere(free)[0])
-        seen = {start}
-        queue = deque([start])
-        while queue:
-            i, j = queue.popleft()
-            for di, dj in ((1, 0), (-1, 0), (0, 1), (0, -1)):
-                ni, nj = i + di, j + dj
-                if 0 <= ni < k and 0 <= nj < k and free[ni, nj] and (ni, nj) not in seen:
-                    seen.add((ni, nj))
-                    queue.append((ni, nj))
-        return len(seen) == total
+        # grow the component of the first free cell by 4-neighbour dilation
+        seen = np.zeros_like(free)
+        seen.flat[np.argmax(free)] = True
+        while True:
+            grown = seen.copy()
+            grown[1:] |= seen[:-1]
+            grown[:-1] |= seen[1:]
+            grown[:, 1:] |= seen[:, :-1]
+            grown[:, :-1] |= seen[:, 1:]
+            grown &= free
+            if np.array_equal(grown, seen):
+                return np.array_equal(seen, free)
+            seen = grown
 
     # -- dynamics ---------------------------------------------------------
 
     def step(self, ctx: Context, state: AgentState, action) -> AgentState:
         a = np.clip(np.asarray(action, dtype=float), -self.spec.a_max, self.spec.a_max)
-        p0 = (state.x, state.y)
         p1 = (state.x + a[0], state.y + a[1])
-        r, s = state.radius, ctx.arena_size
-        if not (r <= p1[0] <= s - r and r <= p1[1] <= s - r):
+        if not self._move_clear(ctx, (state.x, state.y), p1, state.radius):
             return state
-        for w in ctx.walls:
-            if segment_rect_distance(p0, p1, w) < r:
-                return state
-        return AgentState(p1[0], p1[1], r)
+        return AgentState(p1[0], p1[1], state.radius)
 
     def sample_free_state(self, ctx: Context, rng) -> AgentState:
         r, s = self.spec.agent_radius, ctx.arena_size
@@ -308,20 +341,28 @@ class BlockWorld:
         return self._raster_disc(s, state.x, state.y, state.radius)
 
     def _cell_edges(self, s):
-        g = self.spec.raster_size
-        return np.linspace(0.0, s, g + 1)
+        """Lower and upper edges of the raster cells over an arena of side s."""
+        key = (s, self.spec.raster_size)
+        if key not in self._edges:
+            edges = np.linspace(0.0, s, self.spec.raster_size + 1)
+            edges.flags.writeable = False
+            self._edges[key] = (edges[:-1], edges[1:])
+        return self._edges[key]
 
     def _raster_disc(self, s, cx, cy, radius) -> np.ndarray:
         """Intensity (radius - d)/radius where d is the distance from the disc
         center to each cell rectangle; exactly the overlapped cells are > 0."""
         g = self.spec.raster_size
-        edges = self._cell_edges(s)
+        lo, hi = self._cell_edges(s)
+        dx = np.maximum(np.maximum(lo - cx, cx - hi), 0.0)  # per column
+        dy = np.maximum(np.maximum(lo - cy, cy - hi), 0.0)  # per row
         grid = np.zeros((g, g))
-        for i in range(g):
-            for j in range(g):
-                dx = max(edges[j] - cx, cx - edges[j + 1], 0.0)
-                dy = max(edges[i] - cy, cy - edges[i + 1], 0.0)
-                d = math.hypot(dx, dy)
+        # d >= max(dx, dy), so only cells with both below the radius can be
+        # lit; math.hypot keeps d bit-equal to the per-cell definition
+        cols = np.flatnonzero(dx < radius)
+        for i in np.flatnonzero(dy < radius):
+            for j in cols:
+                d = math.hypot(dx[j], dy[i])
                 if d < radius:
                     grid[i, j] = (radius - d) / radius
         return grid.reshape(-1)
@@ -357,20 +398,14 @@ class BlockWorld:
                 enc[4 * k : 4 * k + 4] = [w.cx / s, w.cy / s, w.half_w / s, w.half_h / s]
             return enc
         g = self.spec.raster_size
-        edges = self._cell_edges(s)
+        lo, hi = self._cell_edges(s)
+        cell_area = (s / g) ** 2
         grid = np.zeros((g, g))
         for w in ctx.walls:
-            x0, x1 = w.cx - w.half_w, w.cx + w.half_w
-            y0, y1 = w.cy - w.half_h, w.cy + w.half_h
-            for i in range(g):
-                oy = max(0.0, min(y1, edges[i + 1]) - max(y0, edges[i]))
-                if oy <= 0:
-                    continue
-                for j in range(g):
-                    ox = max(0.0, min(x1, edges[j + 1]) - max(x0, edges[j]))
-                    if ox > 0:
-                        cell_area = (s / g) ** 2
-                        grid[i, j] = min(1.0, grid[i, j] + ox * oy / cell_area)
+            oy = np.maximum(0.0, np.minimum(w.cy + w.half_h, hi) - np.maximum(w.cy - w.half_h, lo))
+            ox = np.maximum(0.0, np.minimum(w.cx + w.half_w, hi) - np.maximum(w.cx - w.half_w, lo))
+            # cells outside the wall add exactly 0.0 and stay as they were
+            grid = np.minimum(1.0, grid + np.outer(oy, ox) / cell_area)
         return grid.reshape(-1)
 
     # -- exploration ------------------------------------------------------

@@ -10,14 +10,12 @@ from htmem.connectivity import (
     CpcBatch,
     CpcConfig,
     SptmBatch,
-    SptmClassifier,
     SptmConfig,
     connectivity_init,
     cpc_loss,
     sample_cpc_batch,
     sample_sptm_batch,
     sptm_bce_loss,
-    sptm_init,
     successor_ranking_rate,
     train_cpc,
     train_sptm,
@@ -30,13 +28,11 @@ CHI2_CRIT_DF72_P001 = 114.835  # df=72, alpha=0.001
 CHI2_CRIT_DF172_P001 = 235.053  # df=172, alpha=0.001
 
 
-def identity_scorer(d=4, w=None, cls=ConnectivityModel, **extra):
+def identity_scorer(d=4, w=None, negative_offset=None):
     """Encoder passes (obs + ctx) straight through; logits fully hand-driven."""
     encoder = MlpParams([np.eye(d)], [np.zeros(d)], "identity")
     w = np.zeros((d, d)) if w is None else w
-    if cls is SptmClassifier:
-        return cls(encoder, w, 2, 2, d, 5, 20)
-    return cls(encoder, w, 2, 2, d, 5)
+    return ConnectivityModel(encoder, w, 2, 2, d, 5, negative_offset)
 
 
 def make_cpc_batch(anchors, positives, negatives, ctx_dim=2):
@@ -353,7 +349,7 @@ def test_train_cpc_encodes_each_context_once(monkeypatch):
 
 
 def test_sptm_loss_zero_logits_is_log_two():
-    model = identity_scorer(cls=SptmClassifier)
+    model = identity_scorer(negative_offset=20)
     rng = np.random.default_rng(6)
     batch = SptmBatch(
         rng.uniform(size=(8, 2)),
@@ -368,7 +364,7 @@ def test_sptm_loss_zero_logits_is_log_two():
 def test_sptm_loss_matches_hand_bce():
     rng = np.random.default_rng(7)
     w = rng.normal(size=(4, 4))
-    model = identity_scorer(w=w, cls=SptmClassifier)
+    model = identity_scorer(w=w, negative_offset=20)
     from_obs = rng.uniform(size=(4, 2))
     to_obs = rng.uniform(size=(4, 2))
     labels = np.array([1.0, 0.0, 1.0, 0.0])
@@ -388,7 +384,7 @@ def test_sptm_loss_matches_hand_bce():
 def test_sptm_loss_gradients_pass_fd_check():
     world, ds = tiny_dataset()
     cfg = SptmConfig(d=5, hidden=(8,), horizon=3, negative_offset=5, batch_pairs=6, seed=2)
-    model = sptm_init(world.obs_dim, world.ctx_dim, cfg)
+    model = connectivity_init(world.obs_dim, world.ctx_dim, cfg)
     model.bilinear[...] = np.random.default_rng(8).normal(size=(5, 5)) * 0.2
     batch = sample_sptm_batch(ContextStack.build(ds, world, [0, 1]), cfg, seed=9)
 
@@ -467,9 +463,9 @@ def test_checkpoints_roundtrip(tmp_path):
         assert np.array_equal(a, b)
     assert loaded.horizon == cpc.horizon
 
-    sptm = sptm_init(world.obs_dim, world.ctx_dim, SptmConfig(d=6, hidden=(8,)))
+    sptm = connectivity_init(world.obs_dim, world.ctx_dim, SptmConfig(d=6, hidden=(8,)))
     sptm.save(tmp_path / "sptm.ckpt")
-    loaded2 = SptmClassifier.load(tmp_path / "sptm.ckpt")
+    loaded2 = ConnectivityModel.load(tmp_path / "sptm.ckpt")
     assert loaded2.negative_offset == 20
     for a, b in zip(loaded2.parameters(), sptm.parameters()):
         assert np.array_equal(a, b)

@@ -18,7 +18,7 @@ from htmem.metrics import (
     wilson_interval,
 )
 from htmem.plangraph import Plan
-from htmem.world import AgentState, BlockWorld, Context, Task, Wall, WorldSpec
+from htmem.world import AgentState, BlockWorld, Context, EvaluationError, Task, Wall, WorldSpec
 
 
 def world_and_ctx():
@@ -204,3 +204,19 @@ def test_fidelity_propagates_errors_other_than_undecodable_samples(monkeypatch):
     monkeypatch.setattr(world, "decode", broken_decode)
     with pytest.raises(RuntimeError, match="decoder bug"):
         fidelity(world, ctx, np.zeros((3, 2)))
+
+
+def test_fidelity_equals_per_sample_state_valid():
+    world = BlockWorld(WorldSpec(mode="raster"))
+    ctx = Context(0, 2.8, (Wall(1.4, 0.9, 0.08, 0.9),))
+    rng = np.random.default_rng(1)
+    obs = rng.uniform(0.0, 1.0, (40, 256)) * (rng.uniform(size=(40, 256)) < 0.02)
+    obs[::7] = 0.0  # empty rasters cannot be decoded and count as invalid
+    valid = 0
+    for o in obs:
+        try:
+            valid += world.state_valid(ctx, world.decode(o))
+        except EvaluationError:
+            pass
+    assert 0 < valid < len(obs)
+    assert fidelity(world, ctx, obs) == valid / len(obs)

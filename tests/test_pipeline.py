@@ -5,7 +5,7 @@ import pytest
 
 from htmem.autodiff import CheckpointError, MlpParams, pack_mlp_meta, save_checkpoint
 from htmem.config import config_from_dict
-from htmem.connectivity import ConnectivityModel, SptmClassifier
+from htmem.connectivity import ConnectivityModel
 from htmem.controller import InverseModel
 from htmem.cvae import CvaeModel
 from htmem.pipeline import train_all, zero_shot_benchmark
@@ -67,7 +67,7 @@ def _models():
     cpc_enc = _mlp([6, 5, 3], rng)
     cpc = ConnectivityModel(cpc_enc, w, 2, 4, 3, 5)
     sptm_enc = _mlp([6, 4, 3], rng)
-    sptm = SptmClassifier(sptm_enc, w.T.copy(), 2, 4, 3, 5, 17)
+    sptm = ConnectivityModel(sptm_enc, w.T.copy(), 2, 4, 3, 5, 17)
     net = _mlp([8, 5, 2], rng)
     inverse = InverseModel(net, 0.07, 2, 4)
     return [

@@ -397,3 +397,177 @@ def test_make_task_unsatisfiable_raises():
     ctx = Context(0, 2.8, ())  # nothing to cross
     with pytest.raises(TaskGenerationError):
         world.make_task(ctx, seed=0, difficulty="cross-wall", max_tries=50)
+
+
+# ---------------------------------------------------------------------------
+# array geometry against the scalar definitions, bit for bit
+
+
+def raster_disc_loop(s, g, cx, cy, radius):
+    """Per-cell rasterization: (radius - d)/radius with d the distance from
+    the disc centre to the cell rectangle."""
+    edges = np.linspace(0.0, s, g + 1)
+    grid = np.zeros((g, g))
+    for i in range(g):
+        for j in range(g):
+            dx = max(edges[j] - cx, cx - edges[j + 1], 0.0)
+            dy = max(edges[i] - cy, cy - edges[i + 1], 0.0)
+            d = math.hypot(dx, dy)
+            if d < radius:
+                grid[i, j] = (radius - d) / radius
+    return grid.reshape(-1)
+
+
+def encode_context_loop(ctx, g):
+    """Per-cell wall coverage, clamped at 1, accumulated wall by wall."""
+    s = ctx.arena_size
+    edges = np.linspace(0.0, s, g + 1)
+    grid = np.zeros((g, g))
+    for w in ctx.walls:
+        x0, x1 = w.cx - w.half_w, w.cx + w.half_w
+        y0, y1 = w.cy - w.half_h, w.cy + w.half_h
+        for i in range(g):
+            oy = max(0.0, min(y1, edges[i + 1]) - max(y0, edges[i]))
+            if oy <= 0:
+                continue
+            for j in range(g):
+                ox = max(0.0, min(x1, edges[j + 1]) - max(x0, edges[j]))
+                if ox > 0:
+                    grid[i, j] = min(1.0, grid[i, j] + ox * oy / (s / g) ** 2)
+    return grid.reshape(-1)
+
+
+def test_observe_raster_equals_per_cell_loop():
+    world = make_world(mode="raster")
+    s, r, g = world.spec.arena_size, world.spec.agent_radius, world.spec.raster_size
+    ctx = Context(0, s, ())
+    rng = np.random.default_rng(40)
+    edges = np.linspace(0.0, s, g + 1)
+    points = [tuple(p) for p in rng.uniform(r, s - r, size=(300, 2))]
+    points += [(e, y) for e in edges for y in rng.uniform(r, s - r, 3)]
+    points += [(x, e) for e in edges for x in rng.uniform(r, s - r, 3)]
+    points += [(e + r, f - r) for e in edges[:-1] for f in edges[1:]]
+    points += [(a, b) for a in (r, s - r) for b in (r, s - r, 1.3)]
+    for x, y in points:
+        got = world.observe(ctx, AgentState(x, y, r))
+        assert np.array_equal(got, raster_disc_loop(s, g, x, y, r)), (x, y)
+
+
+def test_encode_context_raster_equals_per_cell_loop():
+    world = make_world(mode="raster", n_walls=(1, 2))
+    g = world.spec.raster_size
+    contexts = [world.generate_context(seed) for seed in range(60)]
+    assert {len(c.walls) for c in contexts} == {1, 2}
+    # two overlapping walls: their shared cells sum past 1 and are clamped
+    overlap = Context(0, 2.8, (Wall(1.4, 0.9, 0.3, 0.9), Wall(1.3, 1.0, 0.9, 0.2)))
+    want = encode_context_loop(overlap, g)
+    assert want.max() == 1.0 and np.sum(want == 1.0) > 0
+    for ctx in contexts + [overlap]:
+        assert np.array_equal(world.encode_context(ctx), encode_context_loop(ctx, g))
+
+
+def test_positions_valid_equals_state_valid():
+    world = make_world(n_walls=(1, 2))
+    r = world.spec.agent_radius
+    for seed in range(5):
+        ctx = world.generate_context(seed)
+        centers = (np.arange(56) + 0.5) * (2.8 / 56)
+        mask = world.positions_valid(ctx, centers[None, :], centers[:, None])
+        want = [[world.state_valid(ctx, AgentState(x, y, r)) for x in centers] for y in centers]
+        assert np.array_equal(mask, np.array(want))
+
+    # points on the circle of radius r about a wall corner: np.hypot alone
+    # would misjudge some of them against math.hypot
+    w = Wall(1.4, 0.9, 0.08, 0.9)
+    ctx = Context(0, 2.8, (w,))
+    theta = np.random.default_rng(41).uniform(0.0, np.pi / 2, 20_000)
+    x = w.cx + w.half_w + r * np.cos(theta)
+    y = w.cy + w.half_h + r * np.sin(theta)
+    dx, dy = np.abs(x - w.cx) - w.half_w, np.abs(y - w.cy) - w.half_h
+    assert any((np.hypot(a, b) >= r) != (math.hypot(a, b) >= r) for a, b in zip(dx, dy))
+    want = [world.state_valid(ctx, AgentState(a, b, r)) for a, b in zip(x, y)]
+    assert np.array_equal(world.positions_valid(ctx, x, y), want)
+
+    # exact distances: dyadic wall, r = 5/32 from an edge and (3, 4, 5)/32
+    # from a corner, and one ulp either side
+    r = 5 / 32
+    ctx = Context(0, 2.0, (Wall(1.0, 1.0, 0.25, 0.5),))
+    exact = [(1.25 + r, 1.0), (1.0, 0.5 - r), (1.25 + 3 / 32, 1.5 + 4 / 32), (0.75 - 3 / 32, 0.5 - 4 / 32)]
+    points = [
+        (np.nextafter(px, px + sx), np.nextafter(py, py + sy))
+        for px, py in exact
+        for sx in (-1.0, 0.0, 1.0)
+        for sy in (-1.0, 0.0, 1.0)
+    ]
+    px, py = np.array(points).T
+    got = world.positions_valid(ctx, px, py, radius=r)
+    want = [world.state_valid(ctx, AgentState(a, b, r)) for a, b in points]
+    assert np.array_equal(got, want)
+    assert all(world.state_valid(ctx, AgentState(a, b, r)) for a, b in exact)
+
+
+def test_free_space_connected_agrees_with_bfs():
+    world = make_world(n_walls=(1, 2))
+    for seed in range(200):
+        ctx = world.generate_context(seed)
+        assert world._free_space_connected(ctx) == flood_fill_connected(world, ctx, cell=0.05)
+    # unanchored random walls cut the arena in some layouts and not in others
+    rng = np.random.default_rng(42)
+    seen = set()
+    for k in range(40):
+        walls = tuple(
+            Wall(*rng.uniform(0.3, 2.5, 2), *rng.uniform(0.05, 1.4, 2)) for _ in range(2)
+        )
+        ctx = Context(k, 2.8, walls)
+        want = flood_fill_connected(world, ctx, cell=0.05)
+        assert world._free_space_connected(ctx) == want
+        seen.add(want)
+    assert seen == {True, False}
+    spanning = Context(0, 2.8, (Wall(1.4, 1.4, 0.1, 1.4),))
+    filled = Context(0, 2.8, (Wall(1.4, 1.4, 1.4, 1.4),))
+    assert not world._free_space_connected(spanning)
+    assert not world._free_space_connected(filled)
+
+
+def test_step_and_swept_free_decide_by_segment_distance():
+    world = make_world(n_walls=(1, 2))
+    r, s, a_max = world.spec.agent_radius, world.spec.arena_size, world.spec.a_max
+
+    def in_arena(p):
+        return r <= p[0] <= s - r and r <= p[1] <= s - r
+
+    def check(ctx, p0, action):
+        a = np.clip(np.asarray(action, dtype=float), -a_max, a_max)
+        p1 = (p0[0] + a[0], p0[1] + a[1])
+        clear = all(segment_rect_distance(p0, p1, w) >= r for w in ctx.walls)
+        st = AgentState(p0[0], p0[1], r)
+        out = world.step(ctx, st, action)
+        assert (out is not st) == (in_arena(p1) and clear), (p0, action)
+        if out is not st:
+            assert (out.x, out.y) == p1
+        assert world.swept_free(ctx, p0, p1) == (in_arena(p0) and in_arena(p1) and clear)
+
+    rng = np.random.default_rng(43)
+    for seed in range(20):
+        ctx = world.generate_context(seed)
+        for p0, action in zip(rng.uniform(0.0, s, (300, 2)), rng.uniform(-0.12, 0.12, (300, 2))):
+            check(ctx, tuple(p0), action)
+
+    # grazing moves: parallel to a face at clearance r, and straight away
+    # from a corner that lies r from the start
+    w = Wall(1.4, 0.9, 0.08, 0.9)
+    ctx = Context(0, s, (w,))
+    grazes = 0
+    for eps in np.linspace(-1e-12, 1e-12, 41):
+        y = w.cy + w.half_h + r + eps
+        p0 = (w.cx - 0.05, y)
+        check(ctx, p0, (0.1, 0.0))
+        theta = rng.uniform(0.0, np.pi / 2)
+        u = np.array([np.cos(theta), np.sin(theta)])
+        corner = np.array([w.cx + w.half_w, w.cy + w.half_h])
+        q0 = corner + (r + eps) * u
+        check(ctx, tuple(q0), a_max * u)
+        for p, d in ((p0, (0.1, 0.0)), (tuple(q0), a_max * u)):
+            p1 = (p[0] + d[0], p[1] + d[1])
+            grazes += abs(segment_rect_distance(p, p1, w) - r) <= 1e-12
+    assert grazes >= 60
