@@ -9,6 +9,7 @@ normalized wall parameters or an obstacle raster.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -160,6 +161,14 @@ def segment_rect_distance(p1, p2, wall: Wall) -> float:
     return best
 
 
+@functools.lru_cache(maxsize=None)
+def _cell_edges(s, g):
+    """Lower and upper edges of the g raster cells along an arena side s."""
+    edges = np.linspace(0.0, s, g + 1)
+    edges.flags.writeable = False
+    return edges[:-1], edges[1:]
+
+
 class BlockWorld:
     """Simulator facade bundling the static parameters of one experiment."""
 
@@ -171,7 +180,6 @@ class BlockWorld:
         if not 0 < spec.agent_radius < spec.arena_size / 4:
             raise ConfigurationError("agent_radius out of range for arena")
         self.spec = spec
-        self._edges = {}
 
     # -- dimensions -------------------------------------------------------
 
@@ -197,12 +205,14 @@ class BlockWorld:
             point_rect_distance(state.x, state.y, w) >= r for w in ctx.walls
         )
 
-    def positions_valid(self, ctx: Context, x, y, radius=None) -> np.ndarray:
-        """``state_valid`` of a disc at every position of the broadcast
-        arrays ``x`` and ``y``, equal to it element by element."""
-        r = self.spec.agent_radius if radius is None else radius
-        s = ctx.arena_size
+    def positions_valid(self, ctx: Context, x, y) -> np.ndarray:
+        """``state_valid`` of a disc of the agent's radius at every position of
+        the broadcast arrays (or scalars) ``x`` and ``y``, equal to it element
+        by element."""
+        r, s = self.spec.agent_radius, ctx.arena_size
         x, y = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
+        shape = x.shape
+        x, y = x.reshape(-1), y.reshape(-1)
         valid = (r <= x) & (x <= s - r) & (r <= y) & (y <= s - r)
         for w in ctx.walls:
             dx = np.maximum(np.abs(x - w.cx) - w.half_w, 0.0)
@@ -212,9 +222,9 @@ class BlockWorld:
             # np.hypot and math.hypot can differ in the last bit, so a
             # distance this close to r is decided by math.hypot.
             for i in np.flatnonzero(np.abs(d - r) <= 1e-9 * r):
-                clear.flat[i] = math.hypot(dx.flat[i], dy.flat[i]) >= r
+                clear[i] = math.hypot(dx[i], dy[i]) >= r
             valid &= clear
-        return valid
+        return valid.reshape(shape)
 
     def swept_free(self, ctx: Context, p0, p1, radius=None) -> bool:
         """True when the disc swept from p0 to p1 stays valid throughout."""
@@ -340,20 +350,11 @@ class BlockWorld:
             return np.array([state.x / s, state.y / s])
         return self._raster_disc(s, state.x, state.y, state.radius)
 
-    def _cell_edges(self, s):
-        """Lower and upper edges of the raster cells over an arena of side s."""
-        key = (s, self.spec.raster_size)
-        if key not in self._edges:
-            edges = np.linspace(0.0, s, self.spec.raster_size + 1)
-            edges.flags.writeable = False
-            self._edges[key] = (edges[:-1], edges[1:])
-        return self._edges[key]
-
     def _raster_disc(self, s, cx, cy, radius) -> np.ndarray:
         """Intensity (radius - d)/radius where d is the distance from the disc
         center to each cell rectangle; exactly the overlapped cells are > 0."""
         g = self.spec.raster_size
-        lo, hi = self._cell_edges(s)
+        lo, hi = _cell_edges(s, g)
         dx = np.maximum(np.maximum(lo - cx, cx - hi), 0.0)  # per column
         dy = np.maximum(np.maximum(lo - cy, cy - hi), 0.0)  # per row
         grid = np.zeros((g, g))
@@ -398,7 +399,7 @@ class BlockWorld:
                 enc[4 * k : 4 * k + 4] = [w.cx / s, w.cy / s, w.half_w / s, w.half_h / s]
             return enc
         g = self.spec.raster_size
-        lo, hi = self._cell_edges(s)
+        lo, hi = _cell_edges(s, g)
         cell_area = (s / g) ** 2
         grid = np.zeros((g, g))
         for w in ctx.walls:

@@ -484,13 +484,17 @@ def test_positions_valid_equals_state_valid():
     x = w.cx + w.half_w + r * np.cos(theta)
     y = w.cy + w.half_h + r * np.sin(theta)
     dx, dy = np.abs(x - w.cx) - w.half_w, np.abs(y - w.cy) - w.half_h
-    assert any((np.hypot(a, b) >= r) != (math.hypot(a, b) >= r) for a, b in zip(dx, dy))
+    misjudged = [i for i, (a, b) in enumerate(zip(dx, dy)) if (np.hypot(a, b) >= r) != (math.hypot(a, b) >= r)]
+    assert misjudged
     want = [world.state_valid(ctx, AgentState(a, b, r)) for a, b in zip(x, y)]
     assert np.array_equal(world.positions_valid(ctx, x, y), want)
+    for i in misjudged[:20]:
+        assert bool(world.positions_valid(ctx, x[i], y[i])) == want[i]
 
     # exact distances: dyadic wall, r = 5/32 from an edge and (3, 4, 5)/32
-    # from a corner, and one ulp either side
-    r = 5 / 32
+    # from a corner, and one ulp either side; also as scalar arguments
+    world = make_world(agent_radius=5 / 32)
+    r = world.spec.agent_radius
     ctx = Context(0, 2.0, (Wall(1.0, 1.0, 0.25, 0.5),))
     exact = [(1.25 + r, 1.0), (1.0, 0.5 - r), (1.25 + 3 / 32, 1.5 + 4 / 32), (0.75 - 3 / 32, 0.5 - 4 / 32)]
     points = [
@@ -500,10 +504,13 @@ def test_positions_valid_equals_state_valid():
         for sy in (-1.0, 0.0, 1.0)
     ]
     px, py = np.array(points).T
-    got = world.positions_valid(ctx, px, py, radius=r)
+    got = world.positions_valid(ctx, px, py)
     want = [world.state_valid(ctx, AgentState(a, b, r)) for a, b in points]
     assert np.array_equal(got, want)
     assert all(world.state_valid(ctx, AgentState(a, b, r)) for a, b in exact)
+    for (a, b), v in zip(points, want):
+        got = world.positions_valid(ctx, a, b)
+        assert got.shape == () and bool(got) == v, (a, b)
 
 
 def test_free_space_connected_agrees_with_bfs():
