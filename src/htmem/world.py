@@ -198,12 +198,14 @@ class BlockWorld:
     # -- validity ---------------------------------------------------------
 
     def state_valid(self, ctx: Context, state: AgentState) -> bool:
-        r, s = state.radius, ctx.arena_size
-        if not (r <= state.x <= s - r and r <= state.y <= s - r):
+        x, y, r, s = state.x, state.y, state.radius, ctx.arena_size
+        if not (r <= x <= s - r and r <= y <= s - r):
             return False
-        return all(
-            point_rect_distance(state.x, state.y, w) >= r for w in ctx.walls
-        )
+        for w in ctx.walls:
+            # not >=, so that a NaN distance is invalid
+            if not point_rect_distance(x, y, w) >= r:
+                return False
+        return True
 
     def positions_valid(self, ctx: Context, x, y) -> np.ndarray:
         """``state_valid`` of a disc of the agent's radius at every position of
@@ -226,10 +228,9 @@ class BlockWorld:
             valid &= clear
         return valid.reshape(shape)
 
-    def swept_free(self, ctx: Context, p0, p1, radius=None) -> bool:
-        """True when the disc swept from p0 to p1 stays valid throughout."""
-        r = self.spec.agent_radius if radius is None else radius
-        s = ctx.arena_size
+    def swept_free(self, ctx: Context, p0, p1) -> bool:
+        """True when the agent's disc swept from p0 to p1 stays valid throughout."""
+        r, s = self.spec.agent_radius, ctx.arena_size
         if not (r <= p0[0] <= s - r and r <= p0[1] <= s - r):
             return False
         return self._move_clear(ctx, p0, p1, r)
@@ -237,22 +238,31 @@ class BlockWorld:
     @staticmethod
     def _move_clear(ctx: Context, p0, p1, r) -> bool:
         """p1 lies inside the arena and ``segment_rect_distance(p0, p1, w) >= r``
-        for every wall. A wall whose box lies more than 2r from the segment's
-        box along an axis is that far from the segment itself, so it is
-        skipped without computing the distance."""
+        for every wall.
+
+        That distance is at least the distance from the segment's bounding box
+        to the wall and at most the nearer endpoint's ``point_rect_distance``,
+        and each bound costs one ``math.hypot``. A box bound above r(1 + 1e-9)
+        clears the wall and an endpoint bound below r(1 - 1e-9) blocks the
+        move; the margin is far above the rounding of either computation, so
+        the decision is the one the distance gives. Only a move that neither
+        bound decides, such as one that passes a wall corner or crosses a
+        wall between its endpoints, computes the distance itself."""
         s = ctx.arena_size
-        if not (r <= p1[0] <= s - r and r <= p1[1] <= s - r):
+        x0, y0 = p0
+        x1, y1 = p1
+        if not (r <= x1 <= s - r and r <= y1 <= s - r):
             return False
-        x_lo, x_hi = min(p0[0], p1[0]), max(p0[0], p1[0])
-        y_lo, y_hi = min(p0[1], p1[1]), max(p0[1], p1[1])
+        x_lo, x_hi = min(x0, x1), max(x0, x1)
+        y_lo, y_hi = min(y0, y1), max(y0, y1)
+        clear, hit = r * (1 + 1e-9), r * (1 - 1e-9)
         for w in ctx.walls:
-            if (
-                w.cx - w.half_w - x_hi > 2 * r
-                or x_lo - (w.cx + w.half_w) > 2 * r
-                or w.cy - w.half_h - y_hi > 2 * r
-                or y_lo - (w.cy + w.half_h) > 2 * r
-            ):
+            gx = max(w.cx - w.half_w - x_hi, x_lo - (w.cx + w.half_w), 0.0)
+            gy = max(w.cy - w.half_h - y_hi, y_lo - (w.cy + w.half_h), 0.0)
+            if math.hypot(gx, gy) > clear:
                 continue
+            if min(point_rect_distance(x0, y0, w), point_rect_distance(x1, y1, w)) < hit:
+                return False
             if segment_rect_distance(p0, p1, w) < r:
                 return False
         return True
@@ -327,8 +337,11 @@ class BlockWorld:
     # -- dynamics ---------------------------------------------------------
 
     def step(self, ctx: Context, state: AgentState, action) -> AgentState:
-        a = np.clip(np.asarray(action, dtype=float), -self.spec.a_max, self.spec.a_max)
-        p1 = (state.x + a[0], state.y + a[1])
+        a_max = self.spec.a_max
+        # min(max(...)) keeps a NaN component NaN, so such a move is rejected
+        ax = min(max(float(action[0]), -a_max), a_max)
+        ay = min(max(float(action[1]), -a_max), a_max)
+        p1 = (state.x + ax, state.y + ay)
         if not self._move_clear(ctx, (state.x, state.y), p1, state.radius):
             return state
         return AgentState(p1[0], p1[1], state.radius)

@@ -3,7 +3,10 @@ from collections import deque
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
+import htmem.world as world_module
 from htmem.world import (
     AgentState,
     BlockWorld,
@@ -578,3 +581,138 @@ def test_step_and_swept_free_decide_by_segment_distance():
             p1 = (p[0] + d[0], p[1] + d[1])
             grazes += abs(segment_rect_distance(p, p1, w) - r) <= 1e-12
     assert grazes >= 60
+
+
+# ---------------------------------------------------------------------------
+# the two distance bounds of the wall test
+
+
+def check_move(world, ctx, p0, action):
+    """``step`` and ``swept_free`` decide the move as the arena bounds plus
+    ``all(segment_rect_distance(...) >= r)``; returns that decision."""
+    r, s, a_max = world.spec.agent_radius, ctx.arena_size, world.spec.a_max
+    a = np.clip(np.asarray(action, dtype=float), -a_max, a_max)
+    p1 = (p0[0] + a[0], p0[1] + a[1])
+
+    def in_arena(p):
+        return r <= p[0] <= s - r and r <= p[1] <= s - r
+
+    clear = in_arena(p1) and all(segment_rect_distance(p0, p1, w) >= r for w in ctx.walls)
+    st = AgentState(p0[0], p0[1], r)
+    out = world.step(ctx, st, action)
+    assert (out is not st) == clear, (p0, action)
+    if clear:
+        assert (out.x, out.y) == p1
+    assert world.swept_free(ctx, p0, p1) == (in_arena(p0) and clear), (p0, p1)
+    return clear
+
+
+def wall_bound_branch(p0, p1, w, r):
+    """Which rule of the wall test decides the move for wall ``w``: the box
+    distance, the nearer endpoint, or the exact distance between them."""
+    gx = max(w.cx - w.half_w - max(p0[0], p1[0]), min(p0[0], p1[0]) - (w.cx + w.half_w), 0.0)
+    gy = max(w.cy - w.half_h - max(p0[1], p1[1]), min(p0[1], p1[1]) - (w.cy + w.half_h), 0.0)
+    if math.hypot(gx, gy) > r * (1 + 1e-9):
+        return "box"
+    if min(point_rect_distance(*p0, w), point_rect_distance(*p1, w)) < r * (1 - 1e-9):
+        return "end"
+    return "exact"
+
+
+@pytest.fixture
+def exact_calls(monkeypatch):
+    """Counts the calls of the wall test's exact fallback."""
+    calls = []
+
+    def counted(p0, p1, wall):
+        calls.append((p0, p1))
+        return segment_rect_distance(p0, p1, wall)
+
+    monkeypatch.setattr(world_module, "segment_rect_distance", counted)
+    return calls
+
+
+def test_wall_test_branches_match_segment_distance(exact_calls):
+    world = make_world()
+    r = world.spec.agent_radius
+    w = Wall(1.4, 0.9, 0.08, 0.9)
+    ctx = Context(0, 2.8, (w,))
+    top, right = w.cy + w.half_h, w.cx + w.half_w
+    moves = []
+    # along the top face at clearance r(1 + k·1e-10): the box distance and
+    # the nearer-end distance both lie within a few 1e-9·r of r
+    for k in range(-30, 31):
+        y = top + r * (1 + k * 1e-10)
+        moves.append(((w.cx - 0.05, y), (0.1, 0.0)))
+        moves.append(((right + r * (1 + k * 1e-10), top - 0.3), (0.0, 0.1)))
+    # diagonal past the top-right corner along u + v = c (u, v measured from
+    # the corner): box distance < r < nearer-end distance, exact c/sqrt(2)
+    for c in np.linspace(0.19, 0.31, 49):
+        moves.append(((right + c / 2 + 0.05, top + c / 2 - 0.05), (-0.1, 0.1)))
+    branches = {"box": 0, "end": 0, "exact": 0}
+    outcomes = set()
+    for p0, action in moves:
+        p1 = (p0[0] + action[0], p0[1] + action[1])
+        branch = wall_bound_branch(p0, p1, w, r)
+        branches[branch] += 1
+        exact_calls.clear()
+        clear = check_move(world, ctx, p0, action)
+        # step and swept_free each compute the exact distance only in the band
+        # (check_move's own oracle calls the unpatched function)
+        assert len(exact_calls) == (2 if branch == "exact" else 0), (p0, branch)
+        outcomes.add((branch, clear))
+    assert min(branches.values()) >= 20, branches
+    assert outcomes == {("box", True), ("end", False), ("exact", True), ("exact", False)}
+
+
+def test_long_crossings_of_a_thin_wall_are_blocked(exact_calls):
+    world = make_world()
+    r = world.spec.agent_radius
+    w = Wall(1.4, 1.4, 0.02, 0.6)
+    ctx = Context(0, 2.8, (w,))
+    rng = np.random.default_rng(44)
+    for y0, y1 in rng.uniform(w.cy - w.half_h, w.cy + w.half_h, (200, 2)):
+        p0, p1 = (0.5, y0), (2.3, y1)
+        # box distance 0, both ends about 0.9 clear of the wall
+        assert wall_bound_branch(p0, p1, w, r) == "exact"
+        assert not world.swept_free(ctx, p0, p1)
+        assert not world.swept_free(ctx, p1, p0)
+    assert len(exact_calls) == 400
+
+
+def near_wall_moves():
+    """A wall, a start within about 2r of it and an action up to 1.2·a_max."""
+    coord = hst.floats(-0.4, 0.4, allow_nan=False)
+    return hst.tuples(
+        hst.floats(0.6, 2.2), hst.floats(0.6, 2.2), hst.floats(0.01, 0.5), hst.floats(0.01, 0.5),
+        coord, coord, hst.floats(-0.12, 0.12), hst.floats(-0.12, 0.12),
+    )
+
+
+@settings(max_examples=400, deadline=None)
+@given(near_wall_moves())
+def test_wall_test_property_near_a_wall(move):
+    cx, cy, hw, hh, u, v, ax, ay = move
+    world = make_world()
+    w = Wall(cx, cy, hw, hh)
+    ctx = Context(0, 2.8, (w,))
+    p0 = (cx + math.copysign(hw, u) + u, cy + math.copysign(hh, v) + v)
+    check_move(world, ctx, p0, (ax, ay))
+
+
+def test_step_non_finite_actions():
+    world = make_world()
+    a_max = world.spec.a_max
+    ctx = one_wall_context(world)
+    st0 = AgentState(0.7, 1.9)
+    # an infinite component is clamped to ±a_max
+    for action, want in (
+        ((math.inf, 0.0), (0.7 + a_max, 1.9)),
+        ((-math.inf, math.inf), (0.7 - a_max, 1.9 + a_max)),
+        (np.array([0.03, -np.inf]), (0.7 + 0.03, 1.9 - a_max)),
+    ):
+        out = world.step(ctx, st0, action)
+        assert (out.x, out.y) == want, action
+    # a NaN component makes a NaN target, and that move is rejected
+    for action in ((math.nan, 0.0), (0.0, math.nan), np.array([np.nan, np.inf]), (math.nan, math.nan)):
+        assert world.step(ctx, st0, action) is st0, action
