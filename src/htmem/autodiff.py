@@ -8,8 +8,9 @@ array accumulates into a single gradient.
 
 Also hosts the small-MLP container, the adaptive-moment optimizer and the
 training loop every learned model uses, the finite-difference gradient
-checker, and the binary checkpoint format shared by every learned model in
-the package.
+checker, and the checkpoint codec every learned model saves and loads
+through: ``save_parts`` writes a model's header ints and parts, and
+``load_parts`` checks the file and rebuilds them.
 """
 
 from __future__ import annotations
@@ -431,6 +432,11 @@ def mlp_apply(params: MlpParams, x, tape: Tape | None = None):
 # optimizer
 
 
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
+
 @dataclass
 class OptimizerState:
     """Adaptive-moment accumulators mirroring one parameter list."""
@@ -439,19 +445,13 @@ class OptimizerState:
     v: list
     step: int = 0
     lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
 
-def adam_init(params, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8) -> OptimizerState:
+def adam_init(params, lr=1e-3) -> OptimizerState:
     return OptimizerState(
         m=[np.zeros_like(p) for p in params],
         v=[np.zeros_like(p) for p in params],
         lr=lr,
-        beta1=beta1,
-        beta2=beta2,
-        eps=eps,
     )
 
 
@@ -461,7 +461,7 @@ def adam_step(params, grads, state: OptimizerState) -> OptimizerState:
         raise ShapeError("parameter/gradient/state lengths differ")
     state.step += 1
     t = state.step
-    b1, b2 = state.beta1, state.beta2
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
     for p, g, m, v in zip(params, grads, state.m, state.v):
         if p.shape != g.shape:
             raise ShapeError(f"grad shape {g.shape} != param shape {p.shape}")
@@ -469,7 +469,7 @@ def adam_step(params, grads, state: OptimizerState) -> OptimizerState:
         v[...] = b2 * v + (1.0 - b2) * g * g
         mhat = m / (1.0 - b1**t)
         vhat = v / (1.0 - b2**t)
-        p[...] = p - state.lr * mhat / (np.sqrt(vhat) + state.eps)
+        p[...] = p - state.lr * mhat / (np.sqrt(vhat) + ADAM_EPS)
     return state
 
 
@@ -565,24 +565,46 @@ CHECKPOINT_MAGIC = b"HTMC"
 CHECKPOINT_VERSION = 1
 
 
-def save_checkpoint(path, kind: str, meta, arrays) -> None:
-    """Write magic, version, 4-byte kind tag, u32 meta ints, then all arrays
-    concatenated as little-endian float64 in the order given."""
+def save_parts(path, kind: str, header, parts) -> None:
+    """Write a model as its header ints and its parts in order.
+
+    File layout, little-endian: the magic ``HTMC``; u32 version; the 4-byte
+    ASCII kind tag; u32 count of meta ints, then the meta ints as u32; u64
+    count of floats, then the floats as float64. The meta ints are the
+    header, then for each MlpParams part its activation's index in
+    ``ACTIVATIONS``, its number of layer sizes and the sizes. The floats are
+    the parts in order: an MlpParams gives each layer's weights (row-major)
+    then its biases, an array gives its entries (row-major).
+    """
     if len(kind) != 4:
         raise ValueError("model kind tag must be 4 characters")
+    meta, arrays = [int(h) for h in header], []
+    for part in parts:
+        if isinstance(part, MlpParams):
+            sizes = part.sizes()
+            meta += [ACTIVATIONS.index(part.activation), len(sizes), *sizes]
+            arrays += part.parameters()
+        else:
+            arrays.append(part)
     flat = np.concatenate([np.asarray(a, dtype=float).reshape(-1) for a in arrays])
     with open(path, "wb") as fh:
         fh.write(CHECKPOINT_MAGIC)
         fh.write(struct.pack("<I", CHECKPOINT_VERSION))
         fh.write(kind.encode("ascii"))
         fh.write(struct.pack("<I", len(meta)))
-        fh.write(struct.pack(f"<{len(meta)}I", *[int(m) for m in meta]))
+        fh.write(struct.pack(f"<{len(meta)}I", *meta))
         fh.write(struct.pack("<Q", flat.size))
         fh.write(flat.astype("<f8").tobytes())
 
 
-def _read_checkpoint(path):
-    """(kind, meta list, flat float array) of a well-formed checkpoint file."""
+def load_parts(path, header_sizes: dict, layout):
+    """Read a checkpoint written by ``save_parts``.
+
+    ``header_sizes`` maps each accepted kind tag to its number of header
+    ints; ``layout(header)`` lists the parts in file order, each ``MlpParams``
+    or the shape of an array. The parts must consume the meta ints and the
+    floats exactly. Returns (header, parts).
+    """
     with open(path, "rb") as fh:
         raw = fh.read()
     if len(raw) < 16 or raw[:4] != CHECKPOINT_MAGIC:
@@ -597,92 +619,35 @@ def _read_checkpoint(path):
         raise CheckpointError(f"{path}: truncated header")
     meta = list(struct.unpack_from(f"<{n_meta}I", raw, 16))
     (n_floats,) = struct.unpack_from("<Q", raw, off)
-    off += 8
-    if len(raw) - off != 8 * n_floats:
+    if len(raw) - off - 8 != 8 * n_floats:
         raise CheckpointError(f"{path}: truncated or oversized float payload")
-    flat = np.frombuffer(raw, dtype="<f8", count=n_floats, offset=off).astype(float)
-    return kind, meta, flat
-
-
-def load_checkpoint(path, expected_kind: str):
-    """Read and validate a checkpoint; returns (meta list, flat float array)."""
-    kind, meta, flat = _read_checkpoint(path)
-    if kind != expected_kind:
-        raise CheckpointError(f"{path}: kind {kind!r}, expected {expected_kind!r}")
-    return meta, flat
-
-
-def unpack_mlp(meta, flat, offset_meta, offset_flat, activation_codes=ACTIVATIONS):
-    """Rebuild an MlpParams from checkpoint meta starting at ``offset_meta``.
-
-    Meta layout: act_code, n_sizes, sizes...  Returns (params, next_meta
-    offset, next_flat offset). Raises CheckpointError when the meta or the
-    floats run out first; meta that ends early mid-list shows in the returned
-    offset.
-    """
-    if len(meta) < offset_meta + 2 or meta[offset_meta] >= len(activation_codes):
-        raise CheckpointError("MLP meta is truncated or names an unknown activation")
-    act = activation_codes[meta[offset_meta]]
-    n_sizes = meta[offset_meta + 1]
-    sizes = meta[offset_meta + 2 : offset_meta + 2 + n_sizes]
-    weights, biases = [], []
-    pos = offset_flat
-    for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
-        if pos + fan_out * (fan_in + 1) > len(flat):
-            raise CheckpointError("MLP parameters are truncated")
-        weights.append(flat[pos : pos + fan_out * fan_in].reshape(fan_out, fan_in).copy())
-        pos += fan_out * fan_in
-        biases.append(flat[pos : pos + fan_out].copy())
-        pos += fan_out
-    return MlpParams(weights, biases, act), offset_meta + 2 + n_sizes, pos
-
-
-def pack_mlp_meta(params: MlpParams, activation_codes=ACTIVATIONS):
-    sizes = params.sizes()
-    return [activation_codes.index(params.activation), len(sizes)] + sizes
-
-
-def save_parts(path, kind: str, header, parts) -> None:
-    """Write a model as its header ints and its parts in order.
-
-    Each part is an MlpParams, whose layer description follows the header in
-    the meta ints, or an array, which adds floats only.
-    """
-    meta, arrays = [int(h) for h in header], []
-    for part in parts:
-        if isinstance(part, MlpParams):
-            meta += pack_mlp_meta(part)
-            arrays += part.parameters()
-        else:
-            arrays.append(part)
-    save_checkpoint(path, kind, meta, arrays)
-
-
-def load_parts(path, header_sizes: dict, layout):
-    """Read a checkpoint written by ``save_parts``.
-
-    ``header_sizes`` maps each accepted kind tag to its number of header
-    ints; ``layout(header)`` lists the parts in file order, each ``MlpParams``
-    or the shape of an array. The parts must consume the meta ints and the
-    floats exactly. Returns (header, parts).
-    """
-    kind, meta, flat = _read_checkpoint(path)
+    flat = np.frombuffer(raw, dtype="<f8", count=n_floats, offset=off + 8).astype(float)
     if kind not in header_sizes:
         raise CheckpointError(f"{path}: kind {kind!r}, expected one of {sorted(header_sizes)}")
     m_off = header_sizes[kind]
     if len(meta) < m_off:
         raise CheckpointError(f"{path}: header is truncated")
     header, f_off, parts = meta[:m_off], 0, []
-    for spec in layout(header):
-        if spec is MlpParams:
-            mlp, m_off, f_off = unpack_mlp(meta, flat, m_off, f_off)
-            parts.append(mlp)
-            continue
-        size = int(np.prod(spec))
+
+    def take(shape):
+        nonlocal f_off
+        size = int(np.prod(shape))
         if f_off + size > flat.size:
-            raise CheckpointError(f"{path}: array part is truncated")
-        parts.append(flat[f_off : f_off + size].reshape(spec).copy())
+            raise CheckpointError(f"{path}: parameters are truncated")
         f_off += size
+        return flat[f_off - size : f_off].reshape(shape).copy()
+
+    for spec in layout(header):
+        if spec is not MlpParams:
+            parts.append(take(spec))
+            continue
+        if len(meta) < m_off + 2 or meta[m_off] >= len(ACTIVATIONS):
+            raise CheckpointError(f"{path}: MLP meta is truncated or names an unknown activation")
+        act, n_sizes = ACTIVATIONS[meta[m_off]], meta[m_off + 1]
+        sizes = meta[m_off + 2 : m_off + 2 + n_sizes]
+        m_off += 2 + n_sizes
+        layers = [(take((o, i)), take((o,))) for i, o in zip(sizes[:-1], sizes[1:])]
+        parts.append(MlpParams([w for w, _ in layers], [b for _, b in layers], act))
     if m_off != len(meta) or f_off != flat.size:
         raise CheckpointError(f"{path}: parts do not consume the payload exactly")
     return header, parts

@@ -141,7 +141,12 @@ def validate_config(cfg: RunConfig) -> None:
     _require(d.n_contexts >= 1, "data.n_contexts", "must be at least 1")
     _require(d.trajectories_per_context >= 1, "data.trajectories_per_context", "must be at least 1")
     _require(d.trajectory_length >= 1, "data.trajectory_length", "must be at least 1")
-    _require(0 <= d.n_holdout < d.n_contexts, "data.n_holdout", "must leave a training context")
+    # The benchmark draws its tasks from the held-out contexts.
+    _require(
+        1 <= d.n_holdout < d.n_contexts,
+        "data.n_holdout",
+        "must be at least 1 and leave a training context",
+    )
     _require(0 <= d.val_fraction < 1, "data.val_fraction", "must lie in [0, 1)")
     # With one trajectory per context, a far pair for the classifier must lie
     # on the same trajectory, and every step has one only from this length on.

@@ -29,7 +29,7 @@ from .autodiff import (  # noqa: F401  TrainingDiverged is re-exported
     mlp_init,
     save_parts,
 )
-from .data import TransitionDataset, split_context_ids
+from .data import ContextStack, TransitionDataset, training_stacks
 from .world import BlockWorld
 
 
@@ -158,64 +158,6 @@ class SptmBatch:
 
     def __len__(self):
         return len(self.labels)
-
-
-@dataclass(frozen=True, eq=False)
-class ContextStack:
-    """The observations, encodings and generated pools of a fixed list of
-    contexts, stacked once so that the samplers gather batches by index.
-
-    Context ``i`` of the stack is ``context_ids[i]``; its observations are
-    indexed by trajectory and step, and its pool is the rows
-    ``pool_start[i]`` to ``pool_start[i] + pool_size[i]`` of ``pool``.
-    """
-
-    context_ids: tuple
-    observations: np.ndarray  # (C, J, T+1, obs_dim)
-    encodings: np.ndarray  # (C, ctx_dim)
-    pool: np.ndarray  # (P, obs_dim), every context's generated observations
-    pool_start: np.ndarray  # (C,)
-    pool_size: np.ndarray  # (C,), 0 for a context without a pool
-
-    @classmethod
-    def build(
-        cls, dataset: TransitionDataset, world: BlockWorld, ids, hallucinations: dict | None = None
-    ) -> "ContextStack":
-        """Stack ``ids``; ``hallucinations`` maps a context id to its pool."""
-        ids = tuple(ids)
-        if not ids:
-            raise ValueError("no contexts to stack")
-        shapes = {}
-        for cid in ids:
-            trajs = dataset.trajectories[cid]
-            shapes[cid] = (len(trajs), sorted({t.observations.shape[0] for t in trajs}))
-        first = shapes[ids[0]]
-        for cid, (n_traj, lengths) in shapes.items():
-            if len(lengths) != 1 or (n_traj, lengths) != first:
-                raise ValueError(
-                    f"context {cid}: {n_traj} trajectories of {lengths} observations, but "
-                    f"stacked contexts need one count and one length (first: {first[0]} of "
-                    f"{first[1]})"
-                )
-        observations = np.stack(
-            [np.stack([t.observations for t in dataset.trajectories[cid]]) for cid in ids]
-        )
-        encodings = np.stack([world.encode_context(dataset.context_by_id(cid)) for cid in ids])
-        pools = [(hallucinations or {}).get(cid) for cid in ids]
-        pools = [np.reshape([] if p is None else p, (-1, world.obs_dim)) for p in pools]
-        pool_size = np.array([len(p) for p in pools])
-        pool_start = np.concatenate([[0], np.cumsum(pool_size)[:-1]])
-        return cls(ids, observations, encodings, np.concatenate(pools), pool_start, pool_size)
-
-    def flat_observations(self) -> np.ndarray:
-        """(C, J*(T+1), obs_dim): index ``j*(T+1) + t`` is step t of trajectory j."""
-        c, j, t1, obs_dim = self.observations.shape
-        return self.observations.reshape(c, j * t1, obs_dim)
-
-    def draw_pool(self, ctx_index, rng) -> np.ndarray:
-        """One uniform pool row for each context index in ``ctx_index``;
-        every context indexed must have a nonempty pool."""
-        return self.pool[self.pool_start[ctx_index] + rng.integers(self.pool_size[ctx_index])]
 
 
 def sample_cpc_batch(stack: ContextStack, cfg: CpcConfig, seed: int) -> CpcBatch:
@@ -350,11 +292,7 @@ def sptm_bce_loss(model: ConnectivityModel, batch: SptmBatch, tape: Tape | None 
 
 
 def _train_scorer(model, dataset, world, cfg, sample_fn, loss_fn, hallucinations, label):
-    train_ids, val_ids, _ = split_context_ids(dataset)
-    if not train_ids:
-        raise ValueError("no training contexts after holdout/validation split")
-    train = ContextStack.build(dataset, world, train_ids, hallucinations)
-    val = ContextStack.build(dataset, world, val_ids or train_ids[:1], hallucinations)
+    train, val = training_stacks(dataset, world, hallucinations)
     val_batches = [
         sample_fn(val, cfg, derived_seed(cfg.seed, "val", i)) for i in range(cfg.val_batches)
     ]
@@ -412,23 +350,23 @@ def successor_ranking_rate(
     """Fraction of anchors whose true k-step successor ranks in the top
     ``top_fraction`` of a random same-context candidate set by logit."""
     rng = np.random.default_rng(seed)
-    trajs = dataset.trajectories[context_id]
-    ctx_enc = world.encode_context(dataset.context_by_id(context_id))
-    all_obs = dataset.observations_for(context_id)
+    stack = ContextStack.build(dataset, world, [context_id])
+    trajs, all_obs = stack.observations[0], stack.flat_observations()[0]
+    ctx_enc = stack.encodings[0]
     horizon = model.horizon
+    t_len = trajs.shape[1] - 1
     cutoff = max(1, int(math.floor(top_fraction * n_candidates)))
     hits = 0
     for _ in range(n_anchors):
         ti = int(rng.integers(len(trajs)))
-        t_len = trajs[ti].observations.shape[0] - 1
         k = int(rng.integers(1, min(horizon, t_len) + 1))
         t0 = int(rng.integers(0, t_len - k + 1))
-        anchor = trajs[ti].observations[t0]
-        succ = trajs[ti].observations[t0 + k]
+        anchor = trajs[ti, t0]
+        succ = trajs[ti, t0 + k]
         cands = all_obs[rng.integers(len(all_obs), size=n_candidates - 1)]
-        stack = np.concatenate([succ[None], cands])
+        cand_obs = np.concatenate([succ[None], cands])
         z_anchor = model.encode(anchor, ctx_enc)[0]
-        z_cands = model.encode(stack, ctx_enc)
+        z_cands = model.encode(cand_obs, ctx_enc)
         logits = z_cands @ model.bilinear @ z_anchor
         rank = int((logits > logits[0]).sum())  # 0 = best
         if rank < cutoff:

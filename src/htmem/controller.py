@@ -29,7 +29,7 @@ from .autodiff import (  # noqa: F401  TrainingDiverged is re-exported
 )
 from .connectivity import ConnectivityModel
 from .cvae import CvaeModel
-from .data import TransitionDataset, split_context_ids
+from .data import ContextStack, TransitionDataset, training_stacks
 from .plangraph import NoPathError, Plan, PlanningConfig, plan_end_to_end
 from .world import BlockWorld, Task
 
@@ -90,28 +90,22 @@ def inverse_loss(model: InverseModel, obs, targets, ctx, actions, tape: Tape | N
     return float(loss.value) if own_tape else loss
 
 
-def _gather_transitions(dataset, world, ids):
-    obs, tgt, ctx, act = [], [], [], []
-    for cid in ids:
-        o, a, nxt = dataset.transitions_for(cid)
-        obs.append(o)
-        tgt.append(nxt)
-        act.append(a)
-        ctx.append(np.tile(world.encode_context(dataset.context_by_id(cid)), (len(o), 1)))
+def _transitions(stack: ContextStack):
+    """(observations, next observations, encodings, actions): one row per
+    stored transition, in context, trajectory, step order."""
+    _, n_traj, t1, obs_dim = stack.observations.shape
     return (
-        np.concatenate(obs),
-        np.concatenate(tgt),
-        np.concatenate(ctx),
-        np.concatenate(act),
+        stack.observations[:, :, :-1].reshape(-1, obs_dim),
+        stack.observations[:, :, 1:].reshape(-1, obs_dim),
+        np.repeat(stack.encodings, n_traj * (t1 - 1), axis=0),
+        stack.actions.reshape(-1, 2),
     )
 
 
 def train_inverse(dataset: TransitionDataset, world: BlockWorld, cfg: InverseConfig) -> InverseModel:
-    train_ids, val_ids, _ = split_context_ids(dataset)
-    if not train_ids:
-        raise ValueError("no training contexts after holdout/validation split")
-    x, tgt, ctx, act = _gather_transitions(dataset, world, train_ids)
-    xv, tv, cv, av = _gather_transitions(dataset, world, val_ids or train_ids[:1])
+    train, val = training_stacks(dataset, world)
+    x, tgt, ctx, act = _transitions(train)
+    xv, tv, cv, av = _transitions(val)
 
     model = inverse_init(world.obs_dim, world.ctx_dim, world.spec.a_max, cfg)
     rng = np.random.default_rng(derived_seed(cfg.seed, "shuffle"))

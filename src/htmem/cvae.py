@@ -23,7 +23,7 @@ from .autodiff import (  # noqa: F401  TrainingDiverged is re-exported
     mlp_init,
     save_parts,
 )
-from .data import TransitionDataset, split_context_ids
+from .data import ContextStack, TransitionDataset, training_stacks
 from .world import BlockWorld
 
 
@@ -123,23 +123,19 @@ def cvae_elbo(model: CvaeModel, obs, ctx, noise_seed: int, beta=1.0, tape: Tape 
     return total, recon, kl
 
 
-def _gather_pairs(dataset: TransitionDataset, world: BlockWorld, ids):
-    obs, ctx = [], []
-    for cid in ids:
-        o = dataset.observations_for(cid)
-        obs.append(o)
-        ctx.append(np.tile(world.encode_context(dataset.context_by_id(cid)), (len(o), 1)))
-    return np.concatenate(obs), np.concatenate(ctx)
+def _rows(stack: ContextStack):
+    """(observations, encodings): one row per stored observation, in
+    context, trajectory, step order."""
+    _, n_traj, t1, obs_dim = stack.observations.shape
+    return stack.observations.reshape(-1, obs_dim), np.repeat(stack.encodings, n_traj * t1, axis=0)
 
 
 def train_cvae(dataset: TransitionDataset, world: BlockWorld, cfg: CvaeConfig) -> CvaeModel:
     """Adam training with held-out contexts excluded and the best-validation
     parameters restored at the end. Epoch 0 logs the pre-training losses."""
-    train_ids, val_ids, _ = split_context_ids(dataset)
-    if not train_ids:
-        raise ValueError("no training contexts after holdout/validation split")
-    x_train, c_train = _gather_pairs(dataset, world, train_ids)
-    x_val, c_val = _gather_pairs(dataset, world, val_ids or train_ids[:1])
+    train, val = training_stacks(dataset, world)
+    x_train, c_train = _rows(train)
+    x_val, c_val = _rows(val)
 
     model = cvae_init(world.obs_dim, world.ctx_dim, cfg)
     rng = np.random.default_rng(derived_seed(cfg.seed, "shuffle"))
@@ -161,23 +157,14 @@ def train_cvae(dataset: TransitionDataset, world: BlockWorld, cfg: CvaeConfig) -
     return fit(model, cfg.epochs, steps, validate, cfg.lr, "cvae")
 
 
-@dataclass
-class HallucinationSet:
-    context_id: int
-    observations: np.ndarray  # (M, obs_dim), entries in [0, 1]
-    seed: int
-
-    def __len__(self):
-        return len(self.observations)
-
-
-def hallucinate(model: CvaeModel, ctx_encoding, m: int, seed: int, context_id=-1) -> HallucinationSet:
-    """Sample ``m`` decoder means from standard-normal latents, clamped to the
-    observation range. Deterministic given (model, seed, m)."""
+def hallucinate(model: CvaeModel, ctx_encoding, m: int, seed: int) -> np.ndarray:
+    """``m`` decoder means from standard-normal latents, clamped to the
+    observation range, as an (m, obs_dim) array. Deterministic given
+    (model, seed, m)."""
     if m < 0:
         raise ValueError("sample count must be >= 0")
     ctx_encoding = np.asarray(ctx_encoding, dtype=float)
     if m == 0:
-        return HallucinationSet(context_id, np.zeros((0, model.obs_dim)), seed)
+        return np.zeros((0, model.obs_dim))
     z = np.random.default_rng(seed).standard_normal((m, model.d_z))
-    return HallucinationSet(context_id, model.decode(z, ctx_encoding), seed)
+    return model.decode(z, ctx_encoding)

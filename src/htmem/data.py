@@ -1,5 +1,6 @@
 """Trajectory dataset: collection from random exploration, JSONL persistence,
-replay auditing, and the context splits used by every training routine."""
+replay auditing, the context splits, and the stacked per-context view that
+every training routine reads its rows from."""
 
 from __future__ import annotations
 
@@ -53,18 +54,6 @@ class TransitionDataset:
     @property
     def n_transitions(self) -> int:
         return sum(len(t) for ts in self.trajectories.values() for t in ts)
-
-    def observations_for(self, cid: int) -> np.ndarray:
-        return np.concatenate([t.observations for t in self.trajectories[cid]])
-
-    def transitions_for(self, cid: int):
-        """Stacked (obs, action, next_obs) arrays for one context."""
-        obs, act, nxt = [], [], []
-        for t in self.trajectories[cid]:
-            obs.append(t.observations[:-1])
-            act.append(t.actions)
-            nxt.append(t.observations[1:])
-        return np.concatenate(obs), np.concatenate(act), np.concatenate(nxt)
 
     # -- auditing -----------------------------------------------------------
 
@@ -207,13 +196,85 @@ def collect_dataset(world: BlockWorld, cfg: DataConfig) -> TransitionDataset:
 
 def split_context_ids(dataset: TransitionDataset, cfg: DataConfig | None = None):
     """(train_ids, val_ids, holdout_ids): holdout is the tail of the context
-    list and never touches training; val is the tail of the remainder."""
+    list and never touches training; val is the tail of the remainder and
+    leaves at least one context to train on."""
     cfg = cfg or dataset.data_config
     ids = [c.id for c in dataset.contexts]
     n_holdout = min(cfg.n_holdout, max(0, len(ids) - 1))
     holdout = ids[len(ids) - n_holdout :] if n_holdout else []
     rest = ids[: len(ids) - n_holdout]
-    n_val = max(1, int(math.ceil(cfg.val_fraction * len(rest)))) if len(rest) > 1 else 0
+    n_val = min(max(1, int(math.ceil(cfg.val_fraction * len(rest)))), max(0, len(rest) - 1))
     val = rest[len(rest) - n_val :] if n_val else []
     train = rest[: len(rest) - n_val]
     return train, val, holdout
+
+
+@dataclass(frozen=True, eq=False)
+class ContextStack:
+    """The trajectories, encodings and generated pools of a fixed list of
+    contexts, stacked once so that training gathers its rows by index.
+
+    Context ``i`` of the stack is ``context_ids[i]``; its observations and
+    actions are indexed by trajectory and step, and its pool is the rows
+    ``pool_start[i]`` to ``pool_start[i] + pool_size[i]`` of ``pool``.
+    """
+
+    context_ids: tuple
+    observations: np.ndarray  # (C, J, T+1, obs_dim)
+    actions: np.ndarray  # (C, J, T, 2)
+    encodings: np.ndarray  # (C, ctx_dim)
+    pool: np.ndarray  # (P, obs_dim), every context's generated observations
+    pool_start: np.ndarray  # (C,)
+    pool_size: np.ndarray  # (C,), 0 for a context without a pool
+
+    @classmethod
+    def build(
+        cls, dataset: TransitionDataset, world: BlockWorld, ids, hallucinations: dict | None = None
+    ) -> "ContextStack":
+        """Stack ``ids``; ``hallucinations`` maps a context id to its pool."""
+        ids = tuple(ids)
+        if not ids:
+            raise ValueError("no contexts to stack")
+        shapes = {}
+        for cid in ids:
+            trajs = dataset.trajectories[cid]
+            shapes[cid] = (len(trajs), sorted({t.observations.shape[0] for t in trajs}))
+        first = shapes[ids[0]]
+        for cid, (n_traj, lengths) in shapes.items():
+            if len(lengths) != 1 or (n_traj, lengths) != first:
+                raise ValueError(
+                    f"context {cid}: {n_traj} trajectories of {lengths} observations, but "
+                    f"stacked contexts need one count and one length (first: {first[0]} of "
+                    f"{first[1]})"
+                )
+        per_ctx = [dataset.trajectories[cid] for cid in ids]
+        observations = np.stack([np.stack([t.observations for t in ts]) for ts in per_ctx])
+        actions = np.stack([np.stack([t.actions for t in ts]) for ts in per_ctx])
+        encodings = np.stack([world.encode_context(dataset.context_by_id(cid)) for cid in ids])
+        pools = [(hallucinations or {}).get(cid) for cid in ids]
+        pools = [np.reshape([] if p is None else p, (-1, world.obs_dim)) for p in pools]
+        pool_size = np.array([len(p) for p in pools])
+        pool_start = np.concatenate([[0], np.cumsum(pool_size)[:-1]])
+        return cls(
+            ids, observations, actions, encodings, np.concatenate(pools), pool_start, pool_size
+        )
+
+    def flat_observations(self) -> np.ndarray:
+        """(C, J*(T+1), obs_dim): index ``j*(T+1) + t`` is step t of trajectory j."""
+        c, j, t1, obs_dim = self.observations.shape
+        return self.observations.reshape(c, j * t1, obs_dim)
+
+    def draw_pool(self, ctx_index, rng) -> np.ndarray:
+        """One uniform pool row for each context index in ``ctx_index``;
+        every context indexed must have a nonempty pool."""
+        return self.pool[self.pool_start[ctx_index] + rng.integers(self.pool_size[ctx_index])]
+
+
+def training_stacks(
+    dataset: TransitionDataset, world: BlockWorld, hallucinations: dict | None = None
+) -> tuple[ContextStack, ContextStack]:
+    """(train, val) stacks of the split; a split without validation contexts
+    validates on its first training context."""
+    train_ids, val_ids, _ = split_context_ids(dataset)
+    train = ContextStack.build(dataset, world, train_ids, hallucinations)
+    return train, ContextStack.build(dataset, world, val_ids or train_ids[:1], hallucinations)

@@ -20,7 +20,7 @@ import numpy as np
 
 from .autodiff import derived_seed
 from .controller import ExecutionConfig, ModelBundle, execute, plan_seed
-from .cvae import HallucinationSet, hallucinate
+from .cvae import hallucinate
 from .plangraph import Plan, PlanningConfig
 from .world import BlockWorld, EvaluationError, Task
 
@@ -49,10 +49,10 @@ def wilson_interval(successes: int, total: int, z=1.96):
     return (max(0.0, center - half), min(1.0, center + half))
 
 
-def fidelity(world: BlockWorld, ctx, samples: HallucinationSet | np.ndarray) -> float:
-    """Fraction of samples decoding to valid agent states; empty sets are
-    vacuously perfect."""
-    obs = samples.observations if isinstance(samples, HallucinationSet) else np.asarray(samples)
+def fidelity(world: BlockWorld, ctx, samples) -> float:
+    """Fraction of the (m, obs_dim) samples decoding to valid agent states;
+    empty sets are vacuously perfect."""
+    obs = np.asarray(samples)
     if len(obs) == 0:
         return 1.0
     decoded = []
@@ -245,14 +245,9 @@ def run_benchmark(
                 first = result.plans[0]
                 feas = feasibility(world, task.context, first, oracle_horizon)
                 comp = completeness(world, task.context, first, task, oracle_horizon)
-                hs = hallucinate(
-                    bundle.cvae,
-                    world.encode_context(task.context),
-                    cfg.m_samples,
-                    plan_seed(task_seed, 0),
-                    context_id=task.context.id,
-                )
-                fid = fidelity(world, task.context, hs)
+                ctx_enc = world.encode_context(task.context)
+                samples = hallucinate(bundle.cvae, ctx_enc, cfg.m_samples, plan_seed(task_seed, 0))
+                fid = fidelity(world, task.context, samples)
             rows.append(
                 TaskRow(
                     task_id,

@@ -53,9 +53,7 @@ def build_hallucination_pools(world, dataset, cvae, context_ids, size, seed) -> 
     pools = {}
     for cid in context_ids:
         enc = world.encode_context(dataset.context_by_id(cid))
-        pools[cid] = hallucinate(
-            cvae, enc, size, derived_seed(seed, "pool", cid), context_id=cid
-        ).observations
+        pools[cid] = hallucinate(cvae, enc, size, derived_seed(seed, "pool", cid))
     return pools
 
 

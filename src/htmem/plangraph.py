@@ -201,7 +201,7 @@ def plan_end_to_end(
     Node layout: candidates occupy 0..m-1, start is m, goal is m+1; with
     m = 0 the only route is the direct edge. Deterministic given the seed.
     """
-    samples = hallucinate(cvae, ctx_encoding, cfg.m_samples, seed).observations
+    samples = hallucinate(cvae, ctx_encoding, cfg.m_samples, seed)
     nodes = np.concatenate(
         [samples, np.atleast_2d(o_start), np.atleast_2d(o_goal)], axis=0
     )

@@ -14,12 +14,10 @@ from htmem.autodiff import (
     adam_init,
     adam_step,
     grad_check,
-    load_checkpoint,
+    load_parts,
     mlp_apply,
     mlp_init,
-    pack_mlp_meta,
-    save_checkpoint,
-    unpack_mlp,
+    save_parts,
 )
 
 
@@ -241,41 +239,69 @@ def test_adam_deterministic_trajectory():
     assert np.array_equal(run(), run())
 
 
+def _one_mlp(header):
+    return (MlpParams,)
+
+
 def test_checkpoint_roundtrip_and_rejections(tmp_path):
     params = mlp_init([3, 5, 2], "tanh", seed=8)
-    meta = pack_mlp_meta(params)
     path = tmp_path / "model.ckpt"
-    save_checkpoint(path, "CPCE", meta, params.parameters())
+    save_parts(path, "CPCE", [], [params])
 
-    meta2, flat = load_checkpoint(path, "CPCE")
-    assert meta2 == meta
-    rebuilt, _, used = unpack_mlp(meta2, flat, 0, 0)
-    assert used == flat.size
+    header, (rebuilt,) = load_parts(path, {"CPCE": 0}, _one_mlp)
+    assert header == []
+    assert rebuilt.activation == "tanh" and rebuilt.sizes() == [3, 5, 2]
     for a, b in zip(rebuilt.parameters(), params.parameters()):
         assert np.array_equal(a, b)
 
     with pytest.raises(CheckpointError):
-        load_checkpoint(path, "CVAE")
+        load_parts(path, {"CVAE": 0}, _one_mlp)
 
     bad = tmp_path / "bad.ckpt"
     bad.write_bytes(b"XXXX" + path.read_bytes()[4:])
     with pytest.raises(CheckpointError):
-        load_checkpoint(bad, "CPCE")
+        load_parts(bad, {"CPCE": 0}, _one_mlp)
 
     truncated = tmp_path / "trunc.ckpt"
     truncated.write_bytes(path.read_bytes()[:-8])
     with pytest.raises(CheckpointError):
-        load_checkpoint(truncated, "CPCE")
+        load_parts(truncated, {"CPCE": 0}, _one_mlp)
 
 
 def test_checkpoint_floats_little_endian_layout(tmp_path):
     path = tmp_path / "tiny.ckpt"
-    save_checkpoint(path, "TEST", [7], [np.array([1.5, -2.0])])
+    save_parts(path, "TEST", [7], [np.array([1.5, -2.0])])
     raw = path.read_bytes()
     assert raw[:4] == b"HTMC"
     assert raw[8:12] == b"TEST"
     tail = np.frombuffer(raw[-16:], dtype="<f8")
     assert np.array_equal(tail, [1.5, -2.0])
+
+
+def test_checkpoint_rejects_each_malformed_field(tmp_path):
+    path = tmp_path / "model.ckpt"
+    save_parts(path, "TEST", [7], [mlp_init([2, 3], "relu", seed=0)])
+    raw = path.read_bytes()  # meta ints 7, 0 (relu), 2, 2, 3 at bytes 16..36; 9 floats
+    unknown_act = raw[:20] + len(ad.ACTIVATIONS).to_bytes(4, "little") + raw[24:]
+    cases = [
+        (b"XXXX" + raw[4:], {"TEST": 1}, _one_mlp, "bad magic"),
+        (raw[:4] + (2).to_bytes(4, "little") + raw[8:], {"TEST": 1}, _one_mlp, "version 2"),
+        (raw[:20], {"TEST": 1}, _one_mlp, "truncated header"),
+        (raw[:-8], {"TEST": 1}, _one_mlp, "float payload"),
+        (raw, {"CVAE": 1}, _one_mlp, "kind 'TEST'"),
+        (raw, {"TEST": 6}, _one_mlp, "header is truncated"),
+        (raw, {"TEST": 4}, _one_mlp, "MLP meta is truncated"),
+        (unknown_act, {"TEST": 1}, _one_mlp, "unknown activation"),
+        (raw, {"TEST": 1}, lambda header: (MlpParams, (2,)), "parameters are truncated"),
+        (raw, {"TEST": 1}, lambda header: (), "do not consume"),
+    ]
+    for i, (payload, header_sizes, layout, message) in enumerate(cases):
+        broken = tmp_path / f"broken{i}.ckpt"
+        broken.write_bytes(payload)
+        with pytest.raises(CheckpointError, match=message):
+            load_parts(broken, header_sizes, layout)
+    header, (mlp,) = load_parts(path, {"TEST": 1}, _one_mlp)
+    assert header == [7] and mlp.sizes() == [2, 3]
 
 
 def test_sigmoid_stable_at_extremes():

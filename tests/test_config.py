@@ -36,6 +36,7 @@ SPTM_OFFSET = 20  # default sptm negative offset: 4 * horizon 5
         ({"evaluation": {"ablation_seeds": [0.5]}}, "evaluation.ablation_seeds"),
         ({"sptm": {"negative_offset": "x"}}, "sptm.negative_offset"),
         ({"sptm": {"negative_offset": 25.7}}, "sptm.negative_offset"),
+        ({"data": {"n_holdout": 0}}, "data.n_holdout"),
     ],
 )
 def test_config_rejects_values_that_cannot_run(overrides, key):
@@ -76,7 +77,7 @@ def valid_overrides(draw):
         st.one_of(st.none(), st.integers(sptm_horizon + 1, 40), st.integers(sptm_horizon + 1, 40).map(float))
     )
     offset = 4 * sptm_horizon if negative_offset is None else int(negative_offset)
-    n_contexts = draw(st.integers(1, 50))
+    n_contexts = draw(st.integers(2, 50))
     per_context = draw(st.integers(1, 20))
     hidden = st.lists(st.integers(1, 64), max_size=3)
     return {
@@ -90,7 +91,7 @@ def valid_overrides(draw):
         },
         "data": {
             "n_contexts": n_contexts,
-            "n_holdout": draw(st.integers(0, n_contexts - 1)),
+            "n_holdout": draw(st.integers(1, n_contexts - 1)),
             "trajectories_per_context": per_context,
             # one trajectory per context needs a far partner for every step
             "trajectory_length": draw(st.integers(1 if per_context > 1 else 2 * offset - 1, 100)),

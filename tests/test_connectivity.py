@@ -6,7 +6,6 @@ import pytest
 from htmem.autodiff import MlpParams, grad_check, sigmoid
 from htmem.connectivity import (
     ConnectivityModel,
-    ContextStack,
     CpcBatch,
     CpcConfig,
     SptmBatch,
@@ -20,7 +19,7 @@ from htmem.connectivity import (
     train_cpc,
     train_sptm,
 )
-from htmem.data import DataConfig, collect_dataset, split_context_ids
+from htmem.data import ContextStack, DataConfig, collect_dataset, split_context_ids
 from htmem.world import BlockWorld, WorldSpec
 
 CHI2_CRIT_DF4_P01 = 13.2767  # chi-square critical value, df=4, alpha=0.01
@@ -63,8 +62,11 @@ def numbered_stack(n_ctx, n_traj, t1):
     """A stack whose one-dimensional observations are their own flat index
     ``(context * n_traj + trajectory) * t1 + step``."""
     obs = np.arange(float(n_ctx * n_traj * t1)).reshape(n_ctx, n_traj, t1, 1)
+    actions = np.zeros((n_ctx, n_traj, t1 - 1, 2))
     empty = np.zeros(n_ctx, dtype=int)
-    return ContextStack(tuple(range(n_ctx)), obs, np.zeros((n_ctx, 1)), np.empty((0, 1)), empty, empty)
+    return ContextStack(
+        tuple(range(n_ctx)), obs, actions, np.zeros((n_ctx, 1)), np.empty((0, 1)), empty, empty
+    )
 
 
 def chi2_uniform(counts_by_cell):

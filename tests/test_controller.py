@@ -18,7 +18,7 @@ from htmem.controller import (
     train_inverse,
 )
 from htmem.cvae import CvaeModel
-from htmem.data import DataConfig, collect_dataset
+from htmem.data import DataConfig, collect_dataset, split_context_ids
 from htmem.plangraph import PlanningConfig
 from htmem.world import AgentState, BlockWorld, Context, Task, Wall, WorldSpec
 
@@ -97,15 +97,28 @@ def test_train_inverse_beats_mean_predictor_and_is_deterministic():
     assert m1.history[-1]["val_loss"] == pytest.approx(m2.history[-1]["val_loss"], abs=1e-12)
 
     # mean-action predictor oracle on the same validation split
-    from htmem.controller import _gather_transitions
-    from htmem.data import split_context_ids
+    from htmem.data import training_stacks
 
-    train_ids, val_ids, _ = split_context_ids(ds)
-    _, _, _, act_train = _gather_transitions(ds, world, train_ids)
-    _, _, _, act_val = _gather_transitions(ds, world, val_ids)
+    train, val = training_stacks(ds, world)
+    act_train, act_val = train.actions.reshape(-1, 2), val.actions.reshape(-1, 2)
     mean_action = act_train.mean(axis=0)
     baseline = float(((act_val - mean_action) ** 2).sum(axis=1).mean())
     assert m1.history[-1]["val_loss"] < 0.5 * baseline
+
+
+def test_train_inverse_encodes_each_context_once(monkeypatch):
+    world, ds = tiny_dataset()
+    calls = []
+    encode = BlockWorld.encode_context
+
+    def counting(self, ctx):
+        calls.append(ctx.id)
+        return encode(self, ctx)
+
+    monkeypatch.setattr(BlockWorld, "encode_context", counting)
+    train_inverse(ds, world, InverseConfig(hidden=(8,), epochs=2, batch_size=16, seed=1))
+    train_ids, val_ids, _ = split_context_ids(ds)
+    assert len(calls) <= len(train_ids) + len(val_ids or train_ids[:1])
 
 
 def test_inverse_checkpoint_roundtrip(tmp_path):

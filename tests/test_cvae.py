@@ -7,13 +7,12 @@ from htmem.autodiff import ShapeError, grad_check, mlp_apply, mlp_init
 from htmem.cvae import (
     CvaeConfig,
     CvaeModel,
-    HallucinationSet,
     cvae_elbo,
     cvae_init,
     hallucinate,
     train_cvae,
 )
-from htmem.data import DataConfig, collect_dataset
+from htmem.data import DataConfig, collect_dataset, split_context_ids
 from htmem.world import BlockWorld, WorldSpec
 
 
@@ -117,6 +116,21 @@ def test_training_decreases_validation_loss_and_is_deterministic():
         assert np.array_equal(a, b)
 
 
+def test_train_cvae_encodes_each_context_once(monkeypatch):
+    world, ds = tiny_dataset()
+    calls = []
+    encode = BlockWorld.encode_context
+
+    def counting(self, ctx):
+        calls.append(ctx.id)
+        return encode(self, ctx)
+
+    monkeypatch.setattr(BlockWorld, "encode_context", counting)
+    train_cvae(ds, world, CvaeConfig(d_z=2, hidden=(8,), epochs=2, batch_size=16, seed=1))
+    train_ids, val_ids, _ = split_context_ids(ds)
+    assert len(calls) <= len(train_ids) + len(val_ids or train_ids[:1])
+
+
 def test_beta_zero_reconstruction_no_worse():
     world, ds = tiny_dataset()
     base = dict(d_z=4, hidden=(16,), epochs=10, batch_size=32, seed=5)
@@ -129,14 +143,14 @@ def test_hallucinate_count_range_determinism():
     model = tiny_model(seed=9)
     ctx = np.random.default_rng(1).uniform(size=4)
     empty = hallucinate(model, ctx, 0, seed=3)
-    assert isinstance(empty, HallucinationSet) and len(empty) == 0
+    assert isinstance(empty, np.ndarray) and empty.shape == (0, 2)
     a = hallucinate(model, ctx, 25, seed=3)
     b = hallucinate(model, ctx, 25, seed=3)
     c = hallucinate(model, ctx, 25, seed=4)
-    assert np.array_equal(a.observations, b.observations)
-    assert not np.array_equal(a.observations, c.observations)
-    assert a.observations.shape == (25, 2)
-    assert np.all((a.observations >= 0) & (a.observations <= 1))
+    assert np.array_equal(a, b)
+    assert not np.array_equal(a, c)
+    assert a.shape == (25, 2)
+    assert np.all((a >= 0) & (a <= 1))
     with pytest.raises(ValueError):
         hallucinate(model, ctx, -1, seed=0)
 
@@ -149,6 +163,6 @@ def test_checkpoint_roundtrip(tmp_path):
     assert loaded.obs_dim == model.obs_dim and loaded.d_z == model.d_z
     for a, b in zip(loaded.parameters(), model.parameters()):
         assert np.array_equal(a, b)
-    sample_a = hallucinate(model, np.zeros(4), 5, seed=0).observations
-    sample_b = hallucinate(loaded, np.zeros(4), 5, seed=0).observations
+    sample_a = hallucinate(model, np.zeros(4), 5, seed=0)
+    sample_b = hallucinate(loaded, np.zeros(4), 5, seed=0)
     assert np.array_equal(sample_a, sample_b)

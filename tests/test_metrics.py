@@ -5,7 +5,6 @@ import math
 import numpy as np
 import pytest
 
-from htmem.cvae import HallucinationSet
 from htmem.metrics import (
     AblationGrid,
     MetricsReport,
@@ -35,7 +34,7 @@ def plan_from_states(world, ctx, states):
 
 def test_fidelity_empty_and_real_samples():
     world, ctx = world_and_ctx()
-    assert fidelity(world, ctx, HallucinationSet(0, np.zeros((0, 2)), 0)) == 1.0
+    assert fidelity(world, ctx, np.zeros((0, 2))) == 1.0
     rng = np.random.default_rng(0)
     states = [world.sample_free_state(ctx, rng) for _ in range(30)]
     obs = np.array([world.observe(ctx, s) for s in states])

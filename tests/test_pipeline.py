@@ -1,13 +1,15 @@
 import hashlib
+import struct
 
 import numpy as np
 import pytest
 
-from htmem.autodiff import CheckpointError, MlpParams, pack_mlp_meta, save_checkpoint
+from htmem.autodiff import CheckpointError, MlpParams
 from htmem.config import config_from_dict
 from htmem.connectivity import ConnectivityModel
 from htmem.controller import InverseModel
 from htmem.cvae import CvaeModel
+from htmem.data import split_context_ids, training_stacks
 from htmem.pipeline import train_all, zero_shot_benchmark
 
 # Small enough to train every model and run the benchmark in about a second
@@ -50,6 +52,28 @@ def test_fixed_seed_runs_write_identical_reports_and_checkpoints(tmp_path, mode)
     assert run_digests(tmp_path / "b", mode) == first
 
 
+@pytest.mark.parametrize(
+    "data, split",
+    [
+        # val_fraction would take every non-held-out context
+        ({"n_contexts": 3, "n_holdout": 1, "val_fraction": 0.9}, ([0], [1], [2])),
+        # no validation context: validate on the training context
+        ({"n_contexts": 2, "n_holdout": 1}, ([0], [], [1])),
+    ],
+    ids=["val-capped", "no-val"],
+)
+def test_small_splits_keep_a_training_context_and_run(data, split):
+    cfg = config_from_dict({**TINY, "data": {**TINY["data"], **data}})
+    art = train_all(cfg)
+    assert split_context_ids(art.dataset) == split
+    train, val = training_stacks(art.dataset, art.world)
+    assert train.context_ids == tuple(split[0])
+    assert val.context_ids == tuple(split[1] or split[0][:1])
+    for model in (art.cvae, art.cpc, art.sptm, art.inverse):
+        assert model.history[-1]["epoch"] == "best"
+    assert len(zero_shot_benchmark(art).rows) == 3 * cfg.evaluation.n_tasks
+
+
 def _mlp(sizes, rng):
     return MlpParams(
         [rng.normal(size=(o, i)) for i, o in zip(sizes[:-1], sizes[1:])],
@@ -78,19 +102,36 @@ def _models():
     ]
 
 
+def _documented_layout(kind, header, parts):
+    """The checkpoint bytes, written from the layout ``save_parts`` documents:
+    magic, u32 version 1, kind tag, u32 meta count and meta ints (the header,
+    then activation index, size count and sizes per MLP), u64 float count and
+    little-endian float64s (per MLP layer the weights, then the biases)."""
+    meta, floats = list(header), []
+    for part in parts:
+        if isinstance(part, np.ndarray):
+            floats += part.ravel().tolist()
+            continue
+        sizes = [part.weights[0].shape[1]] + [w.shape[0] for w in part.weights]
+        meta += [("relu", "tanh", "identity").index(part.activation), len(sizes)] + sizes
+        for w, b in zip(part.weights, part.biases):
+            floats += w.ravel().tolist() + b.ravel().tolist()
+    return (
+        b"HTMC"
+        + struct.pack("<I", 1)
+        + kind.encode("ascii")
+        + struct.pack("<I", len(meta))
+        + b"".join(struct.pack("<I", m) for m in meta)
+        + struct.pack("<Q", len(floats))
+        + b"".join(struct.pack("<d", f) for f in floats)
+    )
+
+
 @pytest.mark.parametrize("index", range(4), ids=["CVAE", "CPCE", "SPTM", "INVM"])
 def test_checkpoint_layout_is_pinned(tmp_path, index):
     model, kind, header, parts = _models()[index]
-    meta, arrays = list(header), []
-    for part in parts:
-        if isinstance(part, np.ndarray):
-            arrays.append(part)
-        else:
-            meta += pack_mlp_meta(part)
-            arrays += part.parameters()
-    save_checkpoint(tmp_path / "expected.ckpt", kind, meta, arrays)
+    expected = _documented_layout(kind, header, parts)
     model.save(tmp_path / "saved.ckpt")
-    expected = (tmp_path / "expected.ckpt").read_bytes()
     assert (tmp_path / "saved.ckpt").read_bytes() == expected
 
     loaded = type(model).load(tmp_path / "saved.ckpt")
