@@ -4,7 +4,9 @@ A Tape records operations in creation order (which is already a topological
 order) and the gradient pass walks the node list once in reverse. Values are
 float64 numpy arrays of any shape; a loss must be a scalar. Parameter arrays
 are bound to a tape with ``Tape.watch`` so that repeated use of the same
-array accumulates into a single gradient.
+array accumulates into a single gradient. A tape's owner calls
+``Tape.release`` once it has read the gradients, so that the recorded
+arrays are freed then and not by the cyclic garbage collector.
 
 Also hosts the small-MLP container, the adaptive-moment optimizer and the
 training loop every learned model uses, the finite-difference gradient
@@ -15,13 +17,39 @@ through: ``save_parts`` writes a model's header ints and parts, and
 
 from __future__ import annotations
 
+import ctypes
 import logging
 import struct
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 log = logging.getLogger(__name__)
+
+# Training steps and plan queries each allocate and free the same few
+# megabytes. glibc returns the free top of its heap to the system whenever it
+# exceeds the trim threshold, and the next step or query then faults every
+# page back in. Asking it to keep this much free at the top stops that.
+HEAP_TOP_PAD = 64 << 20
+_M_TOP_PAD = -2  # mallopt parameter number in glibc's malloc.h
+
+
+def _pad_heap_top(nbytes: int) -> None:
+    """Set glibc's M_TOP_PAD; nothing happens where the C library has no
+    ``mallopt``."""
+    if not sys.platform.startswith("linux"):
+        return
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(_M_TOP_PAD, nbytes)
+
+
+_pad_heap_top(HEAP_TOP_PAD)
 
 
 class ShapeError(ValueError):
@@ -127,7 +155,13 @@ class Node:
 
 
 class Tape:
-    """Single-owner, sequential record of operations for one backward pass."""
+    """Single-owner, sequential record of operations for one backward pass.
+
+    Every node refers to its tape and the tape lists every node, so a tape
+    is only freed by the cyclic garbage collector until ``release`` drops
+    the list; after that, reference counting frees each node as soon as
+    nothing else holds it.
+    """
 
     def __init__(self):
         self.nodes: list[Node] = []
@@ -176,6 +210,11 @@ class Tape:
         if node is None or node.grad is None:
             return np.zeros_like(np.asarray(array, dtype=float))
         return node.grad
+
+    def release(self) -> None:
+        """Forget every recorded node; the tape records nothing more."""
+        self.nodes = []
+        self._watched = {}
 
 
 def _as_node(tape: Tape, x) -> Node:
@@ -240,18 +279,54 @@ def transpose(a: Node) -> Node:
     return a.tape._push(a.value.T, (a,), lambda g: (g.T,))
 
 
-def linear(x: Node, w: Node, b: Node) -> Node:
-    """Affine layer x @ w.T + b for x of shape (batch, in)."""
-    if x.value.ndim != 2 or x.value.shape[1] != w.value.shape[1]:
-        raise ShapeError(
-            f"linear: input {x.value.shape} incompatible with weight {w.value.shape}"
-        )
-    value = x.value @ w.value.T + b.value
+def _first_inputs(x, context):
+    """(rows, context) to give ``_affine``. A context that conditions a
+    single row is appended to that row: projecting it apart saves nothing
+    and costs a second product."""
+    if context is not None and len(context) == len(x):
+        return np.concatenate([x, context], axis=1), None
+    return x, context
+
+
+def _affine(x, w, b, context=None):
+    """x @ w.T + b for rows x of shape (rows, in).
+
+    With a ``context`` of shape (groups, c), ``w`` has c more columns than x,
+    and they act on the context: each group's context is projected once and
+    added to that group's rows, its share of consecutive rows. That equals
+    appending each row's context to it.
+    """
+    if context is None:
+        return x @ w.T + b
+    k = x.shape[1]
+    out = x @ w[:, :k].T
+    grouped = out.reshape(len(context), -1, out.shape[1])
+    grouped += (context @ w[:, k:].T + b)[:, None]
+    return out
+
+
+def linear(x: Node, w: Node, b: Node, context=None) -> Node:
+    """Affine layer x @ w.T + b for x of shape (rows, in), with an optional
+    context array as in ``_affine``; the context gets no gradient."""
     xv, wv = x.value, w.value
+    c = 0 if context is None else context.shape[1]
+    if xv.ndim != 2 or xv.shape[1] + c != wv.shape[1]:
+        raise ShapeError(
+            f"linear: input {xv.shape} and context of width {c} incompatible "
+            f"with weight {wv.shape}"
+        )
+    k = xv.shape[1]
+    inputs, context = _first_inputs(xv, context)
+    value = _affine(inputs, wv, b.value, context)
     x_grad = x.needs_grad  # False for a data batch: skip the input-side product
 
     def vjp(g):
-        return (g @ wv if x_grad else None), g.T @ xv, g.sum(axis=0)
+        gx = g @ wv[:, :k] if x_grad else None
+        if context is None:
+            return gx, g.T @ inputs, g.sum(axis=0)
+        g_ctx = g.reshape(len(context), -1, g.shape[1]).sum(axis=1)
+        gw = np.concatenate([g.T @ xv, g_ctx.T @ context], axis=1)
+        return gx, gw, g_ctx.sum(axis=0)
 
     return x.tape._push(value, (x, w, b), vjp)
 
@@ -333,17 +408,6 @@ def slice_cols(a: Node, start: int, stop: int) -> Node:
     return a.tape._push(value, (a,), vjp)
 
 
-def concat_cols(a: Node, b) -> Node:
-    b = _as_node(a.tape, b)
-    value = np.concatenate([a.value, b.value], axis=-1)
-    na = a.value.shape[-1]
-
-    def vjp(g):
-        return g[..., :na], g[..., na:]
-
-    return a.tape._push(value, (a, b), vjp)
-
-
 # ---------------------------------------------------------------------------
 # MLP
 
@@ -395,36 +459,52 @@ def mlp_init(sizes, activation="relu", seed=0) -> MlpParams:
     return MlpParams(weights, biases, activation)
 
 
-def mlp_apply(params: MlpParams, x, tape: Tape | None = None):
-    """Forward pass. Accepts (in,) or (batch, in); mirrors the input rank.
+def mlp_apply(params: MlpParams, x, tape: Tape | None = None, context=None):
+    """Forward pass over rows shaped (in,), (batch, in) or (batch, n, in);
+    the output keeps the leading shape.
+
+    ``context`` conditions the rows without being appended to them. Shaped
+    (batch, c), entry i conditions the rows of batch entry i; shaped (c,),
+    it conditions every row. The first layer's weight is (out, in + c), as
+    if the context were appended, but it multiplies each context once, not
+    once per row. A context is data and gets no gradient.
 
     Without a tape this is a plain numpy evaluation; with a tape the pass is
     recorded and parameter gradients become available after ``backward`` via
     ``tape.grad(w)``.
     """
-    squeeze = np.ndim(x if not isinstance(x, Node) else x.value) == 1
+    xv = x.value if isinstance(x, Node) else np.asarray(x, dtype=float)
+    lead, k = xv.shape[:-1], xv.shape[-1]
+    if context is not None:
+        context = np.asarray(context, dtype=float)
+        if context.ndim == 1:
+            context = context[None]
+        elif context.ndim != 2 or not lead or context.shape[0] != lead[0]:
+            raise ShapeError(f"context {context.shape} does not match rows {xv.shape}")
+    c = 0 if context is None else context.shape[1]
+    if k + c != params.weights[0].shape[1]:
+        raise ShapeError(
+            f"input dim {k} + context dim {c} != first layer dim {params.weights[0].shape[1]}"
+        )
     act = params.activation
     n_layers = len(params.weights)
     if tape is None:
-        h = np.atleast_2d(np.asarray(x, dtype=float))
-        if h.shape[1] != params.weights[0].shape[1]:
-            raise ShapeError(
-                f"input dim {h.shape[1]} != first layer dim {params.weights[0].shape[1]}"
-            )
+        h, context = _first_inputs(xv.reshape(-1, k), context)
         for i, (w, b) in enumerate(zip(params.weights, params.biases)):
-            h = h @ w.T + b
+            h = _affine(h, w, b, context if i == 0 else None)
             if i < n_layers - 1:
                 h = _ACT_NP[act](h)
-        return h[0] if squeeze else h
-    h = x if isinstance(x, Node) else tape.leaf(np.atleast_2d(np.asarray(x, float)))
-    if h.value.ndim == 1:
-        h = reshape(h, (1, -1))
+        return h.reshape(lead + h.shape[1:])
+    if not isinstance(x, Node):
+        h = tape.leaf(xv.reshape(-1, k))
+    else:
+        h = x if xv.ndim == 2 else reshape(x, (-1, k))
     for i, (w, b) in enumerate(zip(params.weights, params.biases)):
-        h = linear(h, tape.watch(w), tape.watch(b))
+        h = linear(h, tape.watch(w), tape.watch(b), context if i == 0 else None)
         if i < n_layers - 1:
             h = _ACT_TAPE[act](h)
-    if squeeze:
-        h = reshape(h, (-1,))
+    if len(lead) != 1:
+        h = reshape(h, lead + h.value.shape[1:])
     return h
 
 
@@ -465,12 +545,34 @@ def adam_step(params, grads, state: OptimizerState) -> OptimizerState:
     for p, g, m, v in zip(params, grads, state.m, state.v):
         if p.shape != g.shape:
             raise ShapeError(f"grad shape {g.shape} != param shape {p.shape}")
-        m[...] = b1 * m + (1.0 - b1) * g
-        v[...] = b2 * v + (1.0 - b2) * g * g
-        mhat = m / (1.0 - b1**t)
-        vhat = v / (1.0 - b2**t)
-        p[...] = p - state.lr * mhat / (np.sqrt(vhat) + ADAM_EPS)
+        # The textbook update with every operation in its order, in place:
+        # m = b1 m + (1 - b1) g;  v = b2 v + (1 - b2) g g;
+        # p = p - lr (m / (1 - b1^t)) / (sqrt(v / (1 - b2^t)) + eps)
+        m *= b1
+        m += (1.0 - b1) * g
+        v *= b2
+        gg = (1.0 - b2) * g
+        gg *= g
+        v += gg
+        step = m / (1.0 - b1**t)
+        step *= state.lr
+        denom = np.divide(v, 1.0 - b2**t, out=gg)
+        np.sqrt(denom, out=denom)
+        denom += ADAM_EPS
+        step /= denom
+        p -= step
     return state
+
+
+def _train_step(build_loss, params, opt: OptimizerState) -> float:
+    """One optimizer step on a fresh tape; the tape and everything it
+    recorded are freed on return."""
+    tape = Tape()
+    loss = build_loss(tape)
+    tape.backward(loss)
+    adam_step(params, [tape.grad(p) for p in params], opt)
+    tape.release()
+    return float(loss.value)
 
 
 def fit(model, epochs: int, steps, validate, lr: float, label: str):
@@ -493,11 +595,7 @@ def fit(model, epochs: int, steps, validate, lr: float, label: str):
         epoch_loss = 0.0
         n_steps = 0
         for build_loss in steps(epoch):
-            tape = Tape()
-            loss = build_loss(tape)
-            tape.backward(loss)
-            adam_step(params, [tape.grad(p) for p in params], opt)
-            epoch_loss += float(loss.value)
+            epoch_loss += _train_step(build_loss, params, opt)
             n_steps += 1
         if not np.isfinite(epoch_loss) or any(not np.all(np.isfinite(p)) for p in params):
             raise TrainingDiverged(f"{label}: non-finite values at epoch {epoch}")

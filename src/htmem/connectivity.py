@@ -89,11 +89,9 @@ class ConnectivityModel:
         return self.encoder.parameters() + [self.bilinear]
 
     def encode(self, obs, ctx) -> np.ndarray:
-        obs = np.atleast_2d(np.asarray(obs, dtype=float))
-        ctx = np.asarray(ctx, dtype=float)
-        if ctx.ndim == 1:
-            ctx = np.broadcast_to(ctx, (obs.shape[0], ctx.shape[0]))
-        return mlp_apply(self.encoder, np.concatenate([obs, ctx], axis=1))
+        """Encodings of observation rows under one shared context (c,) or
+        one context per row (rows, c)."""
+        return mlp_apply(self.encoder, np.atleast_2d(obs), context=ctx)
 
     def pairwise_logits(self, obs_matrix, ctx) -> np.ndarray:
         """L[i, j] = logit of the directed edge j -> i over all node pairs."""
@@ -248,24 +246,23 @@ def cpc_loss(model: ConnectivityModel, batch: CpcBatch, tape: Tape | None = None
     """Softmax cross-entropy of picking the true successor among the
     candidate set, averaged over anchors; log-sum-exp keeps it overflow-free.
     Equals ln(n_candidates) exactly at the zero-bilinear initialization."""
-    if len(batch) == 0:
+    b = len(batch)
+    if b == 0:
         raise ValueError("empty batch")
-    b, n_neg, obs_dim = batch.negatives.shape
-    n = n_neg + 1
     cands = np.concatenate([batch.positives[:, None, :], batch.negatives], axis=1)
-    anchor_in = np.concatenate([batch.anchors, batch.contexts], axis=1)
-    cand_ctx = np.broadcast_to(batch.contexts[:, None, :], (b, n, batch.contexts.shape[1]))
-    cand_in = np.concatenate([cands, cand_ctx], axis=2).reshape(b * n, -1)
 
     own_tape = tape is None
     t = Tape() if own_tape else tape
-    za = mlp_apply(model.encoder, anchor_in, t)
-    zc = ad.reshape(mlp_apply(model.encoder, cand_in, t), (b, n, model.d))
+    za = mlp_apply(model.encoder, batch.anchors, t, context=batch.contexts)
+    zc = mlp_apply(model.encoder, cands, t, context=batch.contexts)  # (b, n, d)
     proj = ad.matmul(za, ad.transpose(t.watch(model.bilinear)))  # rows W @ z_anchor
     logits = ad.sum_axis(ad.mul(zc, ad.reshape(proj, (b, 1, model.d))), -1)
     pos = ad.reshape(ad.slice_cols(logits, 0, 1), (-1,))
     loss = ad.mean_all(ad.sub(ad.logsumexp(logits), pos))
-    return float(loss.value) if own_tape else loss
+    if own_tape:
+        t.release()
+        return float(loss.value)
+    return loss
 
 
 def sptm_bce_loss(model: ConnectivityModel, batch: SptmBatch, tape: Tape | None = None):
@@ -273,18 +270,18 @@ def sptm_bce_loss(model: ConnectivityModel, batch: SptmBatch, tape: Tape | None 
     labels, in the numerically safe softplus form."""
     if len(batch) == 0:
         raise ValueError("empty batch")
-    from_in = np.concatenate([batch.from_obs, batch.contexts], axis=1)
-    to_in = np.concatenate([batch.to_obs, batch.contexts], axis=1)
-
     own_tape = tape is None
     t = Tape() if own_tape else tape
-    z_from = mlp_apply(model.encoder, from_in, t)
-    z_to = mlp_apply(model.encoder, to_in, t)
+    z_from = mlp_apply(model.encoder, batch.from_obs, t, context=batch.contexts)
+    z_to = mlp_apply(model.encoder, batch.to_obs, t, context=batch.contexts)
     proj = ad.matmul(z_from, ad.transpose(t.watch(model.bilinear)))
     logits = ad.sum_axis(ad.mul(z_to, proj), -1)
     # bce(y, x) = softplus(x) - y * x
     loss = ad.mean_all(ad.sub(ad.softplus(logits), ad.mul(logits, t.leaf(batch.labels))))
-    return float(loss.value) if own_tape else loss
+    if own_tape:
+        t.release()
+        return float(loss.value)
+    return loss
 
 
 # ---------------------------------------------------------------------------

@@ -74,20 +74,22 @@ def inverse_init(obs_dim, ctx_dim, a_max, cfg: InverseConfig) -> InverseModel:
 
 def infer_action(model: InverseModel, o_current, o_target, ctx) -> np.ndarray:
     """Bounded action toward the target observation; pure function."""
-    x = np.concatenate([np.ravel(o_current), np.ravel(o_target), np.ravel(ctx)])
-    return model.a_max * np.tanh(mlp_apply(model.net, x))
+    x = np.concatenate([np.ravel(o_current), np.ravel(o_target)])
+    return model.a_max * np.tanh(mlp_apply(model.net, x, context=np.ravel(ctx)))
 
 
 def inverse_loss(model: InverseModel, obs, targets, ctx, actions, tape: Tape | None = None):
     """Mean squared error between predicted and logged actions."""
-    x = np.concatenate([obs, targets, ctx], axis=1)
     own_tape = tape is None
     t = Tape() if own_tape else tape
-    raw = mlp_apply(model.net, x, t)
+    raw = mlp_apply(model.net, np.concatenate([obs, targets], axis=1), t, context=ctx)
     pred = ad.mul(ad.tanh(raw), model.a_max)
     diff = ad.sub(pred, t.leaf(actions))
     loss = ad.mean_all(ad.sum_axis(ad.mul(diff, diff), -1))
-    return float(loss.value) if own_tape else loss
+    if own_tape:
+        t.release()
+        return float(loss.value)
+    return loss
 
 
 def _transitions(stack: ContextStack):

@@ -52,10 +52,7 @@ class CvaeModel:
 
     def decode(self, z, ctx) -> np.ndarray:
         """Decoder mean for latents z, clamped to the observation range."""
-        z = np.atleast_2d(z)
-        ctx_rows = np.broadcast_to(ctx, (z.shape[0], len(ctx)))
-        out = mlp_apply(self.decoder, np.concatenate([z, ctx_rows], axis=1))
-        return np.clip(out, 0.0, 1.0)
+        return np.clip(mlp_apply(self.decoder, np.atleast_2d(z), context=ctx), 0.0, 1.0)
 
     def save(self, path):
         save_parts(path, "CVAE", [self.obs_dim, self.ctx_dim, self.d_z], [self.encoder, self.decoder])
@@ -107,11 +104,11 @@ def cvae_elbo(model: CvaeModel, obs, ctx, noise_seed: int, beta=1.0, tape: Tape 
 
     own_tape = tape is None
     t = Tape() if own_tape else tape
-    enc_out = mlp_apply(model.encoder, np.concatenate([obs, ctx], axis=1), t)
+    enc_out = mlp_apply(model.encoder, obs, t, context=ctx)
     mu = ad.slice_cols(enc_out, 0, model.d_z)
     logvar = ad.slice_cols(enc_out, model.d_z, 2 * model.d_z)
     z = ad.add(mu, ad.mul(ad.exp(ad.mul(logvar, 0.5)), t.leaf(eps)))
-    recon_mean = mlp_apply(model.decoder, ad.concat_cols(z, t.leaf(ctx)), t)
+    recon_mean = mlp_apply(model.decoder, z, t, context=ctx)
 
     diff = ad.sub(recon_mean, t.leaf(obs))
     recon = ad.mean_all(ad.sum_axis(ad.mul(diff, diff), -1))
@@ -119,6 +116,7 @@ def cvae_elbo(model: CvaeModel, obs, ctx, noise_seed: int, beta=1.0, tape: Tape 
     kl = ad.mean_all(ad.mul(ad.sum_axis(kl_inner, -1), 0.5))
     total = ad.add(recon, ad.mul(kl, float(beta)))
     if own_tape:
+        t.release()
         return float(total.value), float(recon.value), float(kl.value)
     return total, recon, kl
 

@@ -3,10 +3,10 @@ score-model x weight-scheme ablation grid.
 
 The paper-style qualitative judgments (does a plan look real, executable,
 complete) are replaced by simulator-oracle quantities with the same intent:
-sample validity for fidelity, swept-disc reachability of consecutive plan
-nodes for feasibility, and reachability of the goal from the final node for
-completeness. Absolute values are artifact-scale; orderings are what the
-acceptance suite pins down.
+sample validity for fidelity, and swept-disc reachability of consecutive
+plan nodes: feasibility is the share of hops the oracle accepts, and a plan
+is complete when it accepts them all. Absolute values are artifact-scale;
+orderings are what the acceptance suite pins down.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from .autodiff import derived_seed
 from .controller import ExecutionConfig, ModelBundle, execute, plan_seed
 from .cvae import hallucinate
 from .plangraph import Plan, PlanningConfig
-from .world import BlockWorld, EvaluationError, Task
+from .world import BlockWorld, EvaluationError
 
 CSV_COLUMNS = [
     "task_id",
@@ -66,21 +66,21 @@ def fidelity(world: BlockWorld, ctx, samples) -> float:
     return int(world.positions_valid(ctx, xy[:, 0], xy[:, 1]).sum()) / len(obs)
 
 
-def feasibility(world: BlockWorld, ctx, plan: Plan, horizon: int) -> float:
-    """Fraction of consecutive plan pairs the reachability oracle accepts."""
-    if len(plan) < 2:
-        return 1.0
-    ok = sum(
-        world.oracle_reachable(ctx, plan.observations[t], plan.observations[t + 1], horizon)
-        for t in range(len(plan) - 1)
-    )
-    return ok / (len(plan) - 1)
+def hops_reachable(world: BlockWorld, ctx, plan: Plan, horizon: int) -> list:
+    """The reachability oracle's verdict on each consecutive pair of plan nodes."""
+    obs = plan.observations
+    return [world.oracle_reachable(ctx, obs[t], obs[t + 1], horizon) for t in range(len(plan) - 1)]
 
 
-def completeness(world: BlockWorld, ctx, plan: Plan, task: Task, horizon: int) -> bool:
-    """Whether the goal is oracle-reachable from the final plan node."""
-    goal_obs = world.observe(ctx, task.goal)
-    return world.oracle_reachable(ctx, plan.observations[-1], goal_obs, horizon)
+def feasibility(hops) -> float:
+    """Fraction of plan hops the oracle accepts; a plan without hops is feasible."""
+    return sum(hops) / len(hops) if hops else 1.0
+
+
+def completeness(hops) -> bool:
+    """Whether the oracle accepts every hop, so the plan gets from its start
+    to its last node, the goal."""
+    return all(hops)
 
 
 def mi_lower_bound(cpc_validation_loss: float, n_candidates: int) -> float:
@@ -243,8 +243,8 @@ def run_benchmark(
             feas = comp = fid = None
             if use_planner and result.plans:
                 first = result.plans[0]
-                feas = feasibility(world, task.context, first, oracle_horizon)
-                comp = completeness(world, task.context, first, task, oracle_horizon)
+                hops = hops_reachable(world, task.context, first, oracle_horizon)
+                feas, comp = feasibility(hops), completeness(hops)
                 ctx_enc = world.encode_context(task.context)
                 samples = hallucinate(bundle.cvae, ctx_enc, cfg.m_samples, plan_seed(task_seed, 0))
                 fid = fidelity(world, task.context, samples)

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -73,6 +74,101 @@ def test_mlp_dimension_mismatch_raises():
     params = mlp_init([4, 2], seed=0)
     with pytest.raises(ShapeError):
         mlp_apply(params, np.zeros(3))
+
+
+def context_case(kind, rng):
+    """(rows, context, rows with the context appended) for one context shape."""
+    if kind == "grouped":  # n > 1 rows per context
+        x, ctx = rng.normal(size=(3, 5, 4)), rng.normal(size=(3, 2))
+        tiled = np.broadcast_to(ctx[:, None], (3, 5, 2))
+    elif kind == "per_row":  # n = 1
+        x, ctx = rng.normal(size=(6, 4)), rng.normal(size=(6, 2))
+        tiled = ctx
+    else:  # one context shared by every row
+        x, ctx = rng.normal(size=(7, 4)), rng.normal(size=2)
+        tiled = np.broadcast_to(ctx, (7, 2))
+    return x, ctx, np.concatenate([x, tiled], axis=-1)
+
+
+CONTEXT_KINDS = ["grouped", "per_row", "shared"]
+
+
+@pytest.mark.parametrize("kind", CONTEXT_KINDS)
+def test_mlp_context_equals_the_appended_context(kind):
+    params = mlp_init([6, 8, 3], "relu", seed=4)
+    x, ctx, appended = context_case(kind, np.random.default_rng(2))
+    want = mlp_apply(params, appended)
+    plain = mlp_apply(params, x, context=ctx)
+    taped = mlp_apply(params, x, Tape(), context=ctx).value
+    assert plain.shape == taped.shape == want.shape == x.shape[:-1] + (3,)
+    assert np.max(np.abs(plain - want)) < 1e-12
+    assert np.max(np.abs(taped - want)) < 1e-12
+    one_row = mlp_apply(params, x.reshape(-1, 4)[0], context=ctx.reshape(-1, 2)[0])
+    assert np.max(np.abs(one_row - want.reshape(-1, 3)[0])) < 1e-12
+
+
+@pytest.mark.parametrize("kind", CONTEXT_KINDS)
+def test_mlp_context_gradients(kind):
+    params = mlp_init([6, 8, 3], "tanh", seed=6)
+    x, ctx, appended = context_case(kind, np.random.default_rng(3))
+
+    def build(tape):
+        out = mlp_apply(params, x, tape, context=ctx)
+        return ad.mean_all(ad.mul(out, out))
+
+    report = grad_check(build, params.parameters())
+    assert report.passed, report.per_param
+
+    def gradients(rows, context):
+        tape = Tape()
+        node = tape.watch(rows)
+        out = mlp_apply(params, node, tape, context=context)
+        tape.backward(ad.mean_all(ad.mul(out, out)))
+        return node.grad, [tape.grad(p) for p in params.parameters()]
+
+    # row and parameter gradients equal those of the appended rows
+    rows_grad, grads = gradients(x, ctx)
+    appended_grad, want = gradients(appended.copy(), None)
+    assert np.max(np.abs(rows_grad - appended_grad[..., :4])) < 1e-12
+    for g, w in zip(grads, want):
+        assert np.max(np.abs(g - w)) < 1e-12
+
+
+def test_mlp_context_shape_mismatch_raises():
+    params = mlp_init([6, 2], seed=0)
+    with pytest.raises(ShapeError):
+        mlp_apply(params, np.zeros((3, 4)), context=np.zeros((2, 2)))
+    with pytest.raises(ShapeError):
+        mlp_apply(params, np.zeros((3, 4)), context=np.zeros((3, 3)))
+
+
+def test_context_models_keep_their_checkpoint_bytes(tmp_path):
+    # The first layer stays one (out, in + c) weight, so a model that now
+    # applies its context apart from its rows writes the same bytes as the
+    # concatenating code did; digests recorded from that code.
+    from htmem.connectivity import CpcConfig, SptmConfig, connectivity_init
+    from htmem.controller import InverseConfig, inverse_init
+    from htmem.cvae import CvaeConfig, cvae_init
+
+    models = {
+        "cpc": connectivity_init(3, 2, CpcConfig(hidden=(8,), d=4)),
+        "sptm": connectivity_init(3, 2, SptmConfig(hidden=(8,), d=4)),
+        "cvae": cvae_init(3, 2, CvaeConfig(hidden=(8,), d_z=2)),
+        "inverse": inverse_init(3, 2, 0.1, InverseConfig(hidden=(8,))),
+    }
+    digests = {
+        "cpc": "8a972f86c4cefe9394c3ed52e4ea3d82e6ad63c9b1ffb828d98950522c128f76",
+        "sptm": "0cfd36400add3d730420e95ee2dec0081a74d8d3d05a6035e35d46a094a5e087",
+        "cvae": "fa0a75798497c8133b8eb26e8eb74481fbde5dcc8cb8ee7c59aafe53f4206f01",
+        "inverse": "cdfec86001603c5d9efa8ce4609f234150c822bc8c80016a8c752b8d1be6174f",
+    }
+    for name, model in models.items():
+        model.save(tmp_path / name)
+        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digests[name], name
+    loaded = type(models["cpc"]).load(tmp_path / "cpc")
+    obs, ctx = np.random.default_rng(5).normal(size=(4, 3)), np.array([0.2, -0.7])
+    appended = np.concatenate([obs, np.broadcast_to(ctx, (4, 2))], axis=1)
+    assert np.max(np.abs(loaded.encode(obs, ctx) - mlp_apply(loaded.encoder, appended))) < 1e-12
 
 
 def test_backward_linear_loss_gradient_is_input():
@@ -225,6 +321,27 @@ def test_adam_shape_mismatch_raises():
     state = adam_init([p])
     with pytest.raises(ShapeError):
         adam_step([p], [np.zeros(4)], state)
+
+
+def test_adam_step_updates_in_place_and_equals_the_textbook_formula():
+    rng = np.random.default_rng(12)
+    params = [rng.normal(size=(3, 4)), rng.normal(size=5)]
+    ref = [p.copy() for p in params]
+    m, v = [np.zeros_like(p) for p in ref], [np.zeros_like(p) for p in ref]
+    state = adam_init(params, lr=0.01)
+    arrays = [*params, *state.m, *state.v]
+    b1, b2, eps, lr = ad.ADAM_BETA1, ad.ADAM_BETA2, ad.ADAM_EPS, 0.01
+    for t in range(1, 21):
+        grads = [rng.normal(size=p.shape) for p in params]
+        adam_step(params, grads, state)
+        for i, g in enumerate(grads):
+            m[i] = b1 * m[i] + (1.0 - b1) * g
+            v[i] = b2 * v[i] + (1.0 - b2) * g * g
+            mhat = m[i] / (1.0 - b1**t)
+            vhat = v[i] / (1.0 - b2**t)
+            ref[i] = ref[i] - lr * mhat / (np.sqrt(vhat) + eps)
+        assert all(np.array_equal(p, r) for p, r in zip(params, ref)), t
+    assert all(a is b for a, b in zip(arrays, [*params, *state.m, *state.v]))
 
 
 def test_adam_deterministic_trajectory():

@@ -12,12 +12,13 @@ from htmem.metrics import (
     completeness,
     feasibility,
     fidelity,
+    hops_reachable,
     make_benchmark_tasks,
     mi_lower_bound,
     wilson_interval,
 )
 from htmem.plangraph import Plan
-from htmem.world import AgentState, BlockWorld, Context, EvaluationError, Task, Wall, WorldSpec
+from htmem.world import AgentState, BlockWorld, Context, EvaluationError, Wall, WorldSpec
 
 
 def world_and_ctx():
@@ -52,11 +53,11 @@ def test_fidelity_counts_invalid_samples():
 def test_feasibility_adjacent_vs_teleport():
     world, ctx = world_and_ctx()
     near = plan_from_states(world, ctx, [AgentState(0.5, 0.5), AgentState(0.7, 0.5)])
-    assert feasibility(world, ctx, near, horizon=5) == 1.0
+    assert feasibility(hops_reachable(world, ctx, near, horizon=5)) == 1.0
     teleport = plan_from_states(world, ctx, [AgentState(0.9, 0.5), AgentState(2.0, 0.5)])
-    assert feasibility(world, ctx, teleport, horizon=5) == 0.0
+    assert feasibility(hops_reachable(world, ctx, teleport, horizon=5)) == 0.0
     single = plan_from_states(world, ctx, [AgentState(0.5, 0.5)])
-    assert feasibility(world, ctx, single, horizon=5) == 1.0
+    assert feasibility(hops_reachable(world, ctx, single, horizon=5)) == 1.0
 
 
 def test_feasibility_of_consecutive_real_frames_is_one():
@@ -77,17 +78,29 @@ def test_feasibility_of_consecutive_real_frames_is_one():
                 float(len(traj)),
                 "normalized",
             )
-            assert feasibility(world, ctx, plan, horizon=5) == 1.0
+            assert feasibility(hops_reachable(world, ctx, plan, horizon=5)) == 1.0
 
 
 def test_completeness_goal_on_plan_end():
+    # every plan ends at its goal; only a plan whose every hop the oracle
+    # accepts is complete
     world, ctx = world_and_ctx()
     goal = AgentState(2.2, 1.0)
-    task = Task(ctx, AgentState(0.5, 0.5), goal)
-    ends_at_goal = plan_from_states(world, ctx, [AgentState(0.5, 0.5), goal])
-    assert completeness(world, ctx, ends_at_goal, task, horizon=5)
-    ends_far = plan_from_states(world, ctx, [AgentState(0.5, 0.5), AgentState(0.5, 2.0)])
-    assert not completeness(world, ctx, ends_far, task, horizon=5)
+    around_the_wall = [(0.5, 0.5), (0.9, 0.9), (1.0, 1.4), (1.1, 1.9), (1.4, 2.2), (1.7, 1.9), (1.8, 1.4), (2.1, 1.1)]
+    walked = plan_from_states(world, ctx, [AgentState(x, y) for x, y in around_the_wall] + [goal])
+    assert completeness(hops_reachable(world, ctx, walked, horizon=5))
+    through_the_wall = plan_from_states(world, ctx, [AgentState(0.5, 0.5), goal])
+    assert not completeness(hops_reachable(world, ctx, through_the_wall, horizon=5))
+    assert completeness(hops_reachable(world, ctx, plan_from_states(world, ctx, [goal]), horizon=5))
+
+
+def test_completeness_is_false_when_one_middle_hop_fails():
+    world, ctx = world_and_ctx()
+    states = [AgentState(0.5, 0.5), AgentState(0.7, 0.5), AgentState(2.0, 0.5), AgentState(2.2, 0.5)]
+    hops = hops_reachable(world, ctx, plan_from_states(world, ctx, states), horizon=5)
+    assert hops == [True, False, True]
+    assert feasibility(hops) == pytest.approx(2 / 3)
+    assert not completeness(hops)
 
 
 def test_mi_lower_bound_values_and_validation():
