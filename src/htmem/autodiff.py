@@ -78,10 +78,6 @@ def sigmoid(x):
     return out
 
 
-def softplus_np(x):
-    return np.logaddexp(0.0, np.asarray(x, dtype=float))
-
-
 def logsumexp_np(x, axis=-1):
     x = np.asarray(x, dtype=float)
     m = np.max(x, axis=axis, keepdims=True)
@@ -699,8 +695,9 @@ def load_parts(path, header_sizes: dict, layout):
     """Read a checkpoint written by ``save_parts``.
 
     ``header_sizes`` maps each accepted kind tag to its number of header
-    ints; ``layout(header)`` lists the parts in file order, each ``MlpParams``
-    or the shape of an array. The parts must consume the meta ints and the
+    ints; ``layout(header)`` lists the parts in file order, each the shape
+    of an array or ``(MlpParams, n_in, n_out)``, an MLP whose first and last
+    sizes the header implies. The parts must consume the meta ints and the
     floats exactly. Returns (header, parts).
     """
     with open(path, "rb") as fh:
@@ -736,13 +733,18 @@ def load_parts(path, header_sizes: dict, layout):
         return flat[f_off - size : f_off].reshape(shape).copy()
 
     for spec in layout(header):
-        if spec is not MlpParams:
+        if spec[0] is not MlpParams:
             parts.append(take(spec))
             continue
         if len(meta) < m_off + 2 or meta[m_off] >= len(ACTIVATIONS):
             raise CheckpointError(f"{path}: MLP meta is truncated or names an unknown activation")
         act, n_sizes = ACTIVATIONS[meta[m_off]], meta[m_off + 1]
         sizes = meta[m_off + 2 : m_off + 2 + n_sizes]
+        if sizes[:1] + sizes[-1:] != list(spec[1:]):
+            raise CheckpointError(
+                f"{path}: MLP of sizes {sizes}, but the header implies {spec[1]} inputs "
+                f"and {spec[2]} outputs"
+            )
         m_off += 2 + n_sizes
         layers = [(take((o, i)), take((o,))) for i, o in zip(sizes[:-1], sizes[1:])]
         parts.append(MlpParams([w for w, _ in layers], [b for _, b in layers], act))

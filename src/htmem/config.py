@@ -30,7 +30,6 @@ class ConfigError(ValueError):
 class EvalConfig:
     n_tasks: int = 20
     ablation_tasks: int = 10
-    ablation_seeds: tuple = (0, 1, 2)
     oracle_horizon: int = 5
     halluc_pool: int = 256  # generated negatives cached per training context
     seed: int = 55
@@ -211,7 +210,6 @@ def validate_config(cfg: RunConfig) -> None:
     v = cfg.evaluation
     _require(v.n_tasks >= 1, "evaluation.n_tasks", "must be at least 1")
     _require(v.ablation_tasks >= 1, "evaluation.ablation_tasks", "must be at least 1")
-    _require(len(v.ablation_seeds) >= 1, "evaluation.ablation_seeds", "needs at least one seed")
     _require(v.oracle_horizon >= 1, "evaluation.oracle_horizon", "must be at least 1")
     _require(v.halluc_pool >= 0, "evaluation.halluc_pool", "must be nonnegative")
 

@@ -113,7 +113,7 @@ class ConnectivityModel:
     @classmethod
     def load(cls, path) -> "ConnectivityModel":
         header, (encoder, w) = load_parts(
-            path, {"CPCE": 4, "SPTM": 5}, lambda header: (MlpParams, (header[2], header[2]))
+            path, {"CPCE": 4, "SPTM": 5}, lambda h: ((MlpParams, h[0] + h[1], h[2]), (h[2], h[2]))
         )
         return cls(encoder, w, *header)
 

@@ -60,7 +60,7 @@ class InverseModel:
     @classmethod
     def load(cls, path) -> "InverseModel":
         (obs_dim, ctx_dim), (a_max, net) = load_parts(
-            path, {"INVM": 2}, lambda header: ((1,), MlpParams)
+            path, {"INVM": 2}, lambda h: ((1,), (MlpParams, 2 * h[0] + h[1], 2))
         )
         return cls(net, float(a_max[0]), obs_dim, ctx_dim)
 

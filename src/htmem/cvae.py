@@ -60,12 +60,11 @@ class CvaeModel:
     @classmethod
     def load(cls, path) -> "CvaeModel":
         (obs_dim, ctx_dim, d_z), (encoder, decoder) = load_parts(
-            path, {"CVAE": 3}, lambda header: (MlpParams, MlpParams)
+            path,
+            {"CVAE": 3},
+            lambda h: ((MlpParams, h[0] + h[1], 2 * h[2]), (MlpParams, h[2] + h[1], h[0])),
         )
-        model = cls(encoder, decoder, obs_dim, ctx_dim, d_z)
-        if model.encoder.sizes()[0] != obs_dim + ctx_dim or model.encoder.sizes()[-1] != 2 * d_z:
-            raise ad.CheckpointError(f"{path}: encoder dims inconsistent with header")
-        return model
+        return cls(encoder, decoder, obs_dim, ctx_dim, d_z)
 
 
 def cvae_init(obs_dim, ctx_dim, cfg: CvaeConfig) -> CvaeModel:

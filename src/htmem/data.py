@@ -1,18 +1,16 @@
-"""Trajectory dataset: collection from random exploration, JSONL persistence,
-replay auditing, the context splits, and the stacked per-context view that
-every training routine reads its rows from."""
+"""Trajectory dataset: collection from random exploration, the context
+splits, and the stacked per-context view that every training routine reads
+its rows from."""
 
 from __future__ import annotations
 
-import json
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
 
 from .autodiff import derived_seed
-from .world import AgentState, BlockWorld, Context, Wall, WorldSpec
+from .world import BlockWorld, Context, WorldSpec
 
 
 @dataclass
@@ -31,7 +29,7 @@ class Trajectory:
     trajectory_id: int
     observations: np.ndarray  # (T+1, obs_dim)
     actions: np.ndarray  # (T, 2)
-    states: np.ndarray | None = None  # (T+1, 2) exact positions when known
+    states: np.ndarray  # (T+1, 2) exact positions
 
     def __len__(self):
         return len(self.actions)
@@ -43,7 +41,6 @@ class TransitionDataset:
     data_config: DataConfig
     contexts: list
     trajectories: dict  # context_id -> list[Trajectory]
-    seed: int
 
     def context_by_id(self, cid: int) -> Context:
         for c in self.contexts:
@@ -54,117 +51,6 @@ class TransitionDataset:
     @property
     def n_transitions(self) -> int:
         return sum(len(t) for ts in self.trajectories.values() for t in ts)
-
-    # -- auditing -----------------------------------------------------------
-
-    def audit_replay(self, world: BlockWorld, fraction=0.01, seed=0, tol=0.0) -> int:
-        """Re-apply the dynamics to a sampled subset of stored transitions and
-        count mismatches against the stored successors."""
-        rng = np.random.default_rng(seed)
-        mismatches = 0
-        for ctx in self.contexts:
-            for traj in self.trajectories[ctx.id]:
-                n = len(traj)
-                n_check = max(1, int(round(fraction * n)))
-                for t in rng.choice(n, size=min(n_check, n), replace=False):
-                    if traj.states is not None:
-                        st = AgentState(*traj.states[t], world.spec.agent_radius)
-                    else:
-                        st = world.decode(traj.observations[t])
-                    nxt = world.step(ctx, st, traj.actions[t])
-                    want = traj.observations[t + 1]
-                    got = world.observe(ctx, nxt)
-                    if tol == 0.0:
-                        ok = np.array_equal(got, want)
-                    else:
-                        ok = np.max(np.abs(got - want)) <= tol
-                    if not ok:
-                        mismatches += 1
-        return mismatches
-
-    # -- persistence ----------------------------------------------------------
-
-    def save(self, out_dir) -> None:
-        os.makedirs(out_dir, exist_ok=True)
-        with open(os.path.join(out_dir, "contexts.jsonl"), "w") as fh:
-            for c in self.contexts:
-                fh.write(
-                    json.dumps(
-                        {
-                            "id": c.id,
-                            "arena": c.arena_size,
-                            "walls": [w.as_list() for w in c.walls],
-                        }
-                    )
-                    + "\n"
-                )
-        mode = self.spec.mode
-        with open(os.path.join(out_dir, "transitions.jsonl"), "w") as fh:
-            for c in self.contexts:
-                for traj in self.trajectories[c.id]:
-                    for t in range(len(traj)):
-                        fh.write(
-                            json.dumps(
-                                {
-                                    "context_id": c.id,
-                                    "trajectory_id": traj.trajectory_id,
-                                    "t": t,
-                                    "obs": traj.observations[t].tolist(),
-                                    "action": traj.actions[t].tolist(),
-                                    "next_obs": traj.observations[t + 1].tolist(),
-                                    "mode": mode,
-                                }
-                            )
-                            + "\n"
-                        )
-        manifest = {
-            "seed": self.seed,
-            "spec": vars(self.spec) | {},
-            "data": vars(self.data_config) | {},
-            "counts": {
-                "contexts": len(self.contexts),
-                "trajectories": sum(len(v) for v in self.trajectories.values()),
-                "transitions": self.n_transitions,
-            },
-        }
-        for key in ("n_walls", "wall_thickness", "wall_length_frac", "wall_offset_frac"):
-            manifest["spec"][key] = list(manifest["spec"][key])
-        with open(os.path.join(out_dir, "manifest.json"), "w") as fh:
-            json.dump(manifest, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-
-    @classmethod
-    def load(cls, in_dir) -> "TransitionDataset":
-        with open(os.path.join(in_dir, "manifest.json")) as fh:
-            manifest = json.load(fh)
-        spec_d = dict(manifest["spec"])
-        for key in ("n_walls", "wall_thickness", "wall_length_frac", "wall_offset_frac"):
-            spec_d[key] = tuple(spec_d[key])
-        spec = WorldSpec(**spec_d)
-        data_cfg = DataConfig(**manifest["data"])
-        contexts = []
-        with open(os.path.join(in_dir, "contexts.jsonl")) as fh:
-            for line in fh:
-                d = json.loads(line)
-                contexts.append(
-                    Context(d["id"], d["arena"], tuple(Wall(*w) for w in d["walls"]))
-                )
-        raw = {}
-        with open(os.path.join(in_dir, "transitions.jsonl")) as fh:
-            for line in fh:
-                d = json.loads(line)
-                raw.setdefault((d["context_id"], d["trajectory_id"]), []).append(d)
-        trajectories = {c.id: [] for c in contexts}
-        world = BlockWorld(spec)
-        for (cid, tid), rows in raw.items():
-            rows.sort(key=lambda r: r["t"])
-            obs = np.array([r["obs"] for r in rows] + [rows[-1]["next_obs"]])
-            actions = np.array([r["action"] for r in rows])
-            states = None
-            if spec.mode == "state":
-                states = np.array([[world.decode(o).x, world.decode(o).y] for o in obs])
-            trajectories[cid].append(Trajectory(cid, tid, obs, actions, states))
-        return cls(spec, data_cfg, contexts, trajectories, manifest["seed"])
 
 
 def collect_dataset(world: BlockWorld, cfg: DataConfig) -> TransitionDataset:
@@ -191,14 +77,14 @@ def collect_dataset(world: BlockWorld, cfg: DataConfig) -> TransitionDataset:
                 )
             )
         trajectories[i] = rows
-    return TransitionDataset(world.spec, cfg, contexts, trajectories, cfg.seed)
+    return TransitionDataset(world.spec, cfg, contexts, trajectories)
 
 
-def split_context_ids(dataset: TransitionDataset, cfg: DataConfig | None = None):
+def split_context_ids(dataset: TransitionDataset):
     """(train_ids, val_ids, holdout_ids): holdout is the tail of the context
     list and never touches training; val is the tail of the remainder and
     leaves at least one context to train on."""
-    cfg = cfg or dataset.data_config
+    cfg = dataset.data_config
     ids = [c.id for c in dataset.contexts]
     n_holdout = min(cfg.n_holdout, max(0, len(ids) - 1))
     holdout = ids[len(ids) - n_holdout :] if n_holdout else []

@@ -1,5 +1,6 @@
-"""Oracle-based plan quality metrics, the zero-shot benchmark, and the
-score-model x weight-scheme ablation grid.
+"""Oracle-based plan quality metrics and the benchmark that executes every
+task under every method; the zero-shot comparison and the score-model x
+weight-scheme ablation are both runs of it, with different methods.
 
 The paper-style qualitative judgments (does a plan look real, executable,
 complete) are replaced by simulator-oracle quantities with the same intent:
@@ -11,7 +12,6 @@ orderings are what the acceptance suite pins down.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 from dataclasses import dataclass, field
@@ -19,23 +19,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .autodiff import derived_seed
-from .controller import ExecutionConfig, ModelBundle, execute, plan_seed
+from .controller import ExecutionConfig, execute, plan_seed
 from .cvae import hallucinate
 from .plangraph import Plan, PlanningConfig
 from .world import BlockWorld, EvaluationError
-
-CSV_COLUMNS = [
-    "task_id",
-    "method",
-    "scheme",
-    "success",
-    "steps",
-    "final_distance",
-    "feasibility",
-    "completeness",
-    "fidelity",
-    "seed",
-]
 
 
 def wilson_interval(successes: int, total: int, z=1.96):
@@ -174,15 +161,6 @@ class MetricsReport:
                 out[method]["mean_fidelity"] = float(np.mean(fid_rows))
         return out
 
-    def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.DictWriter(fh, fieldnames=CSV_COLUMNS)
-            writer.writeheader()
-            for r in self.rows:
-                rec = r.as_record()
-                rec = {k: ("" if rec[k] is None else rec[k]) for k in CSV_COLUMNS}
-                writer.writerow(rec)
-
     def to_json(self, path) -> None:
         payload = {
             "metadata": self.metadata,
@@ -263,76 +241,3 @@ def run_benchmark(
                 )
             )
     return MetricsReport(rows, metadata or {})
-
-
-# ---------------------------------------------------------------------------
-# ablation
-
-
-@dataclass
-class AblationGrid:
-    score_models: list  # row labels
-    schemes: list  # column labels
-    mean_final_distance: np.ndarray  # (rows, cols)
-    task_ids: list
-    metadata: dict = field(default_factory=dict)
-
-    def cell(self, score_model: str, scheme: str) -> float:
-        return float(
-            self.mean_final_distance[
-                self.score_models.index(score_model), self.schemes.index(scheme)
-            ]
-        )
-
-    def best_cell(self):
-        i, j = np.unravel_index(
-            np.argmin(self.mean_final_distance), self.mean_final_distance.shape
-        )
-        return self.score_models[i], self.schemes[j]
-
-    def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["score_model"] + list(self.schemes))
-            for i, sm in enumerate(self.score_models):
-                writer.writerow([sm] + [f"{v:.6f}" for v in self.mean_final_distance[i]])
-
-    def to_text(self) -> str:
-        width = max(len(s) for s in self.schemes + self.score_models) + 2
-        lines = ["".ljust(width) + "".join(s.ljust(width) for s in self.schemes)]
-        for i, sm in enumerate(self.score_models):
-            cells = "".join(f"{v:<{width}.4f}" for v in self.mean_final_distance[i])
-            lines.append(sm.ljust(width) + cells)
-        return "\n".join(lines)
-
-
-ABLATION_SCHEMES = ("sptm_threshold", "inverse", "normalized")
-
-
-def run_ablation(
-    world: BlockWorld,
-    tasks,
-    cvae,
-    scorers: dict,
-    inverse,
-    plan_cfg: PlanningConfig,
-    exec_cfg: ExecutionConfig,
-    seed: int,
-    schemes=ABLATION_SCHEMES,
-    metadata: dict | None = None,
-) -> AblationGrid:
-    """Mean final execution distance for every score model under every
-    weight scheme, on one shared task list with shared seeds."""
-    names = list(scorers)
-    grid = np.zeros((len(names), len(schemes)))
-    for i, name in enumerate(names):
-        bundle = ModelBundle(cvae, scorers[name], inverse)
-        for j, scheme in enumerate(schemes):
-            cfg = PlanningConfig(plan_cfg.m_samples, scheme, plan_cfg.s_shortcut)
-            dists = []
-            for task_id, task in enumerate(tasks):
-                task_seed = derived_seed(seed, "ablate", task_id)
-                result = execute(world, task, bundle, cfg, exec_cfg, task_seed)
-                dists.append(result.final_distance)
-            grid[i, j] = float(np.mean(dists))
-    return AblationGrid(names, list(schemes), grid, list(range(len(tasks))), metadata or {})

@@ -1,9 +1,9 @@
-"""End-to-end orchestration: collect data, train every model, benchmark on
-held-out contexts, and produce the score-model x weight-scheme ablation."""
+"""End-to-end orchestration: collect data, train every model, then run the
+benchmark on held-out contexts, once for the zero-shot comparison and once
+for the score-model x weight-scheme ablation."""
 
 from __future__ import annotations
 
-import dataclasses
 import logging
 from dataclasses import dataclass
 
@@ -13,13 +13,7 @@ from .connectivity import ConnectivityModel, train_cpc, train_sptm
 from .controller import InverseModel, ModelBundle, train_inverse
 from .cvae import CvaeModel, hallucinate, train_cvae
 from .data import TransitionDataset, collect_dataset, split_context_ids
-from .metrics import (
-    AblationGrid,
-    MetricsReport,
-    make_benchmark_tasks,
-    run_ablation,
-    run_benchmark,
-)
+from .metrics import MetricsReport, make_benchmark_tasks, run_benchmark
 from .world import BlockWorld
 
 log = logging.getLogger(__name__)
@@ -80,14 +74,14 @@ def train_all(cfg: RunConfig, dataset: TransitionDataset | None = None) -> Pipel
     return PipelineArtifacts(cfg, world, dataset, cvae, pools, cpc, sptm, inverse)
 
 
-def benchmark_tasks(art: PipelineArtifacts, n_tasks=None, difficulty="cross-wall"):
+def benchmark_tasks(art: PipelineArtifacts, n_tasks=None):
+    """Cross-wall tasks, round-robin over the held-out contexts."""
     cfg = art.cfg
     return make_benchmark_tasks(
         art.world,
         art.holdout_contexts(),
         n_tasks or cfg.evaluation.n_tasks,
         cfg.evaluation.seed,
-        difficulty=difficulty,
         success_threshold=cfg.execution.tau,
     )
 
@@ -120,27 +114,34 @@ def zero_shot_benchmark(art: PipelineArtifacts, tasks=None) -> MetricsReport:
     return report
 
 
-def weight_scheme_ablation(art: PipelineArtifacts, tasks=None, train_seed=None) -> AblationGrid:
-    """2 x 3 grid of mean final distance; optionally retrains both scorers
-    with a shifted seed so the grid can be repeated across training seeds."""
+ABLATION_SCHEMES = ("sptm_threshold", "inverse", "normalized")
+
+
+def weight_scheme_ablation(art: PipelineArtifacts, tasks=None) -> MetricsReport:
+    """The paper's ablation: each score model under each weight scheme, as
+    the methods ``"{score}/{scheme}"`` of one benchmark run. Every cell gets
+    the headline rows' metrics; its mean final distance is
+    ``aggregates()[method]["mean_final_distance"]``."""
     cfg = art.cfg
     tasks = tasks if tasks is not None else benchmark_tasks(art, cfg.evaluation.ablation_tasks)
-    cpc_model, sptm_model = art.cpc, art.sptm
-    if train_seed is not None:
-        cpc_cfg = dataclasses.replace(cfg.cpc, seed=derived_seed(cfg.cpc.seed, "ablate", train_seed))
-        sptm_cfg = dataclasses.replace(
-            cfg.sptm, seed=derived_seed(cfg.sptm.seed, "ablate", train_seed)
-        )
-        cpc_model = train_cpc(art.dataset, art.world, cpc_cfg, art.pools)
-        sptm_model = train_sptm(art.dataset, art.world, sptm_cfg, art.pools)
-    return run_ablation(
+    bundles = {
+        f"{score}/{scheme}": (ModelBundle(art.cvae, scorer, art.inverse), scheme)
+        for score, scorer in (("cpc", art.cpc), ("sptm", art.sptm))
+        for scheme in ABLATION_SCHEMES
+    }
+    seed = derived_seed(cfg.evaluation.seed, "ablation")
+    return run_benchmark(
         art.world,
         tasks,
-        art.cvae,
-        {"cpc": cpc_model, "sptm": sptm_model},
-        art.inverse,
+        bundles,
         cfg.planning,
         cfg.execution,
-        derived_seed(cfg.evaluation.seed, "ablation"),
-        metadata={"config_hash": config_hash(cfg), "train_seed": train_seed},
+        cfg.evaluation.oracle_horizon,
+        seed,
+        metadata={
+            "config_hash": config_hash(cfg),
+            "seed": seed,
+            "n_tasks": len(tasks),
+            "difficulty": "cross-wall",
+        },
     )

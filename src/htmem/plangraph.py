@@ -10,7 +10,6 @@ paths maximize a likelihood bound along the way (checkable via
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,18 +60,6 @@ class Plan:
             "scheme": self.scheme,
             "seed": self.seed,
         }
-
-    @classmethod
-    def from_dict(cls, d) -> "Plan":
-        return cls(
-            list(d["node_indices"]),
-            np.array(d["observations"]),
-            np.array(d["edge_weights"]),
-            np.array(d["edge_logits"]),
-            d["total_weight"],
-            d["scheme"],
-            d.get("seed"),
-        )
 
 
 def scheme_weights(logits: np.ndarray, scheme: str, s_shortcut=0.5) -> np.ndarray:
@@ -225,17 +212,3 @@ def jensen_bound_check(graph: PlanGraph, plan: Plan):
     lhs = float(np.log(np.mean(omega)))
     rhs = float(np.mean(np.log(omega)))
     return lhs, rhs, lhs >= rhs - 1e-12
-
-
-def save_plan(plan: Plan, path, provenance=None) -> None:
-    payload = plan.to_dict()
-    if provenance:
-        payload["provenance"] = provenance
-    with open(path, "w") as fh:
-        json.dump(payload, fh, sort_keys=True)
-        fh.write("\n")
-
-
-def load_plan(path) -> Plan:
-    with open(path) as fh:
-        return Plan.from_dict(json.load(fh))

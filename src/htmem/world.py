@@ -40,9 +40,6 @@ class Wall:
     half_w: float
     half_h: float
 
-    def as_list(self):
-        return [self.cx, self.cy, self.half_w, self.half_h]
-
 
 @dataclass(frozen=True)
 class Context:

@@ -356,8 +356,8 @@ def test_adam_deterministic_trajectory():
     assert np.array_equal(run(), run())
 
 
-def _one_mlp(header):
-    return (MlpParams,)
+def _one_mlp(n_in, n_out):
+    return lambda header: ((MlpParams, n_in, n_out),)
 
 
 def test_checkpoint_roundtrip_and_rejections(tmp_path):
@@ -365,24 +365,24 @@ def test_checkpoint_roundtrip_and_rejections(tmp_path):
     path = tmp_path / "model.ckpt"
     save_parts(path, "CPCE", [], [params])
 
-    header, (rebuilt,) = load_parts(path, {"CPCE": 0}, _one_mlp)
+    header, (rebuilt,) = load_parts(path, {"CPCE": 0}, _one_mlp(3, 2))
     assert header == []
     assert rebuilt.activation == "tanh" and rebuilt.sizes() == [3, 5, 2]
     for a, b in zip(rebuilt.parameters(), params.parameters()):
         assert np.array_equal(a, b)
 
     with pytest.raises(CheckpointError):
-        load_parts(path, {"CVAE": 0}, _one_mlp)
+        load_parts(path, {"CVAE": 0}, _one_mlp(3, 2))
 
     bad = tmp_path / "bad.ckpt"
     bad.write_bytes(b"XXXX" + path.read_bytes()[4:])
     with pytest.raises(CheckpointError):
-        load_parts(bad, {"CPCE": 0}, _one_mlp)
+        load_parts(bad, {"CPCE": 0}, _one_mlp(3, 2))
 
     truncated = tmp_path / "trunc.ckpt"
     truncated.write_bytes(path.read_bytes()[:-8])
     with pytest.raises(CheckpointError):
-        load_parts(truncated, {"CPCE": 0}, _one_mlp)
+        load_parts(truncated, {"CPCE": 0}, _one_mlp(3, 2))
 
 
 def test_checkpoint_floats_little_endian_layout(tmp_path):
@@ -401,23 +401,24 @@ def test_checkpoint_rejects_each_malformed_field(tmp_path):
     raw = path.read_bytes()  # meta ints 7, 0 (relu), 2, 2, 3 at bytes 16..36; 9 floats
     unknown_act = raw[:20] + len(ad.ACTIVATIONS).to_bytes(4, "little") + raw[24:]
     cases = [
-        (b"XXXX" + raw[4:], {"TEST": 1}, _one_mlp, "bad magic"),
-        (raw[:4] + (2).to_bytes(4, "little") + raw[8:], {"TEST": 1}, _one_mlp, "version 2"),
-        (raw[:20], {"TEST": 1}, _one_mlp, "truncated header"),
-        (raw[:-8], {"TEST": 1}, _one_mlp, "float payload"),
-        (raw, {"CVAE": 1}, _one_mlp, "kind 'TEST'"),
-        (raw, {"TEST": 6}, _one_mlp, "header is truncated"),
-        (raw, {"TEST": 4}, _one_mlp, "MLP meta is truncated"),
-        (unknown_act, {"TEST": 1}, _one_mlp, "unknown activation"),
-        (raw, {"TEST": 1}, lambda header: (MlpParams, (2,)), "parameters are truncated"),
+        (b"XXXX" + raw[4:], {"TEST": 1}, _one_mlp(2, 3), "bad magic"),
+        (raw[:4] + (2).to_bytes(4, "little") + raw[8:], {"TEST": 1}, _one_mlp(2, 3), "version 2"),
+        (raw[:20], {"TEST": 1}, _one_mlp(2, 3), "truncated header"),
+        (raw[:-8], {"TEST": 1}, _one_mlp(2, 3), "float payload"),
+        (raw, {"CVAE": 1}, _one_mlp(2, 3), "kind 'TEST'"),
+        (raw, {"TEST": 6}, _one_mlp(2, 3), "header is truncated"),
+        (raw, {"TEST": 4}, _one_mlp(2, 3), "MLP meta is truncated"),
+        (unknown_act, {"TEST": 1}, _one_mlp(2, 3), "unknown activation"),
+        (raw, {"TEST": 1}, lambda header: ((MlpParams, 2, 3), (2,)), "parameters are truncated"),
         (raw, {"TEST": 1}, lambda header: (), "do not consume"),
+        (raw, {"TEST": 1}, _one_mlp(2, 4), "implies 2 inputs and 4 outputs"),
     ]
     for i, (payload, header_sizes, layout, message) in enumerate(cases):
         broken = tmp_path / f"broken{i}.ckpt"
         broken.write_bytes(payload)
         with pytest.raises(CheckpointError, match=message):
             load_parts(broken, header_sizes, layout)
-    header, (mlp,) = load_parts(path, {"TEST": 1}, _one_mlp)
+    header, (mlp,) = load_parts(path, {"TEST": 1}, _one_mlp(2, 3))
     assert header == [7] and mlp.sizes() == [2, 3]
 
 

@@ -32,8 +32,8 @@ SPTM_OFFSET = 20  # default sptm negative offset: 4 * horizon 5
         ({"world": {"n_walls": ["a", "b"]}}, "world.n_walls"),
         ({"world": {"n_walls": [1.5, 2]}}, "world.n_walls"),
         ({"world": {"wall_thickness": ["a", 0.2]}}, "world.wall_thickness"),
-        ({"evaluation": {"ablation_seeds": ["x"]}}, "evaluation.ablation_seeds"),
-        ({"evaluation": {"ablation_seeds": [0.5]}}, "evaluation.ablation_seeds"),
+        ({"evaluation": {"n_tasks": 0}}, "evaluation.n_tasks"),
+        ({"evaluation": {"ablation_tasks": 0}}, "evaluation.ablation_tasks"),
         ({"sptm": {"negative_offset": "x"}}, "sptm.negative_offset"),
         ({"sptm": {"negative_offset": 25.7}}, "sptm.negative_offset"),
         ({"data": {"n_holdout": 0}}, "data.n_holdout"),
@@ -107,7 +107,6 @@ def valid_overrides(draw):
         "sptm": {"hidden": draw(hidden), "horizon": sptm_horizon, "negative_offset": negative_offset},
         "inverse": {"hidden": draw(hidden)},
         "planning": {"scheme": draw(st.sampled_from(WEIGHT_SCHEMES)), "m_samples": draw(st.integers(0, 1000))},
-        "evaluation": {"ablation_seeds": draw(st.lists(st.integers(0, 2**31), min_size=1, max_size=4))},
     }
 
 

@@ -1,13 +1,6 @@
-import json
-
 import numpy as np
 
-from htmem.data import (
-    DataConfig,
-    TransitionDataset,
-    collect_dataset,
-    split_context_ids,
-)
+from htmem.data import DataConfig, collect_dataset, split_context_ids
 from htmem.world import BlockWorld, WorldSpec
 
 
@@ -46,61 +39,6 @@ def test_collect_deterministic():
         for ta, tb in zip(a.trajectories[cid], b.trajectories[cid]):
             assert np.array_equal(ta.observations, tb.observations)
             assert np.array_equal(ta.actions, tb.actions)
-
-
-def test_audit_replay_clean_in_memory():
-    world = BlockWorld(WorldSpec())
-    ds = collect_dataset(world, small_cfg())
-    assert ds.audit_replay(world, fraction=1.0) == 0
-
-
-def test_audit_replay_detects_corruption():
-    world = BlockWorld(WorldSpec())
-    ds = collect_dataset(world, small_cfg())
-    ds.trajectories[0][0].observations[3] += 0.05
-    assert ds.audit_replay(world, fraction=1.0) > 0
-
-
-def test_save_load_roundtrip(tmp_path):
-    world = BlockWorld(WorldSpec())
-    ds = collect_dataset(world, small_cfg())
-    out = tmp_path / "ds"
-    ds.save(out)
-
-    manifest = json.loads((out / "manifest.json").read_text())
-    assert manifest["counts"]["transitions"] == ds.n_transitions
-    assert manifest["seed"] == 0
-
-    loaded = TransitionDataset.load(out)
-    assert loaded.spec == ds.spec
-    assert loaded.contexts == ds.contexts
-    for cid in (0, 1, 2, 3):
-        for ta, tb in zip(ds.trajectories[cid], loaded.trajectories[cid]):
-            assert np.array_equal(ta.observations, tb.observations)
-            assert np.array_equal(ta.actions, tb.actions)
-    # observation round-trip through decimal text is exact, so replay holds
-    # to the decode tolerance
-    assert loaded.audit_replay(world, fraction=0.5, tol=1e-9) == 0
-
-
-def test_jsonl_schemas(tmp_path):
-    world = BlockWorld(WorldSpec())
-    ds = collect_dataset(world, small_cfg())
-    out = tmp_path / "ds"
-    ds.save(out)
-    ctx_line = json.loads((out / "contexts.jsonl").read_text().splitlines()[0])
-    assert set(ctx_line) == {"id", "arena", "walls"}
-    tr_line = json.loads((out / "transitions.jsonl").read_text().splitlines()[0])
-    assert set(tr_line) == {
-        "context_id",
-        "trajectory_id",
-        "t",
-        "obs",
-        "action",
-        "next_obs",
-        "mode",
-    }
-    assert tr_line["mode"] == "state"
 
 
 def test_split_context_ids():

@@ -1,4 +1,3 @@
-import csv
 import json
 import math
 
@@ -6,7 +5,6 @@ import numpy as np
 import pytest
 
 from htmem.metrics import (
-    AblationGrid,
     MetricsReport,
     TaskRow,
     completeness,
@@ -141,28 +139,10 @@ def test_report_aggregates_recomputable_from_rows():
     assert "mean_fidelity" not in agg["inverse_only"]
 
 
-def test_report_csv_and_json_shape(tmp_path):
+def test_report_json_shape(tmp_path):
     rep = sample_report()
-    csv_path = tmp_path / "report.csv"
     json_path = tmp_path / "report.json"
-    rep.to_csv(csv_path)
     rep.to_json(json_path)
-
-    with open(csv_path) as fh:
-        rows = list(csv.DictReader(fh))
-    assert list(rows[0]) == [
-        "task_id",
-        "method",
-        "scheme",
-        "success",
-        "steps",
-        "final_distance",
-        "feasibility",
-        "completeness",
-        "fidelity",
-        "seed",
-    ]
-    assert rows[2]["feasibility"] == ""  # baseline rows have no plan metrics
 
     payload = json.loads(json_path.read_text())
     assert payload["metadata"]["config_hash"] == "deadbeef"
@@ -187,24 +167,6 @@ def test_make_benchmark_tasks_round_robin_and_deterministic():
     assert tasks == again
     for t in tasks:
         assert not world.swept_free(t.context, (t.start.x, t.start.y), (t.goal.x, t.goal.y))
-
-
-def test_ablation_grid_shape_and_accessors(tmp_path):
-    grid = AblationGrid(
-        ["cpc", "sptm"],
-        ["sptm_threshold", "inverse", "normalized"],
-        np.array([[0.9, 0.5, 0.3], [1.4, 1.1, 0.8]]),
-        task_ids=list(range(10)),
-    )
-    assert grid.mean_final_distance.shape == (2, 3)
-    assert grid.cell("cpc", "normalized") == pytest.approx(0.3)
-    assert grid.best_cell() == ("cpc", "normalized")
-    out = tmp_path / "grid.csv"
-    grid.to_csv(out)
-    header = out.read_text().splitlines()[0]
-    assert header == "score_model,sptm_threshold,inverse,normalized"
-    text = grid.to_text()
-    assert "cpc" in text and "normalized" in text
 
 
 def test_fidelity_propagates_errors_other_than_undecodable_samples(monkeypatch):

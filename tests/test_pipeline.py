@@ -4,13 +4,13 @@ import struct
 import numpy as np
 import pytest
 
-from htmem.autodiff import CheckpointError, MlpParams
+from htmem.autodiff import CheckpointError, MlpParams, save_parts
 from htmem.config import config_from_dict
 from htmem.connectivity import ConnectivityModel
 from htmem.controller import InverseModel
 from htmem.cvae import CvaeModel
 from htmem.data import split_context_ids, training_stacks
-from htmem.pipeline import train_all, zero_shot_benchmark
+from htmem.pipeline import train_all, weight_scheme_ablation, zero_shot_benchmark
 
 # Small enough to train every model and run the benchmark in about a second
 # per mode; large enough that every stage draws random numbers.
@@ -52,6 +52,21 @@ def test_fixed_seed_runs_write_identical_reports_and_checkpoints(tmp_path, mode)
     assert run_digests(tmp_path / "b", mode) == first
 
 
+def test_weight_scheme_ablation_runs_each_score_model_under_each_scheme(tmp_path):
+    cfg = config_from_dict({**TINY, "world": {"mode": "state"}})
+    art = train_all(cfg)
+    report = weight_scheme_ablation(art)
+    schemes = ["sptm_threshold", "inverse", "normalized"]
+    assert report.methods() == [f"{score}/{s}" for score in ("cpc", "sptm") for s in schemes]
+    for method in report.methods():
+        rows = report.rows_for(method)
+        assert len(rows) == cfg.evaluation.ablation_tasks
+        assert {r.scheme for r in rows} == {method.split("/")[1]}
+    report.to_json(tmp_path / "a.json")
+    weight_scheme_ablation(art).to_json(tmp_path / "b.json")
+    assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
+
+
 @pytest.mark.parametrize(
     "data, split",
     [
@@ -85,7 +100,7 @@ def _mlp(sizes, rng):
 def _models():
     """Each model with its checkpoint tag, header ints and parts in file order."""
     rng = np.random.default_rng(0)
-    enc, dec = _mlp([6, 5, 4], rng), _mlp([4, 5, 2], rng)
+    enc, dec = _mlp([6, 5, 4], rng), _mlp([6, 5, 2], rng)
     cvae = CvaeModel(enc, dec, 2, 4, 2)
     w = rng.normal(size=(3, 3))
     cpc_enc = _mlp([6, 5, 3], rng)
@@ -158,3 +173,25 @@ def test_checkpoint_load_rejects_unconsumed_payload_and_foreign_tags(tmp_path, i
     (tmp_path / "foreign.ckpt").write_bytes(foreign)
     with pytest.raises(CheckpointError):
         type(model).load(tmp_path / "foreign.ckpt")
+
+
+def _net(*sizes):
+    return _mlp(list(sizes), np.random.default_rng(0))
+
+
+@pytest.mark.parametrize(
+    "model_type, kind, header, parts",
+    [
+        (CvaeModel, "CVAE", [2, 4, 2], [_net(6, 5, 4), _net(5, 5, 2)]),  # decoder takes d_z + ctx = 6
+        (ConnectivityModel, "CPCE", [2, 4, 3, 5], [_net(10, 5, 3), np.zeros((3, 3))]),  # obs + ctx = 6
+        (ConnectivityModel, "SPTM", [2, 4, 3, 5, 17], [_net(6, 5, 4), np.zeros((3, 3))]),  # d = 3
+        (InverseModel, "INVM", [2, 4], [np.array([0.07]), _net(9, 5, 2)]),  # 2 obs + ctx = 8
+    ],
+    ids=["CVAE", "CPCE", "SPTM", "INVM"],
+)
+def test_checkpoint_load_rejects_mlp_sizes_that_contradict_the_header(
+    tmp_path, model_type, kind, header, parts
+):
+    save_parts(tmp_path / "model.ckpt", kind, header, parts)
+    with pytest.raises(CheckpointError, match="but the header implies"):
+        model_type.load(tmp_path / "model.ckpt")

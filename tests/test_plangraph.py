@@ -15,9 +15,7 @@ from htmem.plangraph import (
     PlanningConfig,
     build_graph,
     jensen_bound_check,
-    load_plan,
     plan_end_to_end,
-    save_plan,
     scheme_weights,
     shortest_path,
 )
@@ -423,16 +421,3 @@ def test_jensen_requires_normalized_scheme_and_edges():
     single = Plan([0], g2.observations[[0]], np.array([]), np.array([]), 0.0, "normalized")
     with pytest.raises(ValueError):
         jensen_bound_check(g2, single)
-
-
-def test_plan_json_roundtrip(tmp_path):
-    g = graph_from_logits(np.random.default_rng(8).normal(size=(5, 5)), "normalized")
-    plan = shortest_path(g, 0, 4)
-    plan.seed = 123
-    path = tmp_path / "plan.json"
-    save_plan(plan, path, provenance={"config_hash": "abc"})
-    loaded = load_plan(path)
-    assert loaded.node_indices == plan.node_indices
-    assert loaded.total_weight == plan.total_weight
-    assert np.array_equal(loaded.observations, plan.observations)
-    assert loaded.seed == 123

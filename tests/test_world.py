@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
+from scipy import ndimage
 
 import htmem.world as world_module
 from htmem.world import (
@@ -126,11 +127,19 @@ def test_generate_context_deterministic_and_inside_arena():
         assert w.half_w > 0 and w.half_h > 0
 
 
+def free_cell_components(world, ctx, cell=0.04):
+    """Number of 4-connected components of the free cells that
+    ``flood_fill_connected`` searches: one exactly when it returns True."""
+    k = int(math.ceil(ctx.arena_size / cell))
+    centers = (np.arange(k) + 0.5) * (ctx.arena_size / k)
+    return ndimage.label(world.positions_valid(ctx, centers[None, :], centers[:, None]))[1]
+
+
 def test_generated_contexts_all_connected():
     world = make_world(n_walls=(1, 2))
     for seed in range(1000):
         ctx = world.generate_context(seed)
-        assert flood_fill_connected(world, ctx), f"seed {seed} disconnected"
+        assert free_cell_components(world, ctx) == 1, f"seed {seed} disconnected"
 
 
 def test_infeasible_spec_rejected():
