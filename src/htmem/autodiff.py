@@ -123,29 +123,6 @@ class Node:
         self.grad = None
         self.needs_grad = needs_grad
 
-    @property
-    def shape(self):
-        return self.value.shape
-
-    def __add__(self, other):
-        return add(self, other)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(_as_node(self.tape, other), self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return neg(self)
-
     def __repr__(self):
         return f"<Node shape={self.value.shape}>"
 
@@ -254,10 +231,6 @@ def mul(a: Node, b) -> Node:
     return a.tape._push(value, (a, b), vjp)
 
 
-def neg(a: Node) -> Node:
-    return a.tape._push(-a.value, (a,), lambda g: (-g,))
-
-
 def matmul(a: Node, b: Node) -> Node:
     if a.value.ndim != 2 or b.value.ndim != 2:
         raise ShapeError("matmul expects 2-D operands")
@@ -346,13 +319,6 @@ def softplus(a: Node) -> Node:
     value = np.logaddexp(0.0, a.value)
     av = a.value
     return a.tape._push(value, (a,), lambda g: (g * sigmoid(av),))
-
-
-def sum_all(a: Node) -> Node:
-    shape = a.value.shape
-    return a.tape._push(
-        np.asarray(a.value.sum()), (a,), lambda g: (np.broadcast_to(g, shape),)
-    )
 
 
 def mean_all(a: Node) -> Node:

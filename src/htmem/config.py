@@ -1,8 +1,8 @@
 """Run configuration: one nested dataclass tree, JSON in, defaults applied,
 out-of-range values rejected with the offending key path named.
 
-The effective configuration (and its hash) is echoed into every artifact the
-pipeline writes, so results stay attributable to exact settings.
+A report's metadata carries the configuration's hash, so results stay
+attributable to exact settings.
 """
 
 from __future__ import annotations
@@ -48,10 +48,6 @@ class RunConfig:
     evaluation: EvalConfig = field(default_factory=EvalConfig)
 
 
-def default_config() -> RunConfig:
-    return RunConfig()
-
-
 def _coerce(key: str, value, like):
     """``value`` checked against, and converted to, the type of ``like``.
 
@@ -91,7 +87,7 @@ def _merge_section(obj, section: str, overrides: dict):
 
 
 def config_from_dict(d: dict) -> RunConfig:
-    cfg = default_config()
+    cfg = RunConfig()
     if not isinstance(d, dict):
         raise ConfigError("<root>", "configuration must be a JSON object")
     sections = {f.name: getattr(cfg, f.name) for f in fields(cfg)}
@@ -134,6 +130,17 @@ def validate_config(cfg: RunConfig) -> None:
             f"world.{name}",
             "must be a positive (low, high) range",
         )
+    # the two generate_context refuses, checked here to name the key
+    _require(
+        w.wall_length_frac[1] * w.arena_size + w.min_gap <= w.arena_size,
+        "world.wall_length_frac",
+        "longest wall must leave min_gap of the arena open",
+    )
+    _require(
+        w.wall_thickness[1] < w.arena_size / 4,
+        "world.wall_thickness",
+        "must stay below a quarter of the arena",
+    )
     _require(w.min_gap > 2 * w.agent_radius, "world.min_gap", "must exceed the agent diameter")
 
     d = cfg.data
@@ -230,14 +237,3 @@ def config_to_dict(cfg: RunConfig) -> dict:
 def config_hash(cfg: RunConfig) -> str:
     canonical = json.dumps(config_to_dict(cfg), sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
-
-
-def provenance(cfg: RunConfig, **extra) -> dict:
-    from . import __version__
-
-    return {
-        "config": config_to_dict(cfg),
-        "config_hash": config_hash(cfg),
-        "version": __version__,
-        **extra,
-    }

@@ -155,18 +155,6 @@ class ExecutionResult:
     plans: list
     seed: int
 
-    def to_dict(self) -> dict:
-        return {
-            "success": bool(self.success),
-            "steps": self.steps,
-            "final_distance": self.final_distance,
-            "replan_count": self.replan_count,
-            "planless": self.planless,
-            "state_trace": self.state_trace.tolist(),
-            "plans": [p.to_dict() for p in self.plans],
-            "seed": self.seed,
-        }
-
 
 def plan_seed(seed: int, replan_index: int) -> int:
     """Seed of the ``replan_index``-th plan inside one execution."""

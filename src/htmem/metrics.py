@@ -14,12 +14,12 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
 from .autodiff import derived_seed
-from .controller import ExecutionConfig, execute, plan_seed
+from .controller import ExecutionConfig, execute
 from .cvae import hallucinate
 from .plangraph import Plan, PlanningConfig
 from .world import BlockWorld, EvaluationError
@@ -97,20 +97,6 @@ class TaskRow:
     fidelity: float | None
     seed: int
 
-    def as_record(self) -> dict:
-        return {
-            "task_id": self.task_id,
-            "method": self.method,
-            "scheme": self.scheme,
-            "success": bool(self.success),
-            "steps": self.steps,
-            "final_distance": self.final_distance,
-            "feasibility": self.feasibility,
-            "completeness": None if self.completeness is None else bool(self.completeness),
-            "fidelity": self.fidelity,
-            "seed": self.seed,
-        }
-
 
 @dataclass
 class MetricsReport:
@@ -151,11 +137,15 @@ class MetricsReport:
             out[method] = {
                 "tasks": len(rows),
                 "success_rate": self.success_rate(method),
+                "success_interval": wilson_interval(sum(r.success for r in rows), len(rows)),
                 "mean_final_distance": mean_d,
                 "std_final_distance": std_d,
                 "mean_feasibility": self.mean_feasibility(method),
                 "completeness_rate": self.completeness_rate(method),
             }
+            # a planner run without a first plan has no plan metrics
+            if rows[0].scheme:
+                out[method]["no_plan_rate"] = sum(r.feasibility is None for r in rows) / len(rows)
             fid_rows = [r.fidelity for r in rows if r.fidelity is not None]
             if fid_rows:
                 out[method]["mean_fidelity"] = float(np.mean(fid_rows))
@@ -165,7 +155,7 @@ class MetricsReport:
         payload = {
             "metadata": self.metadata,
             "aggregates": self.aggregates(),
-            "rows": [r.as_record() for r in self.rows],
+            "rows": [asdict(r) for r in self.rows],
         }
         with open(path, "w") as fh:
             json.dump(payload, fh, indent=2, sort_keys=True)
@@ -202,29 +192,26 @@ def run_benchmark(
 
     ``bundles`` maps method name to (ModelBundle, scheme or None); a None
     scheme means the inverse-model-only baseline (no planner). Plan metrics
-    are computed on the first plan of each run; fidelity re-samples the
-    run's first hallucination set from its recorded seed.
+    are computed on the first plan of each run, which need not come from
+    its first planning attempt; fidelity re-samples the first plan's
+    candidates from its seed.
     """
     rows = []
     for method, (bundle, scheme) in bundles.items():
         use_planner = scheme is not None
-        cfg = (
-            PlanningConfig(plan_cfg.m_samples, scheme, plan_cfg.s_shortcut)
-            if use_planner
-            else plan_cfg
-        )
+        cfg = replace(plan_cfg, scheme=scheme) if use_planner else plan_cfg
         for task_id, task in enumerate(tasks):
             task_seed = derived_seed(seed, method, task_id)
             result = execute(
                 world, task, bundle, cfg, exec_cfg, task_seed, use_planner=use_planner
             )
             feas = comp = fid = None
-            if use_planner and result.plans:
+            if result.plans:
                 first = result.plans[0]
                 hops = hops_reachable(world, task.context, first, oracle_horizon)
                 feas, comp = feasibility(hops), completeness(hops)
                 ctx_enc = world.encode_context(task.context)
-                samples = hallucinate(bundle.cvae, ctx_enc, cfg.m_samples, plan_seed(task_seed, 0))
+                samples = hallucinate(bundle.cvae, ctx_enc, cfg.m_samples, first.seed)
                 fid = fidelity(world, task.context, samples)
             rows.append(
                 TaskRow(

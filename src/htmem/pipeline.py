@@ -30,16 +30,6 @@ class PipelineArtifacts:
     sptm: ConnectivityModel
     inverse: InverseModel
 
-    def htm_bundle(self) -> ModelBundle:
-        return ModelBundle(self.cvae, self.cpc, self.inverse)
-
-    def sptm_bundle(self) -> ModelBundle:
-        return ModelBundle(self.cvae, self.sptm, self.inverse)
-
-    def holdout_contexts(self):
-        _, _, holdout = split_context_ids(self.dataset)
-        return [self.dataset.context_by_id(cid) for cid in holdout]
-
 
 def build_hallucination_pools(world, dataset, cvae, context_ids, size, seed) -> dict:
     """Per-context sample pools used as generated negatives during scorer
@@ -74,44 +64,17 @@ def train_all(cfg: RunConfig, dataset: TransitionDataset | None = None) -> Pipel
     return PipelineArtifacts(cfg, world, dataset, cvae, pools, cpc, sptm, inverse)
 
 
-def benchmark_tasks(art: PipelineArtifacts, n_tasks=None):
-    """Cross-wall tasks, round-robin over the held-out contexts."""
-    cfg = art.cfg
-    return make_benchmark_tasks(
-        art.world,
-        art.holdout_contexts(),
-        n_tasks or cfg.evaluation.n_tasks,
-        cfg.evaluation.seed,
-        success_threshold=cfg.execution.tau,
-    )
-
-
 def zero_shot_benchmark(art: PipelineArtifacts, tasks=None) -> MetricsReport:
     """The headline comparison: full planner vs classifier-scored plans vs
     the inverse model pursuing the goal directly."""
     cfg = art.cfg
-    tasks = tasks if tasks is not None else benchmark_tasks(art)
+    htm = ModelBundle(art.cvae, art.cpc, art.inverse)
     bundles = {
-        "htm": (art.htm_bundle(), cfg.planning.scheme),
-        "sptm": (art.sptm_bundle(), "sptm_exp"),
-        "inverse_only": (art.htm_bundle(), None),
+        "htm": (htm, cfg.planning.scheme),
+        "sptm": (ModelBundle(art.cvae, art.sptm, art.inverse), "sptm_exp"),
+        "inverse_only": (htm, None),
     }
-    report = run_benchmark(
-        art.world,
-        tasks,
-        bundles,
-        cfg.planning,
-        cfg.execution,
-        cfg.evaluation.oracle_horizon,
-        cfg.evaluation.seed,
-        metadata={
-            "config_hash": config_hash(cfg),
-            "seed": cfg.evaluation.seed,
-            "n_tasks": len(tasks),
-            "difficulty": "cross-wall",
-        },
-    )
-    return report
+    return _run_benchmark(art, tasks, cfg.evaluation.n_tasks, bundles, cfg.evaluation.seed)
 
 
 ABLATION_SCHEMES = ("sptm_threshold", "inverse", "normalized")
@@ -123,13 +86,26 @@ def weight_scheme_ablation(art: PipelineArtifacts, tasks=None) -> MetricsReport:
     the headline rows' metrics; its mean final distance is
     ``aggregates()[method]["mean_final_distance"]``."""
     cfg = art.cfg
-    tasks = tasks if tasks is not None else benchmark_tasks(art, cfg.evaluation.ablation_tasks)
     bundles = {
         f"{score}/{scheme}": (ModelBundle(art.cvae, scorer, art.inverse), scheme)
         for score, scorer in (("cpc", art.cpc), ("sptm", art.sptm))
         for scheme in ABLATION_SCHEMES
     }
     seed = derived_seed(cfg.evaluation.seed, "ablation")
+    return _run_benchmark(art, tasks, cfg.evaluation.ablation_tasks, bundles, seed)
+
+
+def _run_benchmark(art: PipelineArtifacts, tasks, n_tasks: int, bundles: dict, seed: int) -> MetricsReport:
+    """``run_benchmark`` of the bundles under the run's settings, on
+    ``tasks`` or else on ``n_tasks`` cross-wall tasks drawn round-robin over
+    the held-out contexts."""
+    cfg = art.cfg
+    if tasks is None:
+        _, _, holdout = split_context_ids(art.dataset)
+        contexts = [art.dataset.context_by_id(cid) for cid in holdout]
+        tasks = make_benchmark_tasks(
+            art.world, contexts, n_tasks, cfg.evaluation.seed, success_threshold=cfg.execution.tau
+        )
     return run_benchmark(
         art.world,
         tasks,

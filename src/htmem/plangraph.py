@@ -30,7 +30,6 @@ class PlanGraph:
     logits: np.ndarray  # (n, n); [i, j] scores the directed edge j -> i
     weights: np.ndarray  # (n, n); inf marks absent edges and the diagonal
     scheme: str
-    s_shortcut: float | None = None
 
     @property
     def n_nodes(self) -> int:
@@ -49,17 +48,6 @@ class Plan:
 
     def __len__(self):
         return len(self.node_indices)
-
-    def to_dict(self) -> dict:
-        return {
-            "node_indices": [int(i) for i in self.node_indices],
-            "observations": self.observations.tolist(),
-            "edge_weights": self.edge_weights.tolist(),
-            "edge_logits": self.edge_logits.tolist(),
-            "total_weight": self.total_weight,
-            "scheme": self.scheme,
-            "seed": self.seed,
-        }
 
 
 def scheme_weights(logits: np.ndarray, scheme: str, s_shortcut=0.5) -> np.ndarray:
@@ -96,7 +84,7 @@ def build_graph(node_obs, scorer, ctx_encoding, scheme="normalized", s_shortcut=
         raise ValueError("graph needs at least start and goal nodes")
     logits = scorer.pairwise_logits(node_obs, ctx_encoding)
     weights = scheme_weights(logits, scheme, s_shortcut)
-    return PlanGraph(node_obs, logits, weights, scheme, s_shortcut if scheme == "sptm_threshold" else None)
+    return PlanGraph(node_obs, logits, weights, scheme)
 
 
 def shortest_path(graph: PlanGraph, start_idx: int, goal_idx: int) -> Plan:

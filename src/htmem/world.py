@@ -50,23 +50,19 @@ class Context:
 
 @dataclass(frozen=True)
 class AgentState:
+    """Center of the agent's disc; the radius is ``WorldSpec.agent_radius``."""
+
     x: float
     y: float
-    radius: float = 0.15
-
-    @property
-    def position(self) -> np.ndarray:
-        return np.array([self.x, self.y])
 
 
 @dataclass(frozen=True)
 class Task:
+    """Reach ``goal`` from ``start``; the success distance is ``ExecutionConfig.tau``."""
+
     context: Context
     start: AgentState
     goal: AgentState
-    success_threshold: float = 0.5
-    difficulty: str = "any"
-    seed: int = 0
 
 
 @dataclass
@@ -195,7 +191,7 @@ class BlockWorld:
     # -- validity ---------------------------------------------------------
 
     def state_valid(self, ctx: Context, state: AgentState) -> bool:
-        x, y, r, s = state.x, state.y, state.radius, ctx.arena_size
+        x, y, r, s = state.x, state.y, self.spec.agent_radius, ctx.arena_size
         if not (r <= x <= s - r and r <= y <= s - r):
             return False
         for w in ctx.walls:
@@ -339,15 +335,15 @@ class BlockWorld:
         ax = min(max(float(action[0]), -a_max), a_max)
         ay = min(max(float(action[1]), -a_max), a_max)
         p1 = (state.x + ax, state.y + ay)
-        if not self._move_clear(ctx, (state.x, state.y), p1, state.radius):
+        if not self._move_clear(ctx, (state.x, state.y), p1, self.spec.agent_radius):
             return state
-        return AgentState(p1[0], p1[1], state.radius)
+        return AgentState(p1[0], p1[1])
 
     def sample_free_state(self, ctx: Context, rng) -> AgentState:
         r, s = self.spec.agent_radius, ctx.arena_size
         for _ in range(10_000):
             x, y = rng.uniform(r, s - r, size=2)
-            st = AgentState(x, y, r)
+            st = AgentState(x, y)
             if self.state_valid(ctx, st):
                 return st
         raise ConfigurationError("free space too small to sample a state")
@@ -358,12 +354,12 @@ class BlockWorld:
         s = ctx.arena_size
         if self.spec.mode == "state":
             return np.array([state.x / s, state.y / s])
-        return self._raster_disc(s, state.x, state.y, state.radius)
+        return self._raster_disc(s, state.x, state.y)
 
-    def _raster_disc(self, s, cx, cy, radius) -> np.ndarray:
+    def _raster_disc(self, s, cx, cy) -> np.ndarray:
         """Intensity (radius - d)/radius where d is the distance from the disc
         center to each cell rectangle; exactly the overlapped cells are > 0."""
-        g = self.spec.raster_size
+        g, radius = self.spec.raster_size, self.spec.agent_radius
         lo, hi = _cell_edges(s, g)
         dx = np.maximum(np.maximum(lo - cx, cx - hi), 0.0)  # per column
         dy = np.maximum(np.maximum(lo - cy, cy - hi), 0.0)  # per row
@@ -380,11 +376,11 @@ class BlockWorld:
 
     def decode(self, obs) -> AgentState:
         obs = np.asarray(obs, dtype=float)
-        s, r = self.spec.arena_size, self.spec.agent_radius
+        s = self.spec.arena_size
         if self.spec.mode == "state":
             if obs.shape != (2,):
                 raise EvaluationError(f"state observation must have length 2, got {obs.shape}")
-            return AgentState(obs[0] * s, obs[1] * s, r)
+            return AgentState(obs[0] * s, obs[1] * s)
         g = self.spec.raster_size
         if obs.size != g * g:
             raise EvaluationError(f"raster observation must have {g * g} entries")
@@ -395,7 +391,7 @@ class BlockWorld:
         centers = (np.arange(g) + 0.5) * (s / g)
         x = float((grid.sum(axis=0) * centers).sum() / total)
         y = float((grid.sum(axis=1) * centers).sum() / total)
-        return AgentState(x, y, r)
+        return AgentState(x, y)
 
     def encode_context(self, ctx: Context) -> np.ndarray:
         s = ctx.arena_size
@@ -458,6 +454,8 @@ class BlockWorld:
         min_separation: float = 0.1,
         max_tries: int = 5000,
     ) -> Task:
+        """A start and a goal in free space; a cross-wall goal is hidden from
+        the start by a wall and lies farther than ``success_threshold``."""
         if difficulty not in ("any", "cross-wall"):
             raise ConfigurationError(f"unknown difficulty {difficulty!r}")
         rng = np.random.default_rng(seed)
@@ -467,12 +465,11 @@ class BlockWorld:
             dist = math.hypot(start.x - goal.x, start.y - goal.y)
             if dist < max(min_separation, 1e-9):
                 continue
-            blocked = not self.swept_free(ctx, (start.x, start.y), (goal.x, goal.y))
-            if difficulty == "cross-wall":
-                if blocked and dist > success_threshold:
-                    return Task(ctx, start, goal, success_threshold, difficulty, seed)
-            else:
-                return Task(ctx, start, goal, success_threshold, difficulty, seed)
+            if difficulty == "any" or (
+                dist > success_threshold
+                and not self.swept_free(ctx, (start.x, start.y), (goal.x, goal.y))
+            ):
+                return Task(ctx, start, goal)
         raise TaskGenerationError(
             f"could not sample a {difficulty} task in context {ctx.id} within {max_tries} tries"
         )

@@ -176,7 +176,7 @@ def test_backward_linear_loss_gradient_is_input():
     w = np.array([0.5, -1.0, 2.0])
     x = np.array([3.0, 4.0, 5.0])
     wn = tape.watch(w)
-    loss = ad.sum_all(ad.mul(wn, tape.leaf(x)))
+    loss = ad.sum_axis(ad.mul(wn, tape.leaf(x)), 0)
     tape.backward(loss)
     assert np.allclose(tape.grad(w), x)
 
@@ -204,7 +204,7 @@ def test_watch_accumulates_across_repeated_use():
     wn = tape.watch(w)
     wn2 = tape.watch(w)
     assert wn is wn2
-    loss = ad.sum_all(ad.add(ad.mul(wn, tape.leaf([3.0])), ad.mul(wn, tape.leaf([5.0]))))
+    loss = ad.sum_axis(ad.add(ad.mul(wn, tape.leaf([3.0])), ad.mul(wn, tape.leaf([5.0]))), 0)
     tape.backward(loss)
     assert np.allclose(tape.grad(w), [8.0])
 
@@ -262,7 +262,7 @@ def test_grad_check_linear_loss_near_exact():
     coef = np.array([2.0, 3.0, -1.0])
 
     def build(tape):
-        return ad.sum_all(ad.mul(tape.watch(w), tape.leaf(coef)))
+        return ad.sum_axis(ad.mul(tape.watch(w), tape.leaf(coef)), 0)
 
     report = grad_check(build, [w])
     assert report.max_rel_error < 1e-9
@@ -457,7 +457,7 @@ class _Vector:
     def loss(self, target, tape=None):
         t = Tape() if tape is None else tape
         diff = ad.sub(t.watch(self.w), np.asarray(target, dtype=float))
-        loss = ad.sum_all(ad.mul(diff, diff))
+        loss = ad.sum_axis(ad.mul(diff, diff), 0)
         return loss if tape is not None else float(loss.value)
 
 

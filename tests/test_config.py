@@ -37,6 +37,8 @@ SPTM_OFFSET = 20  # default sptm negative offset: 4 * horizon 5
         ({"sptm": {"negative_offset": "x"}}, "sptm.negative_offset"),
         ({"sptm": {"negative_offset": 25.7}}, "sptm.negative_offset"),
         ({"data": {"n_holdout": 0}}, "data.n_holdout"),
+        ({"world": {"wall_length_frac": [0.5, 0.9]}}, "world.wall_length_frac"),
+        ({"world": {"wall_thickness": [0.05, 0.8]}}, "world.wall_thickness"),
     ],
 )
 def test_config_rejects_values_that_cannot_run(overrides, key):
@@ -86,7 +88,8 @@ def valid_overrides(draw):
             "max_walls": max_walls,
             "n_walls": [low_walls, draw(st.integers(low_walls, max_walls))],
             "wall_thickness": draw(_positive_range(1e-3, 0.2)),
-            "wall_length_frac": draw(_positive_range(0.1, 2.0)),
+            # the longest wall leaves min_gap 0.6 of the arena side 2.8 open
+            "wall_length_frac": draw(_positive_range(0.1, 0.78)),
             "wall_offset_frac": draw(_positive_range(0.1, 1.0)),
         },
         "data": {

@@ -6,7 +6,6 @@ import pytest
 from htmem.autodiff import MlpParams, grad_check
 from htmem.controller import (
     ExecutionConfig,
-    ExecutionResult,
     InverseConfig,
     InverseModel,
     ModelBundle,
@@ -17,9 +16,10 @@ from htmem.controller import (
     plan_seed,
     train_inverse,
 )
-from htmem.cvae import CvaeModel
+from htmem import controller, metrics
+from htmem.cvae import CvaeModel, hallucinate
 from htmem.data import DataConfig, collect_dataset, split_context_ids
-from htmem.plangraph import PlanningConfig
+from htmem.plangraph import NoPathError, PlanningConfig, plan_end_to_end
 from htmem.world import AgentState, BlockWorld, Context, Task, Wall, WorldSpec
 
 
@@ -225,17 +225,41 @@ def test_execute_baseline_is_planless():
     assert res.replan_count == 0
 
 
-def test_execution_result_serialization_roundtrip():
-    res = ExecutionResult(
-        success=True,
-        steps=3,
-        final_distance=0.2,
-        replan_count=0,
-        planless=False,
-        state_trace=np.array([[0.1, 0.2], [0.2, 0.2]]),
-        plans=[],
-        seed=7,
+
+def test_benchmark_fidelity_rates_the_first_plan_after_a_failed_attempt(monkeypatch):
+    world = BlockWorld(WorldSpec())
+    cvae, scorer, inverse = stub_bundle(world)
+    ctx = walled_context()
+    task = Task(ctx, AgentState(1.1, 0.5), AgentState(2.4, 0.5))
+    attempts = []
+
+    def no_path_at_first(*args):
+        attempts.append(args)
+        if len(attempts) == 1:
+            raise NoPathError("no path")
+        return plan_end_to_end(*args)
+
+    results = []
+
+    def recorded_execute(*args, **kwargs):
+        results.append(execute(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(controller, "plan_end_to_end", no_path_at_first)
+    monkeypatch.setattr(metrics, "execute", recorded_execute)
+    m = 40
+    report = metrics.run_benchmark(
+        world,
+        [task],
+        {"htm": (ModelBundle(cvae, scorer, inverse), "normalized")},
+        PlanningConfig(m_samples=m),
+        ExecutionConfig(n=10, r=4),
+        oracle_horizon=5,
+        seed=0,
     )
-    d = res.to_dict()
-    assert d["success"] is True and d["steps"] == 3
-    assert d["state_trace"] == [[0.1, 0.2], [0.2, 0.2]]
+    (result,), (row,) = results, report.rows
+    # attempt 0 found no path, so the first plan is the first replan's
+    assert result.planless and result.plans[0].seed == plan_seed(result.seed, 1)
+    enc = world.encode_context(ctx)
+    assert row.fidelity == metrics.fidelity(world, ctx, hallucinate(cvae, enc, m, result.plans[0].seed))
+    assert report.aggregates()["htm"]["no_plan_rate"] == 0.0

@@ -1,0 +1,39 @@
+import ast
+import pathlib
+
+import pytest
+
+import htmem
+
+MODULES = sorted(pathlib.Path(htmem.__file__).parent.glob("*.py"))
+
+
+def unused_imports(source: str) -> list:
+    """Names a module imports and never reads as a name, skipping
+    ``from __future__`` and imports whose first line says ``# noqa: F401``."""
+    tree = ast.parse(source)
+    lines = source.splitlines()
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    unused = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if not isinstance(node, (ast.Import, ast.ImportFrom)):
+            continue
+        if "# noqa: F401" in lines[node.lineno - 1]:
+            continue
+        for alias in node.names:
+            name = alias.asname or alias.name.split(".")[0]
+            if name not in used:
+                unused.append(f"line {node.lineno}: {name}")
+    return unused
+
+
+def test_the_scan_finds_an_unused_import():
+    assert unused_imports("import math\nimport os\nprint(math.pi)\n") == ["line 2: os"]
+    assert unused_imports("import os  # noqa: F401\n") == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_every_import_is_used(path):
+    assert unused_imports(path.read_text()) == []

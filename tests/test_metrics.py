@@ -122,6 +122,8 @@ def sample_report():
         TaskRow(1, "htm", "normalized", False, 500, 1.2, 0.7, False, 0.9, 2),
         TaskRow(0, "inverse_only", "", False, 500, 1.9, None, None, None, 3),
         TaskRow(1, "inverse_only", "", True, 80, 0.4, None, None, None, 4),
+        # a planner run whose every planning attempt found no path
+        TaskRow(0, "sptm", "sptm_threshold", False, 500, 1.5, None, None, None, 5),
     ]
     return MetricsReport(rows, {"config_hash": "deadbeef", "seed": 0})
 
@@ -137,6 +139,12 @@ def test_report_aggregates_recomputable_from_rows():
     agg = rep.aggregates()
     assert agg["inverse_only"]["success_rate"] == 0.5
     assert "mean_fidelity" not in agg["inverse_only"]
+    assert agg["htm"]["success_interval"] == wilson_interval(1, 2)
+    assert agg["sptm"]["success_interval"] == wilson_interval(0, 1)
+    assert agg["htm"]["no_plan_rate"] == 0.0
+    assert agg["sptm"]["no_plan_rate"] == 1.0
+    assert math.isnan(agg["sptm"]["mean_feasibility"])
+    assert "no_plan_rate" not in agg["inverse_only"]
 
 
 def test_report_json_shape(tmp_path):
@@ -147,7 +155,20 @@ def test_report_json_shape(tmp_path):
     payload = json.loads(json_path.read_text())
     assert payload["metadata"]["config_hash"] == "deadbeef"
     assert payload["aggregates"]["htm"]["tasks"] == 2
-    assert len(payload["rows"]) == 4
+    assert len(payload["rows"]) == 5
+    assert payload["aggregates"]["htm"]["success_interval"] == list(wilson_interval(1, 2))
+    assert payload["rows"][4] == {
+        "task_id": 0,
+        "method": "sptm",
+        "scheme": "sptm_threshold",
+        "success": False,
+        "steps": 500,
+        "final_distance": 1.5,
+        "feasibility": None,
+        "completeness": None,
+        "fidelity": None,
+        "seed": 5,
+    }
 
 
 def test_report_deterministic_bytes(tmp_path):

@@ -46,7 +46,7 @@ def test_fit_frees_each_tape_after_its_step(no_cyclic_gc):
     def loss(tape):
         alive.append(live_tapes())
         diff = ad.sub(tape.watch(w), np.ones(3))
-        return ad.sum_all(ad.mul(diff, diff))
+        return ad.sum_axis(ad.mul(diff, diff), 0)
 
     def steps(epoch):
         for _ in range(10):

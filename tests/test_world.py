@@ -41,7 +41,7 @@ def flood_fill_connected(world, ctx, cell=0.04):
     centers = (np.arange(k) + 0.5) * (s / k)
     free = np.array(
         [
-            [world.state_valid(ctx, AgentState(x, y, world.spec.agent_radius)) for x in centers]
+            [world.state_valid(ctx, AgentState(x, y)) for x in centers]
             for y in centers
         ]
     )
@@ -287,7 +287,7 @@ def test_observe_raster_marks_exactly_overlapped_cells():
         for j in range(g):
             dx = max(edges[j] - st.x, st.x - edges[j + 1], 0.0)
             dy = max(edges[i] - st.y, st.y - edges[i + 1], 0.0)
-            overlaps = math.hypot(dx, dy) < st.radius
+            overlaps = math.hypot(dx, dy) < world.spec.agent_radius
             assert (grid[i, j] > 0) == overlaps
     assert np.all((obs >= 0) & (obs <= 1))
 
@@ -461,9 +461,21 @@ def test_observe_raster_equals_per_cell_loop():
     points += [(e + r, f - r) for e in edges[:-1] for f in edges[1:]]
     points += [(a, b) for a in (r, s - r) for b in (r, s - r, 1.3)]
     for x, y in points:
-        got = world.observe(ctx, AgentState(x, y, r))
+        got = world.observe(ctx, AgentState(x, y))
         assert np.array_equal(got, raster_disc_loop(s, g, x, y, r)), (x, y)
 
+
+
+def test_states_take_their_radius_from_the_world_spec():
+    world = make_world(mode="raster", agent_radius=0.2)
+    ctx = one_wall_context(world)  # left face at x = 1.32
+    st = AgentState(1.04, 0.5)
+    # the move ends 0.18 from the wall: clear for 0.15, blocked for 0.2
+    assert world.step(ctx, st, (0.1, 0.0)) is st
+    assert not world.state_valid(ctx, AgentState(1.14, 0.5))
+    assert world.state_valid(ctx, AgentState(1.1, 0.5))
+    got = world.observe(ctx, st)
+    assert np.array_equal(got, raster_disc_loop(2.8, world.spec.raster_size, 1.04, 0.5, 0.2))
 
 def test_encode_context_raster_equals_per_cell_loop():
     world = make_world(mode="raster", n_walls=(1, 2))
@@ -485,7 +497,7 @@ def test_positions_valid_equals_state_valid():
         ctx = world.generate_context(seed)
         centers = (np.arange(56) + 0.5) * (2.8 / 56)
         mask = world.positions_valid(ctx, centers[None, :], centers[:, None])
-        want = [[world.state_valid(ctx, AgentState(x, y, r)) for x in centers] for y in centers]
+        want = [[world.state_valid(ctx, AgentState(x, y)) for x in centers] for y in centers]
         assert np.array_equal(mask, np.array(want))
 
     # points on the circle of radius r about a wall corner: np.hypot alone
@@ -498,7 +510,7 @@ def test_positions_valid_equals_state_valid():
     dx, dy = np.abs(x - w.cx) - w.half_w, np.abs(y - w.cy) - w.half_h
     misjudged = [i for i, (a, b) in enumerate(zip(dx, dy)) if (np.hypot(a, b) >= r) != (math.hypot(a, b) >= r)]
     assert misjudged
-    want = [world.state_valid(ctx, AgentState(a, b, r)) for a, b in zip(x, y)]
+    want = [world.state_valid(ctx, AgentState(a, b)) for a, b in zip(x, y)]
     assert np.array_equal(world.positions_valid(ctx, x, y), want)
     for i in misjudged[:20]:
         assert bool(world.positions_valid(ctx, x[i], y[i])) == want[i]
@@ -517,9 +529,9 @@ def test_positions_valid_equals_state_valid():
     ]
     px, py = np.array(points).T
     got = world.positions_valid(ctx, px, py)
-    want = [world.state_valid(ctx, AgentState(a, b, r)) for a, b in points]
+    want = [world.state_valid(ctx, AgentState(a, b)) for a, b in points]
     assert np.array_equal(got, want)
-    assert all(world.state_valid(ctx, AgentState(a, b, r)) for a, b in exact)
+    assert all(world.state_valid(ctx, AgentState(a, b)) for a, b in exact)
     for (a, b), v in zip(points, want):
         got = world.positions_valid(ctx, a, b)
         assert got.shape == () and bool(got) == v, (a, b)
@@ -559,7 +571,7 @@ def test_step_and_swept_free_decide_by_segment_distance():
         a = np.clip(np.asarray(action, dtype=float), -a_max, a_max)
         p1 = (p0[0] + a[0], p0[1] + a[1])
         clear = all(segment_rect_distance(p0, p1, w) >= r for w in ctx.walls)
-        st = AgentState(p0[0], p0[1], r)
+        st = AgentState(p0[0], p0[1])
         out = world.step(ctx, st, action)
         assert (out is not st) == (in_arena(p1) and clear), (p0, action)
         if out is not st:
@@ -607,7 +619,7 @@ def check_move(world, ctx, p0, action):
         return r <= p[0] <= s - r and r <= p[1] <= s - r
 
     clear = in_arena(p1) and all(segment_rect_distance(p0, p1, w) >= r for w in ctx.walls)
-    st = AgentState(p0[0], p0[1], r)
+    st = AgentState(p0[0], p0[1])
     out = world.step(ctx, st, action)
     assert (out is not st) == clear, (p0, action)
     if clear:
