@@ -6,7 +6,9 @@ float64 numpy arrays of any shape; a loss must be a scalar. Parameter arrays
 are bound to a tape with ``Tape.watch`` so that repeated use of the same
 array accumulates into a single gradient. A tape's owner calls
 ``Tape.release`` once it has read the gradients, so that the recorded
-arrays are freed then and not by the cyclic garbage collector.
+arrays are freed then and not by the cyclic garbage collector. Losses
+record on the tape they are given; ``evaluate`` reads a loss's value on a
+tape of its own and releases it.
 
 Also hosts the small-MLP container, the adaptive-moment optimizer and the
 training loop every learned model uses, the finite-difference gradient
@@ -400,13 +402,6 @@ class MlpParams:
             out.append(b)
         return out
 
-    def copy(self) -> "MlpParams":
-        return MlpParams(
-            [w.copy() for w in self.weights],
-            [b.copy() for b in self.biases],
-            self.activation,
-        )
-
 
 def mlp_init(sizes, activation="relu", seed=0) -> MlpParams:
     """Uniform fan-in init for weights, zero biases."""
@@ -526,6 +521,18 @@ def adam_step(params, grads, state: OptimizerState) -> OptimizerState:
     return state
 
 
+def evaluate(build):
+    """Value of ``build(tape)`` on a fresh tape, which is released before
+    this returns: the float of the returned node, or a tuple of floats when
+    it returns a tuple of nodes."""
+    tape = Tape()
+    out = build(tape)
+    tape.release()
+    if isinstance(out, tuple):
+        return tuple(float(node.value) for node in out)
+    return float(out.value)
+
+
 def _train_step(build_loss, params, opt: OptimizerState) -> float:
     """One optimizer step on a fresh tape; the tape and everything it
     recorded are freed on return."""
@@ -593,11 +600,12 @@ def grad_check(build_loss, params, delta=1e-5, tol=1e-4) -> GradCheckReport:
 
     ``build_loss(tape)`` must rebuild the loss deterministically and bind
     the arrays in ``params`` via ``tape.watch`` (model loss functions do).
+    Every tape the check builds is released before it returns.
     """
     tape = Tape()
-    loss = build_loss(tape)
-    tape.backward(loss)
+    tape.backward(build_loss(tape))
     analytic = [tape.grad(p).copy() for p in params]
+    tape.release()
 
     per_param = []
     for arr, grad in zip(params, analytic):
@@ -606,9 +614,9 @@ def grad_check(build_loss, params, delta=1e-5, tol=1e-4) -> GradCheckReport:
         for i in range(flat.size):
             orig = flat[i]
             flat[i] = orig + delta
-            up = float(build_loss(Tape()).value)
+            up = evaluate(build_loss)
             flat[i] = orig - delta
-            down = float(build_loss(Tape()).value)
+            down = evaluate(build_loss)
             flat[i] = orig
             fd[i] = (up - down) / (2.0 * delta)
         fd = fd.reshape(arr.shape)

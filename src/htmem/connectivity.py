@@ -242,7 +242,7 @@ def sample_sptm_batch(stack: ContextStack, cfg: SptmConfig, seed: int) -> SptmBa
 # losses
 
 
-def cpc_loss(model: ConnectivityModel, batch: CpcBatch, tape: Tape | None = None):
+def cpc_loss(model: ConnectivityModel, batch: CpcBatch, tape: Tape):
     """Softmax cross-entropy of picking the true successor among the
     candidate set, averaged over anchors; log-sum-exp keeps it overflow-free.
     Equals ln(n_candidates) exactly at the zero-bilinear initialization."""
@@ -250,38 +250,25 @@ def cpc_loss(model: ConnectivityModel, batch: CpcBatch, tape: Tape | None = None
     if b == 0:
         raise ValueError("empty batch")
     cands = np.concatenate([batch.positives[:, None, :], batch.negatives], axis=1)
-
-    own_tape = tape is None
-    t = Tape() if own_tape else tape
-    za = mlp_apply(model.encoder, batch.anchors, t, context=batch.contexts)
-    zc = mlp_apply(model.encoder, cands, t, context=batch.contexts)  # (b, n, d)
-    proj = ad.matmul(za, ad.transpose(t.watch(model.bilinear)))  # rows W @ z_anchor
+    za = mlp_apply(model.encoder, batch.anchors, tape, context=batch.contexts)
+    zc = mlp_apply(model.encoder, cands, tape, context=batch.contexts)  # (b, n, d)
+    proj = ad.matmul(za, ad.transpose(tape.watch(model.bilinear)))  # rows W @ z_anchor
     logits = ad.sum_axis(ad.mul(zc, ad.reshape(proj, (b, 1, model.d))), -1)
     pos = ad.reshape(ad.slice_cols(logits, 0, 1), (-1,))
-    loss = ad.mean_all(ad.sub(ad.logsumexp(logits), pos))
-    if own_tape:
-        t.release()
-        return float(loss.value)
-    return loss
+    return ad.mean_all(ad.sub(ad.logsumexp(logits), pos))
 
 
-def sptm_bce_loss(model: ConnectivityModel, batch: SptmBatch, tape: Tape | None = None):
+def sptm_bce_loss(model: ConnectivityModel, batch: SptmBatch, tape: Tape):
     """Mean binary cross-entropy of sigmoid(logit) against the near/far
     labels, in the numerically safe softplus form."""
     if len(batch) == 0:
         raise ValueError("empty batch")
-    own_tape = tape is None
-    t = Tape() if own_tape else tape
-    z_from = mlp_apply(model.encoder, batch.from_obs, t, context=batch.contexts)
-    z_to = mlp_apply(model.encoder, batch.to_obs, t, context=batch.contexts)
-    proj = ad.matmul(z_from, ad.transpose(t.watch(model.bilinear)))
+    z_from = mlp_apply(model.encoder, batch.from_obs, tape, context=batch.contexts)
+    z_to = mlp_apply(model.encoder, batch.to_obs, tape, context=batch.contexts)
+    proj = ad.matmul(z_from, ad.transpose(tape.watch(model.bilinear)))
     logits = ad.sum_axis(ad.mul(z_to, proj), -1)
     # bce(y, x) = softplus(x) - y * x
-    loss = ad.mean_all(ad.sub(ad.softplus(logits), ad.mul(logits, t.leaf(batch.labels))))
-    if own_tape:
-        t.release()
-        return float(loss.value)
-    return loss
+    return ad.mean_all(ad.sub(ad.softplus(logits), ad.mul(logits, tape.leaf(batch.labels))))
 
 
 # ---------------------------------------------------------------------------
@@ -301,7 +288,8 @@ def _train_scorer(model, dataset, world, cfg, sample_fn, loss_fn, hallucinations
             yield lambda tape: loss_fn(model, batch, tape)
 
     def validate():
-        return {"val_loss": float(np.mean([loss_fn(model, b) for b in val_batches]))}
+        losses = [ad.evaluate(lambda tape: loss_fn(model, b, tape)) for b in val_batches]
+        return {"val_loss": float(np.mean(losses))}
 
     return fit(model, cfg.epochs, steps, validate, cfg.lr, label)
 

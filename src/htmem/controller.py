@@ -3,9 +3,10 @@
 The policy maps (current, target, context) to a bounded action and is
 trained on one-step transitions with squared action error. The executor
 pursues each plan node for a bounded number of steps, replans on a global
-step period, and falls back to direct goal pursuit when planning yields no
-path (the run is then marked planless). The same fallback doubles as the
-inverse-model-only baseline.
+step period, and falls back to direct goal pursuit when it has no plan.
+Run without a planning config, that fallback is the inverse-model-only
+baseline; a run is marked planless when it had no planner or when a
+planning attempt found no path.
 """
 
 from __future__ import annotations
@@ -78,18 +79,12 @@ def infer_action(model: InverseModel, o_current, o_target, ctx) -> np.ndarray:
     return model.a_max * np.tanh(mlp_apply(model.net, x, context=np.ravel(ctx)))
 
 
-def inverse_loss(model: InverseModel, obs, targets, ctx, actions, tape: Tape | None = None):
+def inverse_loss(model: InverseModel, obs, targets, ctx, actions, tape: Tape):
     """Mean squared error between predicted and logged actions."""
-    own_tape = tape is None
-    t = Tape() if own_tape else tape
-    raw = mlp_apply(model.net, np.concatenate([obs, targets], axis=1), t, context=ctx)
+    raw = mlp_apply(model.net, np.concatenate([obs, targets], axis=1), tape, context=ctx)
     pred = ad.mul(ad.tanh(raw), model.a_max)
-    diff = ad.sub(pred, t.leaf(actions))
-    loss = ad.mean_all(ad.sum_axis(ad.mul(diff, diff), -1))
-    if own_tape:
-        t.release()
-        return float(loss.value)
-    return loss
+    diff = ad.sub(pred, tape.leaf(actions))
+    return ad.mean_all(ad.sum_axis(ad.mul(diff, diff), -1))
 
 
 def _transitions(stack: ContextStack):
@@ -119,7 +114,7 @@ def train_inverse(dataset: TransitionDataset, world: BlockWorld, cfg: InverseCon
             yield lambda tape: inverse_loss(model, x[idx], tgt[idx], ctx[idx], act[idx], tape)
 
     def validate():
-        return {"val_loss": inverse_loss(model, xv, tv, cv, av)}
+        return {"val_loss": ad.evaluate(lambda tape: inverse_loss(model, xv, tv, cv, av, tape))}
 
     return fit(model, cfg.epochs, steps, validate, cfg.lr, "inverse")
 
@@ -165,15 +160,17 @@ def execute(
     world: BlockWorld,
     task: Task,
     models: ModelBundle,
-    plan_cfg: PlanningConfig,
+    plan_cfg: PlanningConfig | None,
     exec_cfg: ExecutionConfig,
     seed: int,
-    use_planner: bool = True,
 ) -> ExecutionResult:
     """Closed-loop run: plan, pursue waypoints, replan every ``r`` steps.
 
-    With ``use_planner=False`` the goal is pursued directly (the
-    inverse-model-only baseline); the result is marked planless.
+    A plan is tried at step 0 and at every ``r``-th step after it, attempt
+    ``steps // r`` drawing from ``plan_seed(seed, steps // r)``. Without a
+    plan the goal is pursued directly: a ``plan_cfg`` of None is the
+    inverse-model-only baseline. The result is planless when there is no
+    planner, or when an attempt found no path.
     """
     ctx = task.context
     ctx_enc = world.encode_context(ctx)
@@ -183,52 +180,39 @@ def execute(
     state = task.start
     trace = [np.array([state.x, state.y])]
     plans: list = []
-    planless = not use_planner
-    replans = 0
+    planless = plan_cfg is None
     steps = 0
     plan = None
-    plan_attempts = 0
     wp_idx = 0
     steps_on_wp = 0
 
     def distance():
         return math.hypot(state.x - goal[0], state.y - goal[1])
 
-    def make_plan():
-        nonlocal plan, plan_attempts, wp_idx, steps_on_wp, planless
-        try:
-            plan, _ = plan_end_to_end(
-                ctx_enc,
-                world.observe(ctx, state),
-                goal_obs,
-                models.cvae,
-                models.scorer,
-                plan_cfg,
-                plan_seed(seed, plan_attempts),
-            )
-            plans.append(plan)
-            wp_idx = 1 if len(plan) > 1 else 0
-            steps_on_wp = 0
-        except NoPathError:
-            plan = None
-            planless = True
-        plan_attempts += 1
-
-    success = distance() <= exec_cfg.tau
-    while not success and steps < exec_cfg.n:
-        if use_planner:
-            boundary = steps > 0 and steps % exec_cfg.r == 0
-            if boundary:
-                replans += 1
-            if boundary or plan_attempts == 0:
-                make_plan()
+    while distance() > exec_cfg.tau and steps < exec_cfg.n:
+        if plan_cfg is not None and steps % exec_cfg.r == 0:
+            try:
+                plan, _ = plan_end_to_end(
+                    ctx_enc,
+                    world.observe(ctx, state),
+                    goal_obs,
+                    models.cvae,
+                    models.scorer,
+                    plan_cfg,
+                    plan_seed(seed, steps // exec_cfg.r),
+                )
+                plans.append(plan)
+                wp_idx = 1 if len(plan) > 1 else 0
+                steps_on_wp = 0
+            except NoPathError:
+                plan = None
+                planless = True
         target_obs = plan.observations[wp_idx] if plan is not None else goal_obs
         action = infer_action(models.inverse, world.observe(ctx, state), target_obs, ctx_enc)
         state = world.step(ctx, state, action)
         steps += 1
         trace.append(np.array([state.x, state.y]))
         if distance() <= exec_cfg.tau:
-            success = True
             break
         if plan is not None and wp_idx < len(plan) - 1:
             steps_on_wp += 1
@@ -238,10 +222,10 @@ def execute(
                 wp_idx += 1
                 steps_on_wp = 0
     return ExecutionResult(
-        success=success,
+        success=distance() <= exec_cfg.tau,
         steps=steps,
         final_distance=distance(),
-        replan_count=replans,
+        replan_count=(steps - 1) // exec_cfg.r if plan_cfg is not None and steps else 0,
         planless=planless,
         state_trace=np.array(trace),
         plans=plans,

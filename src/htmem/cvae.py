@@ -79,15 +79,15 @@ def cvae_init(obs_dim, ctx_dim, cfg: CvaeConfig) -> CvaeModel:
     )
 
 
-def cvae_elbo(model: CvaeModel, obs, ctx, noise_seed: int, beta=1.0, tape: Tape | None = None):
-    """Negative evidence lower bound for a batch.
+def cvae_elbo(model: CvaeModel, obs, ctx, noise_seed: int, tape: Tape, beta=1.0):
+    """Negative evidence lower bound for a batch, recorded on ``tape``.
 
     Reconstruction is the batch mean of per-sample squared error summed over
     observation entries (unit decoder variance); the KL of the diagonal
-    Gaussian posterior against N(0, I) is closed form. Returns
-    (total, reconstruction, kl) as floats, or as tape nodes when recording.
-    Reparameterization noise is drawn from ``noise_seed`` so a fixed seed
-    freezes the estimate.
+    Gaussian posterior against N(0, I) is closed form. Returns the scalar
+    nodes (total, reconstruction, kl), with total = reconstruction +
+    beta * kl; ``ad.evaluate`` turns them into floats. Reparameterization
+    noise is drawn from ``noise_seed`` so a fixed seed freezes the estimate.
     """
     obs = np.atleast_2d(np.asarray(obs, dtype=float))
     ctx = np.atleast_2d(np.asarray(ctx, dtype=float))
@@ -101,23 +101,17 @@ def cvae_elbo(model: CvaeModel, obs, ctx, noise_seed: int, beta=1.0, tape: Tape 
     n = obs.shape[0]
     eps = np.random.default_rng(noise_seed).standard_normal((n, model.d_z))
 
-    own_tape = tape is None
-    t = Tape() if own_tape else tape
-    enc_out = mlp_apply(model.encoder, obs, t, context=ctx)
+    enc_out = mlp_apply(model.encoder, obs, tape, context=ctx)
     mu = ad.slice_cols(enc_out, 0, model.d_z)
     logvar = ad.slice_cols(enc_out, model.d_z, 2 * model.d_z)
-    z = ad.add(mu, ad.mul(ad.exp(ad.mul(logvar, 0.5)), t.leaf(eps)))
-    recon_mean = mlp_apply(model.decoder, z, t, context=ctx)
+    z = ad.add(mu, ad.mul(ad.exp(ad.mul(logvar, 0.5)), tape.leaf(eps)))
+    recon_mean = mlp_apply(model.decoder, z, tape, context=ctx)
 
-    diff = ad.sub(recon_mean, t.leaf(obs))
+    diff = ad.sub(recon_mean, tape.leaf(obs))
     recon = ad.mean_all(ad.sum_axis(ad.mul(diff, diff), -1))
     kl_inner = ad.sub(ad.add(ad.mul(mu, mu), ad.exp(logvar)), ad.add(logvar, 1.0))
     kl = ad.mean_all(ad.mul(ad.sum_axis(kl_inner, -1), 0.5))
-    total = ad.add(recon, ad.mul(kl, float(beta)))
-    if own_tape:
-        t.release()
-        return float(total.value), float(recon.value), float(kl.value)
-    return total, recon, kl
+    return ad.add(recon, ad.mul(kl, float(beta))), recon, kl
 
 
 def _rows(stack: ContextStack):
@@ -144,11 +138,13 @@ def train_cvae(dataset: TransitionDataset, world: BlockWorld, cfg: CvaeConfig) -
             idx = perm[start : start + cfg.batch_size]
             noise_seed = derived_seed(cfg.seed, "noise", epoch, batch)
             yield lambda tape: cvae_elbo(
-                model, x_train[idx], c_train[idx], noise_seed, cfg.beta, tape
+                model, x_train[idx], c_train[idx], noise_seed, tape, cfg.beta
             )[0]
 
     def validate():
-        total, recon, kl = cvae_elbo(model, x_val, c_val, val_seed, cfg.beta)
+        total, recon, kl = ad.evaluate(
+            lambda tape: cvae_elbo(model, x_val, c_val, val_seed, tape, cfg.beta)
+        )
         return {"val_loss": total, "val_recon": recon, "val_kl": kl}
 
     return fit(model, cfg.epochs, steps, validate, cfg.lr, "cvae")

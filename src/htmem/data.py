@@ -48,10 +48,6 @@ class TransitionDataset:
                 return c
         raise KeyError(f"unknown context id {cid}")
 
-    @property
-    def n_transitions(self) -> int:
-        return sum(len(t) for ts in self.trajectories.values() for t in ts)
-
 
 def collect_dataset(world: BlockWorld, cfg: DataConfig) -> TransitionDataset:
     """Random-exploration dataset over freshly generated contexts.

@@ -113,42 +113,30 @@ class MetricsReport:
     def rows_for(self, method: str):
         return [r for r in self.rows if r.method == method]
 
-    def success_rate(self, method: str) -> float:
-        rows = self.rows_for(method)
-        return sum(r.success for r in rows) / len(rows)
-
-    def mean_final_distance(self, method: str):
-        d = [r.final_distance for r in self.rows_for(method)]
-        return float(np.mean(d)), float(np.std(d))
-
-    def mean_feasibility(self, method: str) -> float:
-        vals = [r.feasibility for r in self.rows_for(method) if r.feasibility is not None]
-        return float(np.mean(vals)) if vals else float("nan")
-
-    def completeness_rate(self, method: str) -> float:
-        vals = [r.completeness for r in self.rows_for(method) if r.completeness is not None]
-        return float(np.mean(vals)) if vals else float("nan")
-
     def aggregates(self) -> dict:
         out = {}
         for method in self.methods():
-            mean_d, std_d = self.mean_final_distance(method)
             rows = self.rows_for(method)
+            n = len(rows)
+            successes = sum(r.success for r in rows)
+            distances = [r.final_distance for r in rows]
+            feas = [r.feasibility for r in rows if r.feasibility is not None]
+            comp = [r.completeness for r in rows if r.completeness is not None]
+            fid = [r.fidelity for r in rows if r.fidelity is not None]
             out[method] = {
-                "tasks": len(rows),
-                "success_rate": self.success_rate(method),
-                "success_interval": wilson_interval(sum(r.success for r in rows), len(rows)),
-                "mean_final_distance": mean_d,
-                "std_final_distance": std_d,
-                "mean_feasibility": self.mean_feasibility(method),
-                "completeness_rate": self.completeness_rate(method),
+                "tasks": n,
+                "success_rate": successes / n,
+                "success_interval": wilson_interval(successes, n),
+                "mean_final_distance": float(np.mean(distances)),
+                "std_final_distance": float(np.std(distances)),
+                "mean_feasibility": float(np.mean(feas)) if feas else float("nan"),
+                "completeness_rate": float(np.mean(comp)) if comp else float("nan"),
             }
             # a planner run without a first plan has no plan metrics
             if rows[0].scheme:
-                out[method]["no_plan_rate"] = sum(r.feasibility is None for r in rows) / len(rows)
-            fid_rows = [r.fidelity for r in rows if r.fidelity is not None]
-            if fid_rows:
-                out[method]["mean_fidelity"] = float(np.mean(fid_rows))
+                out[method]["no_plan_rate"] = (n - len(feas)) / n
+            if fid:
+                out[method]["mean_fidelity"] = float(np.mean(fid))
         return out
 
     def to_json(self, path) -> None:
@@ -198,13 +186,10 @@ def run_benchmark(
     """
     rows = []
     for method, (bundle, scheme) in bundles.items():
-        use_planner = scheme is not None
-        cfg = replace(plan_cfg, scheme=scheme) if use_planner else plan_cfg
+        cfg = replace(plan_cfg, scheme=scheme) if scheme else None
         for task_id, task in enumerate(tasks):
             task_seed = derived_seed(seed, method, task_id)
-            result = execute(
-                world, task, bundle, cfg, exec_cfg, task_seed, use_planner=use_planner
-            )
+            result = execute(world, task, bundle, cfg, exec_cfg, task_seed)
             feas = comp = fid = None
             if result.plans:
                 first = result.plans[0]

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from htmem.autodiff import MlpParams, grad_check, sigmoid
+from htmem.autodiff import MlpParams, evaluate, grad_check, sigmoid
 from htmem.connectivity import (
     ConnectivityModel,
     CpcBatch,
@@ -32,6 +32,10 @@ def identity_scorer(d=4, w=None, negative_offset=None):
     encoder = MlpParams([np.eye(d)], [np.zeros(d)], "identity")
     w = np.zeros((d, d)) if w is None else w
     return ConnectivityModel(encoder, w, 2, 2, d, 5, negative_offset)
+
+
+def loss_value(loss_fn, model, batch) -> float:
+    return evaluate(lambda tape: loss_fn(model, batch, tape))
 
 
 def make_cpc_batch(anchors, positives, negatives, ctx_dim=2):
@@ -134,7 +138,7 @@ def test_cpc_loss_uniform_logits_equals_log_n():
     batch = make_cpc_batch(
         rng.uniform(size=(5, 2)), rng.uniform(size=(5, 2)), rng.uniform(size=(5, 7, 2))
     )
-    assert cpc_loss(model, batch) == pytest.approx(math.log(8), abs=1e-12)
+    assert loss_value(cpc_loss, model, batch) == pytest.approx(math.log(8), abs=1e-12)
 
 
 def test_cpc_loss_saturated_positive_is_near_zero():
@@ -144,7 +148,7 @@ def test_cpc_loss_saturated_positive_is_near_zero():
     anchors = np.tile([1.0, 0.0], (3, 1))
     positives = np.tile([1.0, 0.0], (3, 1))
     negatives = np.tile([0.0, 1.0], (3, 15, 1))
-    loss = cpc_loss(model, make_cpc_batch(anchors, positives, negatives))
+    loss = loss_value(cpc_loss, model, make_cpc_batch(anchors, positives, negatives))
     assert loss < 1e-12
 
 
@@ -169,7 +173,7 @@ def test_cpc_loss_matches_hand_softmax_cross_entropy():
         expected += (m + math.log(np.exp(logits - m).sum())) - logits[0]
     expected /= 2.0
 
-    got = cpc_loss(model, make_cpc_batch(anchors, positives, negatives))
+    got = loss_value(cpc_loss, model, make_cpc_batch(anchors, positives, negatives))
     assert got == pytest.approx(expected, abs=1e-12)
 
 
@@ -177,7 +181,7 @@ def test_cpc_loss_empty_batch_raises():
     model = identity_scorer()
     empty = make_cpc_batch(np.zeros((0, 2)), np.zeros((0, 2)), np.zeros((0, 3, 2)))
     with pytest.raises(ValueError):
-        cpc_loss(model, empty)
+        loss_value(cpc_loss, model, empty)
 
 
 def test_cpc_loss_gradients_pass_fd_check():
@@ -202,7 +206,7 @@ def test_cpc_loss_finite_for_extreme_logits():
     anchors = np.tile([1.0, 1.0], (2, 1))
     positives = np.tile([1.0, 1.0], (2, 1))
     negatives = np.tile([1.0, 0.0], (2, 6, 1))
-    loss = cpc_loss(model, make_cpc_batch(anchors, positives, negatives))
+    loss = loss_value(cpc_loss, model, make_cpc_batch(anchors, positives, negatives))
     assert np.isfinite(loss) and loss >= 0.0
 
 
@@ -360,7 +364,7 @@ def test_sptm_loss_zero_logits_is_log_two():
         np.zeros((8, 2)),
         np.zeros(8, dtype=bool),
     )
-    assert sptm_bce_loss(model, batch) == pytest.approx(math.log(2), abs=1e-12)
+    assert loss_value(sptm_bce_loss, model, batch) == pytest.approx(math.log(2), abs=1e-12)
 
 
 def test_sptm_loss_matches_hand_bce():
@@ -380,7 +384,7 @@ def test_sptm_loss_matches_hand_bce():
     expected /= 4.0
 
     batch = SptmBatch(from_obs, to_obs, labels, ctx, np.zeros(4, dtype=bool))
-    assert sptm_bce_loss(model, batch) == pytest.approx(expected, abs=1e-12)
+    assert loss_value(sptm_bce_loss, model, batch) == pytest.approx(expected, abs=1e-12)
 
 
 def test_sptm_loss_gradients_pass_fd_check():

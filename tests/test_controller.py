@@ -167,20 +167,18 @@ def test_execute_immediate_success_zero_steps():
 def test_execute_respects_step_budget_and_replan_accounting():
     world = BlockWorld(WorldSpec())
     cvae, scorer, _ = stub_bundle(world)
-    # inverse model that always pushes into the wall: run exhausts the budget
+    # inverse model that always pushes right at full speed
     stuck = inverse_init(2, world.ctx_dim, world.spec.a_max, InverseConfig(hidden=(4,), seed=9))
     for w in stuck.net.weights:
         w[...] = 0.0
     stuck.net.biases[-1][...] = [50.0, 0.0]  # tanh -> full push right
+    bundle = ModelBundle(cvae, scorer, stuck)
+
+    # into the wall: the run exhausts the budget
     ctx = walled_context()
     task = Task(ctx, AgentState(1.1, 0.5), AgentState(2.4, 0.5))
     res = execute(
-        world,
-        task,
-        ModelBundle(cvae, scorer, stuck),
-        PlanningConfig(m_samples=4),
-        ExecutionConfig(n=10, r=4),
-        seed=1,
+        world, task, bundle, PlanningConfig(m_samples=4), ExecutionConfig(n=10, r=4), seed=1
     )
     assert not res.success
     assert res.steps == 10
@@ -190,6 +188,18 @@ def test_execute_respects_step_budget_and_replan_accounting():
     # all visited states stay valid under the dynamics
     for x, y in res.state_trace:
         assert world.state_valid(ctx, AgentState(x, y))
+
+    # open arena: 1.95 away at 0.1 per step, the run succeeds at step 15,
+    # three steps into the fourth replanning period
+    task = Task(free_context(), AgentState(0.45, 0.5), AgentState(2.4, 0.5))
+    res = execute(
+        world, task, bundle, PlanningConfig(m_samples=4), ExecutionConfig(n=20, r=4), seed=1
+    )
+    assert res.success and not res.planless
+    assert res.steps == 15
+    assert res.replan_count == (res.steps - 1) // 4 == 3
+    assert len(res.plans) == res.replan_count + 1
+    assert [p.seed for p in res.plans] == [plan_seed(1, k) for k in range(4)]
 
 
 def test_execute_success_consistency_flag():
@@ -215,10 +225,9 @@ def test_execute_baseline_is_planless():
         world,
         task,
         ModelBundle(cvae, scorer, inverse),
-        PlanningConfig(m_samples=0),
+        None,
         ExecutionConfig(n=5),
         seed=3,
-        use_planner=False,
     )
     assert res.planless
     assert res.plans == []

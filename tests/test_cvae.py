@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from htmem.autodiff import ShapeError, grad_check, mlp_apply, mlp_init
+from htmem.autodiff import ShapeError, evaluate, grad_check, mlp_apply, mlp_init
 from htmem.cvae import (
     CvaeConfig,
     CvaeModel,
@@ -21,6 +21,11 @@ def tiny_model(obs_dim=2, ctx_dim=4, d_z=3, seed=0):
     return cvae_init(obs_dim, ctx_dim, cfg)
 
 
+def elbo(model, obs, ctx, noise_seed):
+    """(total, reconstruction, kl) as floats."""
+    return evaluate(lambda tape: cvae_elbo(model, obs, ctx, noise_seed, tape))
+
+
 def tiny_dataset():
     world = BlockWorld(WorldSpec(max_walls=1))
     cfg = DataConfig(
@@ -34,7 +39,7 @@ def test_prior_matched_posterior_gives_zero_kl():
     # zero encoder output => mu = 0, log var = 0 => KL = 0
     for w in model.encoder.weights:
         w[...] = 0.0
-    _, _, kl = cvae_elbo(model, np.random.rand(5, 2), np.random.rand(5, 4), noise_seed=1)
+    _, _, kl = elbo(model, np.random.rand(5, 2), np.random.rand(5, 4), noise_seed=1)
     assert kl == pytest.approx(0.0, abs=1e-15)
 
 
@@ -46,7 +51,7 @@ def test_perfect_reconstruction_gives_zero_recon():
         w[...] = 0.0
     model.decoder.biases[-1][...] = 0.25
     obs = np.full((6, 2), 0.25)
-    _, recon, _ = cvae_elbo(model, obs, np.random.rand(6, 4), noise_seed=2)
+    _, recon, _ = elbo(model, obs, np.random.rand(6, 4), noise_seed=2)
     assert recon == pytest.approx(0.0, abs=1e-15)
 
 
@@ -55,7 +60,7 @@ def test_closed_form_kl_matches_monte_carlo():
     rng = np.random.default_rng(4)
     obs = rng.uniform(size=(4, 2))
     ctx = rng.uniform(size=(4, 4))
-    _, _, kl = cvae_elbo(model, obs, ctx, noise_seed=0)
+    _, _, kl = elbo(model, obs, ctx, noise_seed=0)
 
     # independent MC oracle: E_q[log q(z) - log p(z)] per sample
     enc_out = mlp_apply(model.encoder, np.concatenate([obs, ctx], axis=1))
@@ -75,7 +80,7 @@ def test_kl_nonnegative_on_random_models():
     rng = np.random.default_rng(8)
     for trial in range(10):
         model = tiny_model(seed=trial)
-        _, _, kl = cvae_elbo(
+        _, _, kl = elbo(
             model, rng.uniform(size=(3, 2)), rng.uniform(size=(3, 4)), noise_seed=trial
         )
         assert kl >= 0.0
@@ -84,9 +89,9 @@ def test_kl_nonnegative_on_random_models():
 def test_elbo_shape_and_empty_errors():
     model = tiny_model()
     with pytest.raises(ShapeError):
-        cvae_elbo(model, np.zeros((2, 5)), np.zeros((2, 4)), noise_seed=0)
+        elbo(model, np.zeros((2, 5)), np.zeros((2, 4)), noise_seed=0)
     with pytest.raises(ValueError):
-        cvae_elbo(model, np.zeros((0, 2)), np.zeros((0, 4)), noise_seed=0)
+        elbo(model, np.zeros((0, 2)), np.zeros((0, 4)), noise_seed=0)
 
 
 def test_elbo_gradients_pass_fd_check_with_frozen_noise():

@@ -16,7 +16,7 @@ def test_collect_counts_and_grouping():
     world = BlockWorld(WorldSpec())
     ds = collect_dataset(world, small_cfg())
     assert len(ds.contexts) == 4
-    assert ds.n_transitions == 4 * 3 * 5
+    assert sum(len(traj.actions) for ts in ds.trajectories.values() for traj in ts) == 4 * 3 * 5
     for ctx in ds.contexts:
         for traj in ds.trajectories[ctx.id]:
             assert traj.context_id == ctx.id

@@ -29,6 +29,16 @@ def unused_imports(source: str) -> list:
     return unused
 
 
+def tape_constructions(source: str) -> list:
+    """Lines that call ``Tape()``, by bare name or as a module attribute."""
+    return [
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call)
+        and (getattr(node.func, "id", None) == "Tape" or getattr(node.func, "attr", None) == "Tape")
+    ]
+
+
 def test_the_scan_finds_an_unused_import():
     assert unused_imports("import math\nimport os\nprint(math.pi)\n") == ["line 2: os"]
     assert unused_imports("import os  # noqa: F401\n") == []
@@ -37,3 +47,17 @@ def test_the_scan_finds_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
 def test_every_import_is_used(path):
     assert unused_imports(path.read_text()) == []
+
+
+def test_the_scan_finds_a_tape_construction():
+    source = "t = Tape()\nu = ad.Tape()\nv = tape.watch(w)\ndef f(tape: Tape): pass\n"
+    assert tape_constructions(source) == [1, 2]
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in MODULES if p.name != "autodiff.py"], ids=lambda p: p.name
+)
+def test_only_autodiff_builds_tapes(path):
+    """Losses record on the caller's tape; ``autodiff.evaluate`` and the
+    training step are the only places a tape is made."""
+    assert tape_constructions(path.read_text()) == []

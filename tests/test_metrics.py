@@ -129,14 +129,13 @@ def sample_report():
 
 
 def test_report_aggregates_recomputable_from_rows():
-    rep = sample_report()
-    assert rep.success_rate("htm") == 0.5
-    mean_d, std_d = rep.mean_final_distance("htm")
-    assert mean_d == pytest.approx(0.75)
-    assert std_d == pytest.approx(np.std([0.3, 1.2]))
-    assert rep.mean_feasibility("htm") == pytest.approx(0.8)
-    assert rep.completeness_rate("htm") == pytest.approx(0.5)
-    agg = rep.aggregates()
+    agg = sample_report().aggregates()
+    assert agg["htm"]["success_rate"] == 0.5
+    assert agg["htm"]["mean_final_distance"] == pytest.approx(0.75)
+    assert agg["htm"]["std_final_distance"] == pytest.approx(np.std([0.3, 1.2]))
+    assert agg["htm"]["mean_feasibility"] == pytest.approx(0.8)
+    assert agg["htm"]["completeness_rate"] == pytest.approx(0.5)
+    assert agg["htm"]["mean_fidelity"] == pytest.approx(0.85)
     assert agg["inverse_only"]["success_rate"] == 0.5
     assert "mean_fidelity" not in agg["inverse_only"]
     assert agg["htm"]["success_interval"] == wilson_interval(1, 2)

@@ -75,17 +75,33 @@ def tiny_losses():
     inverse = inverse_init(2, 2, 0.1, InverseConfig(hidden=(8,)))
     obs, ctx = rng.uniform(size=(5, 2)), rng.uniform(size=(5, 2))
     return {
-        "cpc_loss": lambda: cpc_loss(cpc, batch),
-        "sptm_bce_loss": lambda: sptm_bce_loss(sptm, pairs),
-        "cvae_elbo": lambda: cvae_elbo(cvae, obs, ctx, noise_seed=1),
-        "inverse_loss": lambda: inverse_loss(inverse, obs, obs[::-1], ctx, np.zeros((5, 2))),
+        "cpc_loss": lambda tape: cpc_loss(cpc, batch, tape),
+        "sptm_bce_loss": lambda tape: sptm_bce_loss(sptm, pairs, tape),
+        "cvae_elbo": lambda tape: cvae_elbo(cvae, obs, ctx, 1, tape),
+        "inverse_loss": lambda tape: inverse_loss(
+            inverse, obs, obs[::-1], ctx, np.zeros((5, 2)), tape
+        ),
     }
 
 
 @pytest.mark.parametrize("name", ["cpc_loss", "sptm_bce_loss", "cvae_elbo", "inverse_loss"])
 def test_a_loss_called_without_a_tape_leaves_no_tape_behind(name, no_cyclic_gc):
-    loss = tiny_losses()[name]
+    """``ad.evaluate`` gives the loss its own tape and frees it."""
+    build = tiny_losses()[name]
     before = live_tapes()
-    value = loss()
+    value = ad.evaluate(build)
     assert np.all(np.isfinite(value))
+    assert live_tapes() == before
+
+
+def test_grad_check_leaves_no_tape_behind(no_cyclic_gc):
+    w = np.array([0.5, -1.0, 2.0])
+
+    def loss(tape):
+        diff = ad.sub(tape.watch(w), np.ones(3))
+        return ad.sum_axis(ad.mul(diff, diff), 0)
+
+    before = live_tapes()
+    # one analytic tape and two finite-difference tapes per entry of w
+    assert ad.grad_check(loss, [w]).passed
     assert live_tapes() == before
