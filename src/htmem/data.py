@@ -31,9 +31,6 @@ class Trajectory:
     actions: np.ndarray  # (T, 2)
     states: np.ndarray  # (T+1, 2) exact positions
 
-    def __len__(self):
-        return len(self.actions)
-
 
 @dataclass
 class TransitionDataset:

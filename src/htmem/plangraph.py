@@ -1,4 +1,4 @@
-"""Dense scored digraph over candidate nodes and shortest-path extraction.
+"""Dense scored digraph over candidate nodes and shortest-path search.
 
 Nodes are observations (generated candidates plus the actual start and goal);
 every ordered pair gets a directed logit from the connectivity model, turned
@@ -88,19 +88,25 @@ def build_graph(node_obs, scorer, ctx_encoding, scheme="normalized", s_shortcut=
 
 
 def shortest_path(graph: PlanGraph, start_idx: int, goal_idx: int) -> Plan:
-    """Dijkstra over the dense digraph; weights are positive by construction.
+    """Dijkstra over the dense digraph, settling every provably final node at once.
 
-    Distances, predecessors and the settled set live in arrays: each step
-    settles the closest frontier node and relaxes every edge out of it in
-    one vector operation. Equal-cost ties, both in choosing the node to
-    settle and in relaxing an edge, resolve to the lexicographically
-    smallest node-index sequence.
+    Each step settles every frontier node with ``dist[v] < dmin + min_in[v]``
+    (Crauser et al. 1998), where ``dmin`` is the least frontier distance and
+    ``min_in[v]`` the cheapest edge into ``v``, and relaxes all their out-edges
+    in one vector minimum. Weights are positive and rounding is monotone, so a
+    route into ``v`` through any unsettled node costs at least ``dmin +
+    min_in[v]``: it can neither beat nor tie ``dist[v]``. When no node passes
+    (``dmin`` is inf, or tiny weights are absorbed into it), the step settles
+    one closest node, as plain Dijkstra does. Equal-cost ties, in that choice
+    and in relaxing edges, go to the lexicographically smallest node-index
+    sequence, so plans and totals are those of a one-node-per-step search.
+    Non-finite weights, NaN included, are absent edges.
     """
     n = graph.n_nodes
     w = graph.weights
     if not (0 <= start_idx < n and 0 <= goal_idx < n):
         raise ValueError("start/goal index out of range")
-    out = np.ascontiguousarray(w.T)  # row u: costs of the edges u -> v
+    min_in = np.fmin.reduce(w, axis=1)  # skips NaN; a -inf keeps its node out of batches
     dist = np.full(n, np.inf)
     key = np.full(n, np.inf)  # dist on the frontier, inf elsewhere
     dist[start_idx] = key[start_idx] = 0.0
@@ -109,41 +115,38 @@ def shortest_path(graph: PlanGraph, start_idx: int, goal_idx: int) -> Plan:
     frontier[start_idx] = True
     unsettled = np.ones(n, dtype=bool)
     paths = {-1: ()}  # settled node -> its path; a settled path never changes
-
-    def path_via(v):  # path of a frontier node through its predecessor
-        return paths[int(pred[v])] + (int(v),)
-
     while True:
         dmin = key.min()
-        # a finite path can still sum to inf; then every frontier node ties
-        ties = np.flatnonzero(key == dmin if dmin < np.inf else frontier)
-        if not len(ties):
-            raise NoPathError(f"no path from node {start_idx} to node {goal_idx}")
-        if len(ties) > 1:  # of ties sharing a predecessor, the smallest index wins
-            ties = ties[np.unique(pred[ties], return_index=True)[1]]
-        u = int(ties[0]) if len(ties) == 1 else min((int(v) for v in ties), key=path_via)
-        paths[u] = path_via(u)
-        frontier[u] = unsettled[u] = False
-        key[u] = np.inf
-        if u == goal_idx:
+        batch = np.flatnonzero(key < dmin + min_in) if dmin < np.inf else []
+        if not len(batch):
+            ties = np.flatnonzero(key == dmin if dmin < np.inf else frontier)
+            if not len(ties):
+                raise NoPathError(f"no path from node {start_idx} to node {goal_idx}")
+            batch = np.array([min(ties.tolist(), key=lambda v: paths[int(pred[v])] + (v,))])
+        for v, p in zip(batch.tolist(), pred[batch].tolist()):
+            paths[v] = paths[p] + (v,)
+        frontier[batch] = unsettled[batch] = False
+        key[batch] = np.inf
+        if not unsettled[goal_idx]:
             break
-        row = out[u]
-        cand = dist[u] + row
-        edge = unsettled & np.isfinite(row)
-        better = edge & (~frontier | (cand < dist))
-        tied = np.flatnonzero(edge & frontier & (cand == dist))
-        if len(tied):  # empty unless costs tie exactly; np.unique costs as much as a step
-            for p in np.unique(pred[tied]):  # compare paths[u] + (v,) with paths[p] + (v,)
-                group = tied[pred[tied] == p]
-                pu, pp = paths[u], paths[int(p)]
-                if pu[: len(pp)] == pp:  # p lies on u's path: its successor there decides
-                    better[group] = group > pu[len(pp)]
-                else:
-                    better[group] = pu < pp
-        np.copyto(dist, cand, where=better)
-        np.copyto(key, cand, where=better)
-        np.copyto(pred, u, where=better)
-        frontier |= better
+        # no path in a batch is a prefix of another (its nodes settled earlier), so
+        # sorted by path, the first of several equal-cost sources wins the tie
+        src = np.array(sorted(batch.tolist(), key=paths.__getitem__))
+        todo = np.flatnonzero(unsettled)
+        cols = w[np.ix_(todo, src)]  # [i, j]: cost of the edge src[j] -> todo[i]
+        cost = np.where(np.isfinite(cols), cols + dist[src], np.nan)  # NaN: no edge
+        cand = np.fmin.reduce(cost, axis=1)  # NaN where no source has an edge
+        pick = src[(cost == cand[:, None]).argmax(axis=1)]
+        edge = ~np.isnan(cand)
+        v, cand, pick = todo[edge], cand[edge], pick[edge]
+        better = ~frontier[v] | (cand < dist[v])
+        for i in np.flatnonzero(frontier[v] & (cand == dist[v])).tolist():  # exact ties
+            t = int(v[i])
+            better[i] = paths[int(pick[i])] + (t,) < paths[int(pred[t])] + (t,)
+        v = v[better]
+        dist[v] = key[v] = cand[better]
+        pred[v] = pick[better]
+        frontier[v] = True
     idx = list(paths[goal_idx])
     return Plan(
         idx,

@@ -450,7 +450,7 @@ def test_train_sptm_beats_chance_and_scores_one_step_pairs():
     ctx_enc = world.encode_context(ds.context_by_id(2))
     hits = total = 0
     for traj in ds.trajectories[2]:
-        for t in range(len(traj)):
+        for t in range(len(traj.actions)):
             p = sigmoid(
                 model.score_pair(traj.observations[t], traj.observations[t + 1], ctx_enc)
             )

@@ -71,9 +71,9 @@ def test_feasibility_of_consecutive_real_frames_is_one():
             plan = Plan(
                 list(range(len(traj.observations))),
                 traj.observations,
-                np.ones(len(traj)),
-                np.zeros(len(traj)),
-                float(len(traj)),
+                np.ones(len(traj.actions)),
+                np.zeros(len(traj.actions)),
+                float(len(traj.actions)),
                 "normalized",
             )
             assert feasibility(hops_reachable(world, ctx, plan, horizon=5)) == 1.0

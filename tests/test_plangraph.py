@@ -13,6 +13,7 @@ from htmem.plangraph import (
     Plan,
     PlanGraph,
     PlanningConfig,
+    WEIGHT_SCHEMES,
     build_graph,
     jensen_bound_check,
     plan_end_to_end,
@@ -88,6 +89,53 @@ def lexicographic_brute_force(weights, start, goal):
             if math.isfinite(total) and (best is None or (total, path) < best):
                 best = (total, path)
     return best
+
+
+def sequential_shortest_path(weights, start, goal):
+    """Dijkstra settling one node per step: (node indices, total weight).
+
+    The reference for ``shortest_path``. Equal-cost ties, both in choosing
+    the node to settle and in relaxing an edge, resolve to the
+    lexicographically smallest node-index sequence; non-finite weights are
+    absent edges.
+    """
+    w = np.asarray(weights, dtype=float)
+    n = len(w)
+    out = np.ascontiguousarray(w.T)  # row u: costs of the edges u -> v
+    dist = np.full(n, np.inf)
+    key = np.full(n, np.inf)  # dist on the frontier, inf elsewhere
+    dist[start] = key[start] = 0.0
+    pred = np.full(n, -1)
+    frontier = np.zeros(n, dtype=bool)  # reached, not yet settled
+    frontier[start] = True
+    unsettled = np.ones(n, dtype=bool)
+    paths = {-1: ()}  # settled node -> its path
+
+    def path_via(v):
+        return paths[int(pred[v])] + (int(v),)
+
+    while True:
+        dmin = key.min()
+        # a finite path can still sum to inf; then every frontier node ties
+        ties = np.flatnonzero(key == dmin if dmin < np.inf else frontier)
+        if not len(ties):
+            raise NoPathError(f"no path from node {start} to node {goal}")
+        u = min((int(v) for v in ties), key=path_via)
+        paths[u] = path_via(u)
+        frontier[u] = unsettled[u] = False
+        key[u] = np.inf
+        if u == goal:
+            return list(paths[u]), float(dist[u])
+        row = out[u]
+        cand = dist[u] + row
+        edge = unsettled & np.isfinite(row)
+        better = edge & (~frontier | (cand < dist))
+        for v in np.flatnonzero(edge & frontier & (cand == dist)):
+            better[v] = paths[u] + (int(v),) < paths[int(pred[v])] + (int(v),)
+        np.copyto(dist, cand, where=better)
+        np.copyto(key, cand, where=better)
+        np.copyto(pred, u, where=better)
+        frontier |= better
 
 
 def bellman_ford(weights, start, goal):
@@ -289,6 +337,89 @@ def test_path_whose_total_overflows_is_still_a_path():
         plan = shortest_path(graph_from_weights(w), 0, 2)
     assert plan.node_indices == [0, 1, 2]
     assert plan.total_weight == math.inf
+
+
+def assert_same_as_sequential(graph, start, goal):
+    try:
+        want = sequential_shortest_path(graph.weights, start, goal)
+    except NoPathError:
+        with pytest.raises(NoPathError):
+            shortest_path(graph, start, goal)
+        return
+    plan = shortest_path(graph, start, goal)
+    assert plan.node_indices == want[0]
+    assert plan.total_weight == want[1]  # identical, not approximately equal
+
+
+def distance_logits(rng, n):
+    """Logits that fall with the distance between random points, plus noise."""
+    pts = rng.random((n, 2))
+    dist = np.linalg.norm(pts[:, None] - pts[None], axis=2)
+    return 4.0 - 12.0 * dist + rng.normal(size=(n, n))
+
+
+@pytest.mark.parametrize("scheme", WEIGHT_SCHEMES)
+def test_shortest_path_matches_sequential_search_on_dense_graphs(scheme):
+    # 300 generated nodes plus start and goal, laid out as plan_end_to_end does
+    for seed in range(3):
+        rng = np.random.default_rng(seed)
+        for logits in (distance_logits(rng, 302), 3.0 * rng.normal(size=(302, 302))):
+            assert_same_as_sequential(graph_from_logits(logits, scheme), 300, 301)
+
+
+def test_shortest_path_matches_sequential_search_on_integer_weights():
+    # weights in {1, 2, 3} make exact cost ties common, both between nodes
+    # settled together and against a frontier node's current distance
+    rng = np.random.default_rng(8)
+    for _ in range(200):
+        n = int(rng.integers(20, 61))
+        w = rng.integers(1, 4, size=(n, n)).astype(float)
+        w[rng.random((n, n)) < rng.uniform(0.3, 0.95)] = math.inf
+        start, goal = rng.integers(n, size=2)
+        assert_same_as_sequential(graph_from_weights(w), int(start), int(goal))
+
+
+def test_shortest_path_matches_sequential_search_when_tiny_weights_are_absorbed():
+    # 1.0 + 1e-20 == 1.0: no frontier node is then provably final by the
+    # cheapest edge into it, and the search settles one tied node at a time
+    rng = np.random.default_rng(10)
+    for _ in range(500):
+        n = int(rng.integers(4, 13))
+        w = rng.choice([1e-20, 1.0, 2.0, math.inf], size=(n, n), p=[0.3, 0.2, 0.1, 0.4])
+        start, goal = rng.integers(n, size=2)
+        assert_same_as_sequential(graph_from_weights(w), int(start), int(goal))
+
+
+def test_equal_cost_routes_from_nodes_settled_together_keep_the_smaller_path():
+    # 3 and 4 settle together at distance 2 and both reach 5 at cost 3; 4's
+    # path (0, 1, 4) is the smaller, although 3 is the smaller index
+    w = np.full((6, 6), math.inf)
+    w[1, 0] = w[2, 0] = 1.0  # 0 -> 1, 0 -> 2
+    w[4, 1] = 1.0  # 1 -> 4
+    w[3, 2] = 1.0  # 2 -> 3
+    w[5, 3] = w[5, 4] = 1.0  # 3 -> 5, 4 -> 5
+    plan = shortest_path(graph_from_weights(w), 0, 5)
+    assert plan.node_indices == [0, 1, 4, 5]
+    assert plan.total_weight == 3.0
+
+
+def test_nan_weights_are_absent_edges():
+    rng = np.random.default_rng(9)
+    for _ in range(300):
+        n = int(rng.integers(3, 40))
+        w = rng.uniform(0.1, 3.0, size=(n, n))
+        nan = rng.random((n, n)) < rng.uniform(0.1, 0.6)
+        absent = np.where(nan, math.inf, w)
+        w[nan] = math.nan
+        try:
+            want = shortest_path(graph_from_weights(absent), 0, n - 1)
+        except NoPathError:
+            with pytest.raises(NoPathError):
+                shortest_path(graph_from_weights(w), 0, n - 1)
+            continue
+        plan = shortest_path(graph_from_weights(w), 0, n - 1)
+        assert plan.node_indices == want.node_indices
+        assert plan.total_weight == want.total_weight
 
 
 WEIGHT_KINDS = {
