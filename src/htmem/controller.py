@@ -75,8 +75,8 @@ def inverse_init(obs_dim, ctx_dim, a_max, cfg: InverseConfig) -> InverseModel:
 
 def infer_action(model: InverseModel, o_current, o_target, ctx) -> np.ndarray:
     """Bounded action toward the target observation; pure function."""
-    x = np.concatenate([np.ravel(o_current), np.ravel(o_target)])
-    return model.a_max * np.tanh(mlp_apply(model.net, x, context=np.ravel(ctx)))
+    x = np.concatenate([np.ravel(o_current), np.ravel(o_target), np.ravel(ctx)])
+    return model.a_max * np.tanh(mlp_apply(model.net, x))
 
 
 def inverse_loss(model: InverseModel, obs, targets, ctx, actions, tape: Tape):

@@ -22,7 +22,7 @@ from .autodiff import derived_seed
 from .controller import ExecutionConfig, execute
 from .cvae import hallucinate
 from .plangraph import Plan, PlanningConfig
-from .world import BlockWorld, EvaluationError
+from .world import BlockWorld
 
 
 def wilson_interval(successes: int, total: int, z=1.96):
@@ -36,20 +36,14 @@ def wilson_interval(successes: int, total: int, z=1.96):
     return (max(0.0, center - half), min(1.0, center + half))
 
 
-def fidelity(world: BlockWorld, ctx, samples) -> float:
+def fidelity(world: BlockWorld, ctx, samples) -> float | None:
     """Fraction of the (m, obs_dim) samples decoding to valid agent states;
-    empty sets are vacuously perfect."""
-    obs = np.asarray(samples)
+    an empty raster decodes to NaN, which is invalid. None for an empty set,
+    which has nothing to rate."""
+    obs = np.asarray(samples, dtype=float)
     if len(obs) == 0:
-        return 1.0
-    decoded = []
-    for o in obs:
-        try:
-            st = world.decode(o)
-        except EvaluationError:
-            continue
-        decoded.append((st.x, st.y))
-    xy = np.array(decoded, dtype=float).reshape(-1, 2)
+        return None
+    xy = world.decode_xy(obs)
     return int(world.positions_valid(ctx, xy[:, 0], xy[:, 1]).sum()) / len(obs)
 
 
@@ -182,7 +176,7 @@ def run_benchmark(
     scheme means the inverse-model-only baseline (no planner). Plan metrics
     are computed on the first plan of each run, which need not come from
     its first planning attempt; fidelity re-samples the first plan's
-    candidates from its seed.
+    candidates from its seed, and is None when there are none.
     """
     rows = []
     for method, (bundle, scheme) in bundles.items():

@@ -156,10 +156,28 @@ def segment_rect_distance(p1, p2, wall: Wall) -> float:
 
 @functools.lru_cache(maxsize=None)
 def _cell_edges(s, g):
-    """Lower and upper edges of the g raster cells along an arena side s."""
-    edges = np.linspace(0.0, s, g + 1)
-    edges.flags.writeable = False
-    return edges[:-1], edges[1:]
+    """Lower and upper edges, as float tuples, of g cells along a side s."""
+    edges = np.linspace(0.0, s, g + 1).tolist()
+    return tuple(edges[:-1]), tuple(edges[1:])
+
+
+def _near_cells(lo, hi, c, radius):
+    """(index, distance) of each cell along one raster axis whose distance
+    max(lo - c, c - hi, 0) from c is below ``radius``. Only the cells from
+    (c - radius) / cell - 1 to (c + radius) / cell are tested, a window
+    widened by 1e-6 of a cell, far above the rounding of its bounds. A NaN
+    c, or one a radius or more past the outer edges, is near no cell."""
+    if not (lo[0] - c < radius and c - hi[-1] < radius):
+        return []
+    cell = hi[0]
+    first = max(int((c - radius) / cell - 1e-6), 0)
+    stop = min(int((c + radius) / cell + 1e-6) + 1, len(lo))
+    near = []
+    for k in range(first, stop):
+        d = max(lo[k] - c, c - hi[k], 0.0)
+        if d < radius:
+            near.append((k, d))
+    return near
 
 
 class BlockWorld:
@@ -358,39 +376,61 @@ class BlockWorld:
 
     def _raster_disc(self, s, cx, cy) -> np.ndarray:
         """Intensity (radius - d)/radius where d is the distance from the disc
-        center to each cell rectangle; exactly the overlapped cells are > 0."""
+        center to each cell rectangle; exactly the overlapped cells are > 0.
+        As d >= max(dx, dy) for the axis distances, only the window of the
+        ``_near_cells`` rows and columns is visited. dx, dy and d take the
+        float operations of a per-cell evaluation over the whole grid (the
+        max of both edge gaps and 0, then ``math.hypot``), so the raster is
+        bit-equal to one."""
         g, radius = self.spec.raster_size, self.spec.agent_radius
         lo, hi = _cell_edges(s, g)
-        dx = np.maximum(np.maximum(lo - cx, cx - hi), 0.0)  # per column
-        dy = np.maximum(np.maximum(lo - cy, cy - hi), 0.0)  # per row
-        grid = np.zeros((g, g))
-        # d >= max(dx, dy), so only cells with both below the radius can be
-        # lit; math.hypot keeps d bit-equal to the per-cell definition
-        cols = np.flatnonzero(dx < radius)
-        for i in np.flatnonzero(dy < radius):
-            for j in cols:
-                d = math.hypot(dx[j], dy[i])
+        grid = np.zeros(g * g)
+        cols = _near_cells(lo, hi, cx, radius)
+        for i, dy in _near_cells(lo, hi, cy, radius):
+            for j, dx in cols:
+                d = math.hypot(dx, dy)
                 if d < radius:
-                    grid[i, j] = (radius - d) / radius
-        return grid.reshape(-1)
+                    grid[i * g + j] = (radius - d) / radius
+        return grid
 
-    def decode(self, obs) -> AgentState:
-        obs = np.asarray(obs, dtype=float)
+    def _observations(self, obs, batch: bool) -> np.ndarray:
+        """``obs`` as a C-ordered float array (so that each row sums as it
+        would alone) of shape (obs_dim,), or (m, obs_dim) for a batch."""
+        obs = np.asarray(obs, dtype=float, order="C")
+        d = self.obs_dim
+        if obs.shape != ((*obs.shape[:1], d) if batch else (d,)):
+            raise EvaluationError(
+                f"{self.spec.mode} observations have shape ({d},), and a batch (m, {d}); "
+                f"got {obs.shape}"
+            )
+        return obs
+
+    def decode_xy(self, obs) -> np.ndarray:
+        """Positions (m, 2) of the observations (m, obs_dim): a state times the
+        arena side, a raster's intensity centroid. A raster summing to zero or
+        less has no centroid and gives a NaN row, without a warning. A row's
+        bits do not depend on the rest of the batch."""
+        obs = self._observations(obs, batch=True)
         s = self.spec.arena_size
         if self.spec.mode == "state":
-            if obs.shape != (2,):
-                raise EvaluationError(f"state observation must have length 2, got {obs.shape}")
-            return AgentState(obs[0] * s, obs[1] * s)
+            return obs * s
         g = self.spec.raster_size
-        if obs.size != g * g:
-            raise EvaluationError(f"raster observation must have {g * g} entries")
-        grid = obs.reshape(g, g)
-        total = grid.sum()
-        if total <= 0:
-            raise EvaluationError("empty raster cannot be decoded")
+        grid = obs.reshape(-1, g, g)
+        total = obs.sum(axis=1)
+        total[total <= 0] = np.nan
         centers = (np.arange(g) + 0.5) * (s / g)
-        x = float((grid.sum(axis=0) * centers).sum() / total)
-        y = float((grid.sum(axis=1) * centers).sum() / total)
+        # per row: the intensity of each column, then of each row of cells
+        marginals = np.stack([grid.sum(axis=1), grid.sum(axis=2)], axis=1)
+        return (marginals * centers).sum(axis=2) / total[:, None]
+
+    def decode(self, obs) -> AgentState:
+        """The agent state of one observation shaped (obs_dim,): the one-row
+        case of ``decode_xy``, except that an empty raster raises
+        EvaluationError."""
+        obs = self._observations(obs, batch=False)
+        if self.spec.mode == "raster" and obs.sum() <= 0:
+            raise EvaluationError("empty raster cannot be decoded")
+        x, y = self.decode_xy(obs[None])[0].tolist()
         return AgentState(x, y)
 
     def encode_context(self, ctx: Context) -> np.ndarray:
@@ -405,7 +445,7 @@ class BlockWorld:
                 enc[4 * k : 4 * k + 4] = [w.cx / s, w.cy / s, w.half_w / s, w.half_h / s]
             return enc
         g = self.spec.raster_size
-        lo, hi = _cell_edges(s, g)
+        lo, hi = np.array(_cell_edges(s, g))
         cell_area = (s / g) ** 2
         grid = np.zeros((g, g))
         for w in ctx.walls:

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from htmem.autodiff import MlpParams, evaluate, grad_check, sigmoid
+from htmem.autodiff import MlpParams, evaluate, sigmoid
 from htmem.connectivity import (
     ConnectivityModel,
     CpcBatch,
@@ -21,6 +21,7 @@ from htmem.connectivity import (
 )
 from htmem.data import ContextStack, DataConfig, collect_dataset, split_context_ids
 from htmem.world import BlockWorld, WorldSpec
+from gradcheck import grad_check
 
 CHI2_CRIT_DF4_P01 = 13.2767  # chi-square critical value, df=4, alpha=0.01
 CHI2_CRIT_DF72_P001 = 114.835  # df=72, alpha=0.001

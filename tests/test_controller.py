@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from htmem.autodiff import MlpParams, grad_check
+from htmem.autodiff import MlpParams, mlp_apply
 from htmem.controller import (
     ExecutionConfig,
     InverseConfig,
@@ -21,6 +21,7 @@ from htmem.cvae import CvaeModel, hallucinate
 from htmem.data import DataConfig, collect_dataset, split_context_ids
 from htmem.plangraph import NoPathError, PlanningConfig, plan_end_to_end
 from htmem.world import AgentState, BlockWorld, Context, Task, Wall, WorldSpec
+from gradcheck import grad_check
 
 
 def tiny_dataset():
@@ -66,6 +67,16 @@ def test_infer_action_always_within_bounds():
     for _ in range(50):
         a = infer_action(model, rng.uniform(size=2), rng.uniform(size=2), rng.uniform(size=4))
         assert np.all(np.abs(a) <= 0.1 + 1e-12)
+
+
+def test_infer_action_equals_the_policy_with_its_context_apart():
+    """One appended row gives the bits of a context passed on its own."""
+    rng = np.random.default_rng(3)
+    model = inverse_init(256, 256, 0.1, InverseConfig(hidden=(16, 8), seed=2))
+    for _ in range(20):
+        o, t, c = rng.uniform(size=(3, 256))
+        want = 0.1 * np.tanh(mlp_apply(model.net, np.concatenate([o, t]), context=c))
+        assert infer_action(model, o, t, c).tobytes() == want.tobytes()
 
 
 def test_inverse_loss_gradients_pass_fd_check():
@@ -272,3 +283,30 @@ def test_benchmark_fidelity_rates_the_first_plan_after_a_failed_attempt(monkeypa
     enc = world.encode_context(ctx)
     assert row.fidelity == metrics.fidelity(world, ctx, hallucinate(cvae, enc, m, result.plans[0].seed))
     assert report.aggregates()["htm"]["no_plan_rate"] == 0.0
+
+
+def test_benchmark_without_samples_reports_no_fidelity():
+    world = BlockWorld(WorldSpec())
+    cvae, scorer, inverse = stub_bundle(world)
+    ctx = walled_context()
+    tasks = [
+        Task(ctx, AgentState(1.1, 0.5), AgentState(2.4, 0.5)),
+        Task(ctx, AgentState(0.5, 2.0), AgentState(2.2, 2.3)),
+    ]
+    bundle = ModelBundle(cvae, scorer, inverse)
+    report = metrics.run_benchmark(
+        world,
+        tasks,
+        {"htm": (bundle, "normalized"), "inverse_only": (bundle, None)},
+        PlanningConfig(m_samples=0),
+        ExecutionConfig(n=10, r=4),
+        oracle_horizon=5,
+        seed=0,
+    )
+    htm = report.rows_for("htm")
+    # every first plan is the direct start-to-goal edge, which is rated
+    assert len(htm) == 2 and all(r.feasibility is not None for r in htm)
+    assert all(r.fidelity is None for r in report.rows)
+    agg = report.aggregates()
+    assert "mean_fidelity" not in agg["htm"]
+    assert agg["htm"]["no_plan_rate"] == 0.0

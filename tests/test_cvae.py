@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from htmem.autodiff import ShapeError, evaluate, grad_check, mlp_apply, mlp_init
+from htmem.autodiff import ShapeError, evaluate, mlp_apply, mlp_init
 from htmem.cvae import (
     CvaeConfig,
     CvaeModel,
@@ -14,6 +14,7 @@ from htmem.cvae import (
 )
 from htmem.data import DataConfig, collect_dataset, split_context_ids
 from htmem.world import BlockWorld, WorldSpec
+from gradcheck import grad_check
 
 
 def tiny_model(obs_dim=2, ctx_dim=4, d_z=3, seed=0):

@@ -33,7 +33,7 @@ def plan_from_states(world, ctx, states):
 
 def test_fidelity_empty_and_real_samples():
     world, ctx = world_and_ctx()
-    assert fidelity(world, ctx, np.zeros((0, 2))) == 1.0
+    assert fidelity(world, ctx, np.zeros((0, 2))) is None
     rng = np.random.default_rng(0)
     states = [world.sample_free_state(ctx, rng) for _ in range(30)]
     obs = np.array([world.observe(ctx, s) for s in states])
@@ -192,10 +192,10 @@ def test_make_benchmark_tasks_round_robin_and_deterministic():
 def test_fidelity_propagates_errors_other_than_undecodable_samples(monkeypatch):
     world, ctx = world_and_ctx()
 
-    def broken_decode(obs):
+    def broken_decode_xy(obs):
         raise RuntimeError("decoder bug")
 
-    monkeypatch.setattr(world, "decode", broken_decode)
+    monkeypatch.setattr(world, "decode_xy", broken_decode_xy)
     with pytest.raises(RuntimeError, match="decoder bug"):
         fidelity(world, ctx, np.zeros((3, 2)))
 

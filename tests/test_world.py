@@ -1,4 +1,5 @@
 import math
+import warnings
 from collections import deque
 
 import numpy as np
@@ -317,9 +318,25 @@ def test_decode_rejects_malformed():
     world = make_world()
     with pytest.raises(EvaluationError):
         world.decode(np.zeros(3))
+    with pytest.raises(EvaluationError, match=r"shape \(2,\)"):
+        world.decode(np.full((1, 2), 0.5))
     raster_world = make_world(mode="raster")
     with pytest.raises(EvaluationError):
         raster_world.decode(np.zeros(256))
+    with pytest.raises(EvaluationError, match=r"shape \(256,\)"):
+        raster_world.decode(np.full((16, 16), 0.5))
+
+
+def test_decode_xy_rejects_anything_but_a_batch():
+    world, raster_world = make_world(), make_world(mode="raster")
+    for w, bad in [
+        (world, np.full(2, 0.5)),
+        (world, np.full((4, 3), 0.5)),
+        (raster_world, np.full(256, 0.5)),
+        (raster_world, np.full((4, 16, 16), 0.5)),
+    ]:
+        with pytest.raises(EvaluationError, match=rf"\(m, {w.obs_dim}\)"):
+            w.decode_xy(bad)
 
 
 def test_encode_context_state_mode_padding():
@@ -463,6 +480,149 @@ def test_observe_raster_equals_per_cell_loop():
     for x, y in points:
         got = world.observe(ctx, AgentState(x, y))
         assert np.array_equal(got, raster_disc_loop(s, g, x, y, r)), (x, y)
+
+
+# The whole-axis numpy rasterizer and the per-row decode that the windowed
+# rasterizer and the array decode replaced; the new kernels must match them
+# byte for byte.
+
+
+def raster_disc_numpy(s, g, cx, cy, radius):
+    """Axis distances of every column and row, then ``math.hypot`` over the
+    cells whose axis distances are both below the radius."""
+    edges = np.linspace(0.0, s, g + 1)
+    lo, hi = edges[:-1], edges[1:]
+    dx = np.maximum(np.maximum(lo - cx, cx - hi), 0.0)
+    dy = np.maximum(np.maximum(lo - cy, cy - hi), 0.0)
+    grid = np.zeros((g, g))
+    cols = np.flatnonzero(dx < radius)
+    for i in np.flatnonzero(dy < radius):
+        for j in cols:
+            d = math.hypot(dx[j], dy[i])
+            if d < radius:
+                grid[i, j] = (radius - d) / radius
+    return grid.reshape(-1)
+
+
+def decode_rows(world, obs):
+    """(x, y) of each observation decoded on its own; NaN for a raster whose
+    intensities sum to zero or less."""
+    s = world.spec.arena_size
+    out = []
+    for o in obs:
+        o = np.asarray(o, dtype=float)
+        if world.spec.mode == "state":
+            out.append((o[0] * s, o[1] * s))
+            continue
+        g = world.spec.raster_size
+        grid = o.reshape(g, g)
+        total = grid.sum()
+        if total <= 0:
+            out.append((math.nan, math.nan))
+            continue
+        centers = (np.arange(g) + 0.5) * (s / g)
+        x = float((grid.sum(axis=0) * centers).sum() / total)
+        y = float((grid.sum(axis=1) * centers).sum() / total)
+        out.append((x, y))
+    return np.array(out, dtype=float).reshape(-1, 2)
+
+
+def same_bits(a, b):
+    """Byte equality of two float arrays, NaN equal to NaN."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    nan_a, nan_b = np.isnan(a), np.isnan(b)
+    return (
+        a.shape == b.shape
+        and np.array_equal(nan_a, nan_b)
+        and np.where(nan_a, 0.0, a).tobytes() == np.where(nan_b, 0.0, b).tobytes()
+    )
+
+
+RASTER_SPECS = [
+    {},
+    {"raster_size": 20, "agent_radius": 0.3},
+    {"raster_size": 7, "agent_radius": 0.5},
+    {"arena_size": 3.1, "agent_radius": 0.1},
+]
+
+
+def disc_centres(s, g, r, rng):
+    """Random centres, centres on cell edges, on edges +- r and at or past
+    the arena border, each also one float step to either side."""
+    edges = np.linspace(0.0, s, g + 1)
+    special = np.concatenate([edges, edges - r, edges + r, [-1.0, -2 * r, s + 2 * r, s + 1.0]])
+    special = np.concatenate(
+        [special, np.nextafter(special, -np.inf), np.nextafter(special, np.inf)]
+    )
+    xs = np.concatenate([special, rng.uniform(-2 * r, s + 2 * r, 600)])
+    points = list(zip(xs, rng.uniform(-2 * r, s + 2 * r, len(xs))))
+    points += [(y, x) for x, y in points]
+    points += [(a, b) for a in special[::3] for b in special[::4]]
+    return [(float(x), float(y)) for x, y in points]
+
+
+@pytest.mark.parametrize("kw", RASTER_SPECS, ids=["default", "g20-r0.3", "g7-r0.5", "s3.1-r0.1"])
+def test_observe_raster_is_bit_equal_to_the_whole_axis_rasterizer(kw):
+    world = make_world(mode="raster", **kw)
+    s, r, g = world.spec.arena_size, world.spec.agent_radius, world.spec.raster_size
+    ctx = Context(0, s, ())
+    points = disc_centres(s, g, r, np.random.default_rng(41))
+    assert len(points) > 1500
+    for x, y in points:
+        got = world.observe(ctx, AgentState(x, y))
+        assert got.tobytes() == raster_disc_numpy(s, g, x, y, r).tobytes(), (x, y)
+
+
+def test_observe_raster_of_a_non_finite_centre_is_empty():
+    world = make_world(mode="raster")
+    ctx = Context(0, 2.8, ())
+    for x, y in [(math.nan, 1.0), (1.0, math.nan), (math.inf, 1.0), (1.0, -math.inf)]:
+        assert not world.observe(ctx, AgentState(x, y)).any()
+
+
+def decode_inputs(world, rng):
+    """Real rasters (some past the border, so empty), clipped Gaussian noise,
+    sparse noise, all-zero and negative-sum rasters; or state observations
+    in and around [0, 1]."""
+    d = world.obs_dim
+    if world.spec.mode == "state":
+        return rng.uniform(-0.5, 1.5, (3000, d))
+    s, r = world.spec.arena_size, world.spec.agent_radius
+    ctx = Context(0, s, ())
+    real = [world.observe(ctx, AgentState(x, y)) for x, y in rng.uniform(-2 * r, s + 2 * r, (2000, 2))]
+    noise = np.clip(rng.normal(0.0, 0.3, (1500, d)), 0.0, 1.0)
+    sparse = noise * (rng.uniform(size=noise.shape) < 0.01)
+    negative = -np.abs(rng.normal(size=(20, d)))
+    obs = np.concatenate([real, noise, sparse, np.zeros((50, d)), negative])
+    return obs[rng.permutation(len(obs))]
+
+
+@pytest.mark.parametrize(
+    "kw", [{"mode": "state"}] + [{"mode": "raster", **kw} for kw in RASTER_SPECS[:2]],
+    ids=["state", "raster", "raster-20"],
+)
+def test_decode_xy_is_bit_equal_to_the_per_row_decode(kw):
+    world = make_world(**kw)
+    obs = decode_inputs(world, np.random.default_rng(42))
+    want = decode_rows(world, obs)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # NaN rows come without a RuntimeWarning
+        got = world.decode_xy(obs)
+    assert same_bits(got, want)
+    if world.spec.mode == "raster":
+        assert 100 < np.isnan(want[:, 0]).sum() < len(obs) // 2
+    # a row does not depend on the batch around it or on the memory layout
+    split = [world.decode_xy(obs[k : k + 7]) for k in range(0, len(obs), 7)]
+    assert same_bits(np.concatenate(split), want)
+    assert same_bits(world.decode_xy(np.asfortranarray(obs)), want)
+    assert same_bits(world.decode_xy(np.zeros((0, world.obs_dim))), np.zeros((0, 2)))
+    for o, (x, y) in zip(obs[:400], want):
+        if math.isnan(x):
+            with pytest.raises(EvaluationError, match="empty raster"):
+                world.decode(o)
+        else:
+            st = world.decode(o)
+            assert same_bits([st.x, st.y], [x, y])
 
 
 
