@@ -202,7 +202,7 @@ def execute(
                     plan_seed(seed, steps // exec_cfg.r),
                 )
                 plans.append(plan)
-                wp_idx = 1 if len(plan) > 1 else 0
+                wp_idx = 1
                 steps_on_wp = 0
             except NoPathError:
                 plan = None

@@ -20,7 +20,6 @@ import numpy as np
 
 from .autodiff import derived_seed
 from .controller import ExecutionConfig, execute
-from .cvae import hallucinate
 from .plangraph import Plan, PlanningConfig
 from .world import BlockWorld
 
@@ -40,17 +39,15 @@ def fidelity(world: BlockWorld, ctx, samples) -> float | None:
     """Fraction of the (m, obs_dim) samples decoding to valid agent states;
     an empty raster decodes to NaN, which is invalid. None for an empty set,
     which has nothing to rate."""
-    obs = np.asarray(samples, dtype=float)
-    if len(obs) == 0:
+    if len(samples) == 0:
         return None
-    xy = world.decode_xy(obs)
-    return int(world.positions_valid(ctx, xy[:, 0], xy[:, 1]).sum()) / len(obs)
+    xy = world.decode_xy(samples)
+    return int(world.positions_valid(ctx, xy[:, 0], xy[:, 1]).sum()) / len(xy)
 
 
 def hops_reachable(world: BlockWorld, ctx, plan: Plan, horizon: int) -> list:
     """The reachability oracle's verdict on each consecutive pair of plan nodes."""
-    obs = plan.observations
-    return [world.oracle_reachable(ctx, obs[t], obs[t + 1], horizon) for t in range(len(plan) - 1)]
+    return world.oracle_reachable(ctx, plan.observations, horizon)
 
 
 def feasibility(hops) -> float:
@@ -175,8 +172,8 @@ def run_benchmark(
     ``bundles`` maps method name to (ModelBundle, scheme or None); a None
     scheme means the inverse-model-only baseline (no planner). Plan metrics
     are computed on the first plan of each run, which need not come from
-    its first planning attempt; fidelity re-samples the first plan's
-    candidates from its seed, and is None when there are none.
+    its first planning attempt; fidelity rates the candidates that plan
+    searched, and is None when there are none.
     """
     rows = []
     for method, (bundle, scheme) in bundles.items():
@@ -189,9 +186,7 @@ def run_benchmark(
                 first = result.plans[0]
                 hops = hops_reachable(world, task.context, first, oracle_horizon)
                 feas, comp = feasibility(hops), completeness(hops)
-                ctx_enc = world.encode_context(task.context)
-                samples = hallucinate(bundle.cvae, ctx_enc, cfg.m_samples, first.seed)
-                fid = fidelity(world, task.context, samples)
+                fid = fidelity(world, task.context, first.candidates)
             rows.append(
                 TaskRow(
                     task_id,

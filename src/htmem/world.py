@@ -475,15 +475,18 @@ class BlockWorld:
 
     # -- oracles and tasks --------------------------------------------------
 
-    def oracle_reachable(self, ctx: Context, obs_a, obs_b, horizon: int) -> bool:
-        """Conservative ground truth: straight swept-disc path is free and the
-        displacement fits within ``horizon`` maximal action steps per axis
-        (which implies euclidean distance <= horizon * a_max * sqrt(2))."""
-        sa = self.decode(obs_a)
-        sb = self.decode(obs_b)
-        if max(abs(sa.x - sb.x), abs(sa.y - sb.y)) > horizon * self.spec.a_max:
-            return False
-        return self.swept_free(ctx, (sa.x, sa.y), (sb.x, sb.y))
+    def oracle_reachable(self, ctx: Context, obs, horizon: int) -> list:
+        """Conservative ground truth per hop between consecutive rows of the (n, obs_dim)
+        ``obs``, each decoded once: the straight swept-disc path is free and the displacement
+        fits within ``horizon`` maximal action steps per axis. An empty raster raises EvaluationError."""
+        obs = self._observations(obs, batch=True)
+        if self.spec.mode == "raster" and (obs.sum(axis=1) <= 0).any():
+            raise EvaluationError("empty raster cannot be decoded")
+        xy, reach = self.decode_xy(obs).tolist(), horizon * self.spec.a_max
+        return [
+            max(abs(a[0] - b[0]), abs(a[1] - b[1])) <= reach and self.swept_free(ctx, a, b)
+            for a, b in zip(xy, xy[1:])
+        ]
 
     def make_task(
         self,

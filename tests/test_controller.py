@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -195,7 +196,8 @@ def test_execute_respects_step_budget_and_replan_accounting():
     assert res.steps == 10
     assert res.replan_count == math.floor((res.steps - 1) / 4) == 2
     assert len(res.plans) == 3  # initial plan plus two replans
-    assert res.plans[0].seed == plan_seed(1, 0)
+    enc = world.encode_context(ctx)
+    assert np.array_equal(res.plans[0].candidates, hallucinate(cvae, enc, 4, plan_seed(1, 0)))
     # all visited states stay valid under the dynamics
     for x, y in res.state_trace:
         assert world.state_valid(ctx, AgentState(x, y))
@@ -210,7 +212,11 @@ def test_execute_respects_step_budget_and_replan_accounting():
     assert res.steps == 15
     assert res.replan_count == (res.steps - 1) // 4 == 3
     assert len(res.plans) == res.replan_count + 1
-    assert [p.seed for p in res.plans] == [plan_seed(1, k) for k in range(4)]
+    enc = world.encode_context(task.context)
+    assert all(
+        np.array_equal(p.candidates, hallucinate(cvae, enc, 4, plan_seed(1, k)))
+        for k, p in enumerate(res.plans)
+    )
 
 
 def test_execute_success_consistency_flag():
@@ -279,10 +285,44 @@ def test_benchmark_fidelity_rates_the_first_plan_after_a_failed_attempt(monkeypa
     )
     (result,), (row,) = results, report.rows
     # attempt 0 found no path, so the first plan is the first replan's
-    assert result.planless and result.plans[0].seed == plan_seed(result.seed, 1)
     enc = world.encode_context(ctx)
-    assert row.fidelity == metrics.fidelity(world, ctx, hallucinate(cvae, enc, m, result.plans[0].seed))
+    first = result.plans[0]
+    assert result.planless
+    assert np.array_equal(first.candidates, hallucinate(cvae, enc, m, plan_seed(result.seed, 1)))
+    assert row.fidelity == metrics.fidelity(world, ctx, first.candidates)
     assert report.aggregates()["htm"]["no_plan_rate"] == 0.0
+
+
+def test_benchmark_fidelity_rates_the_nodes_the_plan_searched(monkeypatch):
+    """A plan whose candidates are not the generator's draw for its seed is
+    rated on its candidates."""
+    world = BlockWorld(WorldSpec())
+    cvae, scorer, inverse = stub_bundle(world)
+    ctx = walled_context()
+    task = Task(ctx, AgentState(1.1, 0.5), AgentState(2.4, 0.5))
+    m = 40
+    in_wall = np.column_stack([np.full(m, 1.4), np.linspace(0.2, 1.6, m)]) / ctx.arena_size
+    seeds = []
+
+    def planner_of_walled_nodes(*args):
+        plan, graph = plan_end_to_end(*args)
+        seeds.append(args[-1])
+        return replace(plan, candidates=in_wall), graph
+
+    monkeypatch.setattr(controller, "plan_end_to_end", planner_of_walled_nodes)
+    report = metrics.run_benchmark(
+        world,
+        [task],
+        {"htm": (ModelBundle(cvae, scorer, inverse), "normalized")},
+        PlanningConfig(m_samples=m),
+        ExecutionConfig(n=10, r=4),
+        oracle_horizon=5,
+        seed=0,
+    )
+    (row,) = report.rows
+    drawn = hallucinate(cvae, world.encode_context(ctx), m, seeds[0])
+    assert metrics.fidelity(world, ctx, drawn) > 0
+    assert row.fidelity == metrics.fidelity(world, ctx, in_wall) == 0.0
 
 
 def test_benchmark_without_samples_reports_no_fidelity():

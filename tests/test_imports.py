@@ -29,14 +29,19 @@ def unused_imports(source: str) -> list:
     return unused
 
 
-def tape_constructions(source: str) -> list:
-    """Lines that call ``Tape()``, by bare name or as a module attribute."""
+def calls_to(source: str, name: str) -> list:
+    """Lines that call ``name``, by bare name or as a module attribute."""
     return [
         node.lineno
         for node in ast.walk(ast.parse(source))
         if isinstance(node, ast.Call)
-        and (getattr(node.func, "id", None) == "Tape" or getattr(node.func, "attr", None) == "Tape")
+        and (getattr(node.func, "id", None) == name or getattr(node.func, "attr", None) == name)
     ]
+
+
+def tape_constructions(source: str) -> list:
+    """Lines that call ``Tape()``."""
+    return calls_to(source, "Tape")
 
 
 def test_the_scan_finds_an_unused_import():
@@ -61,3 +66,17 @@ def test_only_autodiff_builds_tapes(path):
     """Losses record on the caller's tape; ``autodiff.evaluate`` and the
     training step are the only places a tape is made."""
     assert tape_constructions(path.read_text()) == []
+
+
+def test_the_scan_finds_a_sampler_call():
+    source = "x = hallucinate(m, c, 3, 0)\ny = cvae.hallucinate(m, c, 3, 0)\nf = hallucinate\n"
+    assert calls_to(source, "hallucinate") == [1, 2]
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in MODULES if p.name not in ("plangraph.py", "pipeline.py")], ids=lambda p: p.name
+)
+def test_only_the_planner_and_the_pools_draw_samples(path):
+    """Plan nodes are drawn in ``plangraph`` alone, and the scorers' negative
+    pools in ``pipeline``; every other module reads what those drew."""
+    assert calls_to(path.read_text(), "hallucinate") == []

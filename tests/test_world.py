@@ -370,10 +370,10 @@ def test_oracle_reachable_identity_and_blocked():
     world = make_world()
     ctx = one_wall_context(world)
     o = world.observe(ctx, AgentState(0.7, 0.7))
-    assert world.oracle_reachable(ctx, o, o, 0)
+    assert world.oracle_reachable(ctx, np.stack([o, o]), 0) == [True]
     left = world.observe(ctx, AgentState(1.0, 0.5))
     right = world.observe(ctx, AgentState(1.8, 0.5))
-    assert not world.oracle_reachable(ctx, left, right, 50)
+    assert world.oracle_reachable(ctx, np.stack([left, right]), 50) == [False]
 
 
 def test_oracle_true_implies_greedy_controller_reaches():
@@ -386,8 +386,8 @@ def test_oracle_true_implies_greedy_controller_reaches():
         b = world.sample_free_state(ctx, rng)
         h = 5
         if not world.oracle_reachable(
-            ctx, world.observe(ctx, a), world.observe(ctx, b), h
-        ):
+            ctx, np.stack([world.observe(ctx, a), world.observe(ctx, b)]), h
+        )[0]:
             continue
         checked += 1
         st = a
@@ -401,6 +401,66 @@ def test_oracle_true_implies_greedy_controller_reaches():
         assert math.hypot(st.x - b.x, st.y - b.y) < 1e-9
 
 
+def oracle_hops_loop(world, ctx, obs, horizon):
+    """The oracle hop by hop, each end decoded on its own by ``decode``: the
+    per-pair oracle that one decode of the whole sequence replaced."""
+    verdicts = []
+    for o_a, o_b in zip(obs, obs[1:]):
+        sa, sb = world.decode(o_a), world.decode(o_b)
+        if max(abs(sa.x - sb.x), abs(sa.y - sb.y)) > horizon * world.spec.a_max:
+            verdicts.append(False)
+        else:
+            verdicts.append(world.swept_free(ctx, (sa.x, sa.y), (sb.x, sb.y)))
+    return verdicts
+
+
+def oracle_sequences(world, ctx, rng):
+    """Random walks of 60 nodes with steps up to 0.2 per axis, held within
+    0.1 of the arena, as observations; rasters with clipped Gaussian noise
+    added. A tenth of the state nodes are uniform in and around the arena."""
+    s = ctx.arena_size
+    for _ in range(6):
+        walk = rng.uniform(0, s, 2) + np.cumsum(rng.uniform(-0.2, 0.2, (60, 2)), axis=0)
+        xy = np.clip(walk, -0.1, s + 0.1)
+        obs = np.array([world.observe(ctx, AgentState(x, y)) for x, y in xy.tolist()])
+        if world.spec.mode == "state":
+            jump = rng.uniform(size=60) < 0.1
+            obs[jump] = rng.uniform(-0.1, 1.1, (int(jump.sum()), 2))
+        else:
+            obs = np.clip(obs + rng.normal(0.0, 0.03, obs.shape), 0.0, 1.0)
+        yield obs
+
+
+@pytest.mark.parametrize("mode", ["state", "raster"])
+def test_oracle_reachable_equals_the_per_hop_loop(mode):
+    world = make_world(mode=mode)
+    rng = np.random.default_rng(43)
+    verdicts = []
+    for seed in range(5):
+        ctx = world.generate_context(300 + seed)
+        for obs in oracle_sequences(world, ctx, rng):
+            for h in (1, 3, 5, 50):
+                want = oracle_hops_loop(world, ctx, obs, h)
+                assert world.oracle_reachable(ctx, obs, h) == want
+                verdicts += want
+    assert 0.1 < np.mean(verdicts) < 0.9
+    ctx = world.generate_context(300)
+    one = obs[:1]
+    assert world.oracle_reachable(ctx, one, 5) == oracle_hops_loop(world, ctx, one, 5) == []
+    assert world.oracle_reachable(ctx, obs[:0], 5) == []
+
+
+def test_oracle_reachable_rejects_an_empty_raster_node():
+    world = make_world(mode="raster")
+    ctx = one_wall_context(world)
+    o = world.observe(ctx, AgentState(0.7, 0.7))
+    for obs in (np.stack([o, np.zeros_like(o), o]), np.stack([o, o, -o])):
+        with pytest.raises(EvaluationError, match="empty raster"):
+            oracle_hops_loop(world, ctx, obs, 5)
+        with pytest.raises(EvaluationError, match="empty raster"):
+            world.oracle_reachable(ctx, obs, 5)
+
+
 def test_make_task_deterministic_and_cross_wall_blocked():
     world = make_world()
     ctx = world.generate_context(7)
@@ -409,7 +469,7 @@ def test_make_task_deterministic_and_cross_wall_blocked():
     assert t1 == t2
     o_start = world.observe(ctx, t1.start)
     o_goal = world.observe(ctx, t1.goal)
-    assert not world.oracle_reachable(ctx, o_start, o_goal, 3)
+    assert world.oracle_reachable(ctx, np.stack([o_start, o_goal]), 3) == [False]
     assert world.state_valid(ctx, t1.start) and world.state_valid(ctx, t1.goal)
 
 
