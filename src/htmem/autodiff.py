@@ -623,9 +623,9 @@ def load_parts(path, header_sizes: dict, layout):
 
     ``header_sizes`` maps each accepted kind tag to its number of header
     ints; ``layout(header)`` lists the parts in file order, each the shape
-    of an array or ``(MlpParams, n_in, n_out)``, an MLP whose first and last
-    sizes the header implies. The parts must consume the meta ints and the
-    floats exactly. Returns (header, parts).
+    of an array or ``(MlpParams, n_in, n_out)``, an MLP of at least one layer
+    whose first and last sizes the header implies. The parts must consume the
+    meta ints and the floats exactly. Returns (header, parts).
     """
     with open(path, "rb") as fh:
         raw = fh.read()
@@ -667,6 +667,8 @@ def load_parts(path, header_sizes: dict, layout):
             raise CheckpointError(f"{path}: MLP meta is truncated or names an unknown activation")
         act, n_sizes = ACTIVATIONS[meta[m_off]], meta[m_off + 1]
         sizes = meta[m_off + 2 : m_off + 2 + n_sizes]
+        if len(sizes) < 2:
+            raise CheckpointError(f"{path}: MLP of sizes {sizes} has no layer")
         if sizes[:1] + sizes[-1:] != list(spec[1:]):
             raise CheckpointError(
                 f"{path}: MLP of sizes {sizes}, but the header implies {spec[1]} inputs "

@@ -118,10 +118,11 @@ def validate_config(cfg: RunConfig) -> None:
     )
     _require(w.raster_size >= 4, "world.raster_size", "must be at least 4")
     _require(w.max_walls >= 0, "world.max_walls", "must be nonnegative")
+    # The benchmark's tasks are cross-wall, and a context without a wall has none.
     _require(
-        len(w.n_walls) == 2 and 0 <= w.n_walls[0] <= w.n_walls[1] <= w.max_walls,
+        len(w.n_walls) == 2 and 1 <= w.n_walls[0] <= w.n_walls[1] <= w.max_walls,
         "world.n_walls",
-        "must be a (min, max) range within max_walls",
+        "must be a (min, max) range within max_walls, with min at least 1",
     )
     for name in ("wall_thickness", "wall_length_frac", "wall_offset_frac"):
         rng = getattr(w, name)

@@ -18,10 +18,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import (  # noqa: F401  TrainingDiverged is re-exported
+from .autodiff import (
     MlpParams,
     Tape,
-    TrainingDiverged,
     derived_seed,
     fit,
     load_parts,
@@ -97,11 +96,6 @@ class ConnectivityModel:
         """L[i, j] = logit of the directed edge j -> i over all node pairs."""
         z = self.encode(obs_matrix, ctx)
         return z @ self.bilinear @ z.T
-
-    def score_pair(self, o_from, o_to, ctx) -> float:
-        z_from = self.encode(o_from, ctx)[0]
-        z_to = self.encode(o_to, ctx)[0]
-        return float(z_to @ self.bilinear @ z_from)
 
     def save(self, path):
         header = [self.obs_dim, self.ctx_dim, self.d, self.horizon]

@@ -6,7 +6,8 @@ pursues each plan node for a bounded number of steps, replans on a global
 step period, and falls back to direct goal pursuit when it has no plan.
 Run without a planning config, that fallback is the inverse-model-only
 baseline; a run is marked planless when it had no planner or when a
-planning attempt found no path.
+planning attempt found no path. The executor observes each state it visits
+once, and asks the scorer one question, ``pairwise_logits``.
 """
 
 from __future__ import annotations
@@ -17,10 +18,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import (  # noqa: F401  TrainingDiverged is re-exported
+from .autodiff import (
     MlpParams,
     Tape,
-    TrainingDiverged,
     derived_seed,
     fit,
     load_parts,
@@ -170,7 +170,9 @@ def execute(
     ``steps // r`` drawing from ``plan_seed(seed, steps // r)``. Without a
     plan the goal is pursued directly: a ``plan_cfg`` of None is the
     inverse-model-only baseline. The result is planless when there is no
-    planner, or when an attempt found no path.
+    planner, or when an attempt found no path. The goal, the start and each
+    state after a step that does not end the run are observed once; the
+    planner, the policy and the waypoint test read that one observation.
     """
     ctx = task.context
     ctx_enc = world.encode_context(ctx)
@@ -178,6 +180,7 @@ def execute(
     goal = np.array([task.goal.x, task.goal.y])
 
     state = task.start
+    obs = world.observe(ctx, state)
     trace = [np.array([state.x, state.y])]
     plans: list = []
     planless = plan_cfg is None
@@ -194,7 +197,7 @@ def execute(
             try:
                 plan, _ = plan_end_to_end(
                     ctx_enc,
-                    world.observe(ctx, state),
+                    obs,
                     goal_obs,
                     models.cvae,
                     models.scorer,
@@ -208,16 +211,17 @@ def execute(
                 plan = None
                 planless = True
         target_obs = plan.observations[wp_idx] if plan is not None else goal_obs
-        action = infer_action(models.inverse, world.observe(ctx, state), target_obs, ctx_enc)
+        action = infer_action(models.inverse, obs, target_obs, ctx_enc)
         state = world.step(ctx, state, action)
         steps += 1
         trace.append(np.array([state.x, state.y]))
         if distance() <= exec_cfg.tau:
             break
+        obs = world.observe(ctx, state)
         if plan is not None and wp_idx < len(plan) - 1:
             steps_on_wp += 1
             if steps_on_wp >= exec_cfg.waypoint_steps or _reached(
-                world, models.scorer, ctx, ctx_enc, state, plan, wp_idx, exec_cfg.eps_wp
+                world, models.scorer, obs, ctx_enc, state, plan, wp_idx, exec_cfg.eps_wp
             ):
                 wp_idx += 1
                 steps_on_wp = 0
@@ -233,13 +237,15 @@ def execute(
     )
 
 
-def _reached(world, scorer, ctx, ctx_enc, state, plan: Plan, wp_idx, eps_wp) -> bool:
+def _reached(world, scorer, obs, ctx_enc, state, plan: Plan, wp_idx, eps_wp) -> bool:
+    """Whether the agent at ``state``, observed as ``obs``, has reached the
+    plan's node ``wp_idx``: within ``eps_wp`` of its decoded position in
+    state mode; in raster mode once the connectivity score from ``obs`` to
+    the node is at least that of the plan edge that led into it."""
     target_obs = plan.observations[wp_idx]
     if world.spec.mode == "state":
-        t = world.decode(target_obs)
-        return math.hypot(state.x - t.x, state.y - t.y) <= eps_wp
-    # raster mode: advance once the connectivity score from here to the
-    # waypoint matches the plan edge that led into it
-    cur_obs = world.observe(ctx, state)
-    logit_now = scorer.score_pair(cur_obs, target_obs, ctx_enc)
+        x, y = world.decode_xy(target_obs[None])[0]
+        return math.hypot(state.x - x, state.y - y) <= eps_wp
+    # L[i, j] scores the edge j -> i, so [1, 0] is obs -> target
+    logit_now = scorer.pairwise_logits(np.stack([obs, target_obs]), ctx_enc)[1, 0]
     return logit_now >= plan.edge_logits[wp_idx - 1]

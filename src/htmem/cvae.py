@@ -12,10 +12,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import (  # noqa: F401  TrainingDiverged is re-exported
+from .autodiff import (
     MlpParams,
     Tape,
-    TrainingDiverged,
     derived_seed,
     fit,
     load_parts,

@@ -6,8 +6,10 @@ The paper-style qualitative judgments (does a plan look real, executable,
 complete) are replaced by simulator-oracle quantities with the same intent:
 sample validity for fidelity, and swept-disc reachability of consecutive
 plan nodes: feasibility is the share of hops the oracle accepts, and a plan
-is complete when it accepts them all. Absolute values are artifact-scale;
-orderings are what the acceptance suite pins down.
+is complete when it accepts them all. The hop verdicts come from one
+``BlockWorld.oracle_reachable`` call per plan, and these functions read
+them. Absolute values are artifact-scale; orderings are what the acceptance
+suite pins down.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import numpy as np
 
 from .autodiff import derived_seed
 from .controller import ExecutionConfig, execute
-from .plangraph import Plan, PlanningConfig
+from .plangraph import PlanningConfig
 from .world import BlockWorld
 
 
@@ -43,11 +45,6 @@ def fidelity(world: BlockWorld, ctx, samples) -> float | None:
         return None
     xy = world.decode_xy(samples)
     return int(world.positions_valid(ctx, xy[:, 0], xy[:, 1]).sum()) / len(xy)
-
-
-def hops_reachable(world: BlockWorld, ctx, plan: Plan, horizon: int) -> list:
-    """The reachability oracle's verdict on each consecutive pair of plan nodes."""
-    return world.oracle_reachable(ctx, plan.observations, horizon)
 
 
 def feasibility(hops) -> float:
@@ -172,8 +169,9 @@ def run_benchmark(
     ``bundles`` maps method name to (ModelBundle, scheme or None); a None
     scheme means the inverse-model-only baseline (no planner). Plan metrics
     are computed on the first plan of each run, which need not come from
-    its first planning attempt; fidelity rates the candidates that plan
-    searched, and is None when there are none.
+    its first planning attempt: one ``world.oracle_reachable`` call judges
+    its hops, and fidelity rates the candidates it searched (None when there
+    are none).
     """
     rows = []
     for method, (bundle, scheme) in bundles.items():
@@ -184,7 +182,7 @@ def run_benchmark(
             feas = comp = fid = None
             if result.plans:
                 first = result.plans[0]
-                hops = hops_reachable(world, task.context, first, oracle_horizon)
+                hops = world.oracle_reachable(task.context, first.observations, oracle_horizon)
                 feas, comp = feasibility(hops), completeness(hops)
                 fid = fidelity(world, task.context, first.candidates)
             rows.append(

@@ -393,16 +393,13 @@ class BlockWorld:
                     grid[i * g + j] = (radius - d) / radius
         return grid
 
-    def _observations(self, obs, batch: bool) -> np.ndarray:
-        """``obs`` as a C-ordered float array (so that each row sums as it
-        would alone) of shape (obs_dim,), or (m, obs_dim) for a batch."""
+    def _observations(self, obs) -> np.ndarray:
+        """The (m, obs_dim) ``obs`` as a C-ordered float array, so that each
+        row sums as it would alone; EvaluationError for any other shape."""
         obs = np.asarray(obs, dtype=float, order="C")
         d = self.obs_dim
-        if obs.shape != ((*obs.shape[:1], d) if batch else (d,)):
-            raise EvaluationError(
-                f"{self.spec.mode} observations have shape ({d},), and a batch (m, {d}); "
-                f"got {obs.shape}"
-            )
+        if obs.ndim != 2 or obs.shape[1] != d:
+            raise EvaluationError(f"{self.spec.mode} observations have shape (m, {d}); got {obs.shape}")
         return obs
 
     def decode_xy(self, obs) -> np.ndarray:
@@ -410,7 +407,7 @@ class BlockWorld:
         arena side, a raster's intensity centroid. A raster summing to zero or
         less has no centroid and gives a NaN row, without a warning. A row's
         bits do not depend on the rest of the batch."""
-        obs = self._observations(obs, batch=True)
+        obs = self._observations(obs)
         s = self.spec.arena_size
         if self.spec.mode == "state":
             return obs * s
@@ -422,16 +419,6 @@ class BlockWorld:
         # per row: the intensity of each column, then of each row of cells
         marginals = np.stack([grid.sum(axis=1), grid.sum(axis=2)], axis=1)
         return (marginals * centers).sum(axis=2) / total[:, None]
-
-    def decode(self, obs) -> AgentState:
-        """The agent state of one observation shaped (obs_dim,): the one-row
-        case of ``decode_xy``, except that an empty raster raises
-        EvaluationError."""
-        obs = self._observations(obs, batch=False)
-        if self.spec.mode == "raster" and obs.sum() <= 0:
-            raise EvaluationError("empty raster cannot be decoded")
-        x, y = self.decode_xy(obs[None])[0].tolist()
-        return AgentState(x, y)
 
     def encode_context(self, ctx: Context) -> np.ndarray:
         s = ctx.arena_size
@@ -479,7 +466,7 @@ class BlockWorld:
         """Conservative ground truth per hop between consecutive rows of the (n, obs_dim)
         ``obs``, each decoded once: the straight swept-disc path is free and the displacement
         fits within ``horizon`` maximal action steps per axis. An empty raster raises EvaluationError."""
-        obs = self._observations(obs, batch=True)
+        obs = self._observations(obs)
         if self.spec.mode == "raster" and (obs.sum(axis=1) <= 0).any():
             raise EvaluationError("empty raster cannot be decoded")
         xy, reach = self.decode_xy(obs).tolist(), horizon * self.spec.a_max

@@ -399,6 +399,8 @@ def test_checkpoint_rejects_each_malformed_field(tmp_path):
     save_parts(path, "TEST", [7], [mlp_init([2, 3], "relu", seed=0)])
     raw = path.read_bytes()  # meta ints 7, 0 (relu), 2, 2, 3 at bytes 16..36; 9 floats
     unknown_act = raw[:20] + len(ad.ACTIVATIONS).to_bytes(4, "little") + raw[24:]
+    # meta 7, 0, 1, 2 and no floats: one size, so no layer
+    one_size = raw[:12] + b"".join(v.to_bytes(4, "little") for v in (4, 7, 0, 1, 2)) + bytes(8)
     cases = [
         (b"XXXX" + raw[4:], {"TEST": 1}, _one_mlp(2, 3), "bad magic"),
         (raw[:4] + (2).to_bytes(4, "little") + raw[8:], {"TEST": 1}, _one_mlp(2, 3), "version 2"),
@@ -411,6 +413,7 @@ def test_checkpoint_rejects_each_malformed_field(tmp_path):
         (raw, {"TEST": 1}, lambda header: ((MlpParams, 2, 3), (2,)), "parameters are truncated"),
         (raw, {"TEST": 1}, lambda header: (), "do not consume"),
         (raw, {"TEST": 1}, _one_mlp(2, 4), "implies 2 inputs and 4 outputs"),
+        (one_size, {"TEST": 1}, _one_mlp(2, 2), r"sizes \[2\] has no layer"),
     ]
     for i, (payload, header_sizes, layout, message) in enumerate(cases):
         broken = tmp_path / f"broken{i}.ckpt"
@@ -461,10 +464,6 @@ class _Vector:
 
 
 def test_fit_raises_the_single_training_diverged_with_the_label():
-    from htmem import connectivity, controller, cvae
-
-    assert cvae.TrainingDiverged is connectivity.TrainingDiverged is controller.TrainingDiverged
-    assert cvae.TrainingDiverged is ad.TrainingDiverged
     model = _Vector()
 
     def steps(epoch):

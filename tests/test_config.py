@@ -39,6 +39,8 @@ SPTM_OFFSET = 20  # default sptm negative offset: 4 * horizon 5
         ({"data": {"n_holdout": 0}}, "data.n_holdout"),
         ({"world": {"wall_length_frac": [0.5, 0.9]}}, "world.wall_length_frac"),
         ({"world": {"wall_thickness": [0.05, 0.8]}}, "world.wall_thickness"),
+        # a context without a wall has no cross-wall task
+        ({"world": {"n_walls": [0, 1]}}, "world.n_walls"),
     ],
 )
 def test_config_rejects_values_that_cannot_run(overrides, key):
@@ -72,8 +74,8 @@ def _positive_range(low, high):
 @st.composite
 def valid_overrides(draw):
     """Config overrides drawn from the ranges ``validate_config`` accepts."""
-    max_walls = draw(st.integers(0, 4))
-    low_walls = draw(st.integers(0, max_walls))
+    max_walls = draw(st.integers(1, 4))
+    low_walls = draw(st.integers(1, max_walls))
     sptm_horizon = draw(st.integers(1, 8))
     negative_offset = draw(
         st.one_of(st.none(), st.integers(sptm_horizon + 1, 40), st.integers(sptm_horizon + 1, 40).map(float))

@@ -101,22 +101,21 @@ def occurrences(ds, context_ids):
 def test_zero_bilinear_scores_zero_everywhere():
     model = identity_scorer()
     rng = np.random.default_rng(0)
-    for _ in range(5):
-        a, b = rng.uniform(size=2), rng.uniform(size=2)
-        assert model.score_pair(a, b, np.zeros(2)) == 0.0
     logits = model.pairwise_logits(rng.uniform(size=(6, 2)), np.zeros(2))
     assert np.array_equal(logits, np.zeros((6, 6)))
 
 
-def test_score_pair_is_directed():
+def test_pairwise_logits_are_directed():
     rng = np.random.default_rng(1)
     model = identity_scorer(w=rng.normal(size=(4, 4)))
-    a, b = rng.uniform(size=2), rng.uniform(size=2)
     ctx = rng.uniform(size=2)
-    assert model.score_pair(a, b, ctx) != pytest.approx(model.score_pair(b, a, ctx))
+    logits = model.pairwise_logits(rng.uniform(size=(2, 2)), ctx)
+    assert logits[1, 0] != pytest.approx(logits[0, 1])
 
 
-def test_pairwise_logits_match_score_pair():
+def test_pairwise_logits_match_the_per_pair_bilinear_product():
+    """L[i, j] is g(o_i)^T W g(o_j), the edge j -> i, with each end encoded
+    on its own."""
     rng = np.random.default_rng(2)
     model = identity_scorer(w=rng.normal(size=(4, 4)))
     obs = rng.uniform(size=(5, 2))
@@ -124,9 +123,8 @@ def test_pairwise_logits_match_score_pair():
     logits = model.pairwise_logits(obs, ctx)
     for i in range(5):
         for j in range(5):
-            assert logits[i, j] == pytest.approx(
-                model.score_pair(obs[j], obs[i], ctx), abs=1e-12
-            )
+            z_to, z_from = model.encode(obs[i], ctx)[0], model.encode(obs[j], ctx)[0]
+            assert logits[i, j] == pytest.approx(z_to @ model.bilinear @ z_from, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -451,12 +449,10 @@ def test_train_sptm_beats_chance_and_scores_one_step_pairs():
     ctx_enc = world.encode_context(ds.context_by_id(2))
     hits = total = 0
     for traj in ds.trajectories[2]:
-        for t in range(len(traj.actions)):
-            p = sigmoid(
-                model.score_pair(traj.observations[t], traj.observations[t + 1], ctx_enc)
-            )
-            hits += p > 0.5
-            total += 1
+        # L[t + 1, t] scores the edge t -> t + 1
+        p = sigmoid(np.diagonal(model.pairwise_logits(traj.observations, ctx_enc), offset=-1))
+        hits += int((p > 0.5).sum())
+        total += len(p)
     assert hits / total >= 0.8
 
 

@@ -52,9 +52,6 @@ def stub_bundle(world, obs_dim=2, ctx_dim=None):
             d = np.linalg.norm(obs[:, None, :] - obs[None, :, :], axis=2)
             return (-8.0 * d).T
 
-        def score_pair(self, o_from, o_to, ctx):
-            return -8.0 * float(np.linalg.norm(np.asarray(o_to) - np.asarray(o_from)))
-
     inverse = inverse_init(obs_dim, ctx_dim, world.spec.a_max, InverseConfig(hidden=(4,)))
     return cvae, DistScorer(), inverse
 
@@ -217,6 +214,70 @@ def test_execute_respects_step_budget_and_replan_accounting():
         np.array_equal(p.candidates, hallucinate(cvae, enc, 4, plan_seed(1, k)))
         for k, p in enumerate(res.plans)
     )
+
+
+def test_execute_observes_each_state_once(monkeypatch):
+    world = BlockWorld(WorldSpec())
+    cvae, scorer, _ = stub_bundle(world)
+    stuck = inverse_init(2, world.ctx_dim, world.spec.a_max, InverseConfig(hidden=(4,), seed=9))
+    for w in stuck.net.weights:
+        w[...] = 0.0
+    stuck.net.biases[-1][...] = [50.0, 0.0]  # full push right, into the wall
+    observed = []
+    observe = BlockWorld.observe
+
+    def counting(self, ctx, state):
+        observed.append(state)
+        return observe(self, ctx, state)
+
+    monkeypatch.setattr(BlockWorld, "observe", counting)
+    task = Task(walled_context(), AgentState(1.1, 0.5), AgentState(2.4, 0.5))
+    res = execute(
+        world,
+        task,
+        ModelBundle(cvae, scorer, stuck),
+        PlanningConfig(m_samples=4),
+        ExecutionConfig(n=10, r=4),
+        seed=1,
+    )
+    assert len(res.plans) == 3
+    # the goal, the start and each state after a step, but not the same state twice
+    assert len(observed) <= res.steps + 2
+    assert observed[0] == task.goal and observed[1] == task.start
+
+
+def test_execute_raster_waypoints_ask_the_scorer_pairwise_logits_alone():
+    """A scorer with ``pairwise_logits`` and nothing else serves the planner
+    and the raster waypoint test."""
+    world = BlockWorld(WorldSpec(mode="raster"))
+    ctx = free_context()
+    task = Task(ctx, AgentState(0.5, 1.4), AgentState(2.3, 1.4))
+    # every sample is the raster of the midpoint, so plans pass through it
+    mid = world.observe(ctx, AgentState(1.4, 1.4))
+    d_z, obs_dim, ctx_dim = 2, world.obs_dim, world.ctx_dim
+    enc = MlpParams([np.zeros((2 * d_z, obs_dim + ctx_dim))], [np.zeros(2 * d_z)], "identity")
+    dec = MlpParams([np.zeros((obs_dim, d_z + ctx_dim))], [mid], "identity")
+    cvae = CvaeModel(enc, dec, obs_dim, ctx_dim, d_z)
+    inverse = inverse_init(obs_dim, ctx_dim, world.spec.a_max, InverseConfig(hidden=(4,)))
+    rows = []
+
+    class DecodedDistScorer:
+        def pairwise_logits(self, obs, ctx):
+            rows.append(len(obs))
+            xy = world.decode_xy(obs)
+            return -8.0 * np.linalg.norm(xy[:, None, :] - xy[None, :, :], axis=2)
+
+    res = execute(
+        world,
+        task,
+        ModelBundle(cvae, DecodedDistScorer(), inverse),
+        PlanningConfig(m_samples=3),
+        ExecutionConfig(n=12, r=6),
+        seed=0,
+    )
+    assert res.steps > 0 and len(res.plans) >= 1
+    assert all(len(p) >= 3 for p in res.plans)
+    assert 2 in rows  # the waypoint test scored the agent against its waypoint
 
 
 def test_execute_success_consistency_flag():

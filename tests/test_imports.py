@@ -54,6 +54,12 @@ def test_every_import_is_used(path):
     assert unused_imports(path.read_text()) == []
 
 
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_no_module_silences_a_lint_check(path):
+    """A ``# noqa`` marker would hide its line from the scans above."""
+    assert "# noqa" not in path.read_text()
+
+
 def test_the_scan_finds_a_tape_construction():
     source = "t = Tape()\nu = ad.Tape()\nv = tape.watch(w)\ndef f(tape: Tape): pass\n"
     assert tape_constructions(source) == [1, 2]

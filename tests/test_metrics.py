@@ -10,13 +10,11 @@ from htmem.metrics import (
     completeness,
     feasibility,
     fidelity,
-    hops_reachable,
     make_benchmark_tasks,
     mi_lower_bound,
     wilson_interval,
 )
-from htmem.plangraph import Plan
-from htmem.world import AgentState, BlockWorld, Context, EvaluationError, Wall, WorldSpec
+from htmem.world import AgentState, BlockWorld, Context, Wall, WorldSpec
 
 
 def world_and_ctx():
@@ -25,10 +23,10 @@ def world_and_ctx():
     return world, ctx
 
 
-def plan_from_states(world, ctx, states):
+def hops(world, ctx, states):
+    """The oracle's verdicts on the hops of a plan through ``states``."""
     obs = np.array([world.observe(ctx, s) for s in states])
-    n = len(states)
-    return Plan(list(range(n)), obs, np.ones(n - 1), np.zeros(n - 1), float(n - 1), "normalized")
+    return world.oracle_reachable(ctx, obs, horizon=5)
 
 
 def test_fidelity_empty_and_real_samples():
@@ -50,12 +48,9 @@ def test_fidelity_counts_invalid_samples():
 
 def test_feasibility_adjacent_vs_teleport():
     world, ctx = world_and_ctx()
-    near = plan_from_states(world, ctx, [AgentState(0.5, 0.5), AgentState(0.7, 0.5)])
-    assert feasibility(hops_reachable(world, ctx, near, horizon=5)) == 1.0
-    teleport = plan_from_states(world, ctx, [AgentState(0.9, 0.5), AgentState(2.0, 0.5)])
-    assert feasibility(hops_reachable(world, ctx, teleport, horizon=5)) == 0.0
-    single = plan_from_states(world, ctx, [AgentState(0.5, 0.5)])
-    assert feasibility(hops_reachable(world, ctx, single, horizon=5)) == 1.0
+    assert feasibility(hops(world, ctx, [AgentState(0.5, 0.5), AgentState(0.7, 0.5)])) == 1.0
+    assert feasibility(hops(world, ctx, [AgentState(0.9, 0.5), AgentState(2.0, 0.5)])) == 0.0
+    assert feasibility(hops(world, ctx, [AgentState(0.5, 0.5)])) == 1.0
 
 
 def test_feasibility_of_consecutive_real_frames_is_one():
@@ -68,15 +63,7 @@ def test_feasibility_of_consecutive_real_frames_is_one():
     )
     for ctx in ds.contexts:
         for traj in ds.trajectories[ctx.id]:
-            plan = Plan(
-                list(range(len(traj.observations))),
-                traj.observations,
-                np.ones(len(traj.actions)),
-                np.zeros(len(traj.actions)),
-                float(len(traj.actions)),
-                "normalized",
-            )
-            assert feasibility(hops_reachable(world, ctx, plan, horizon=5)) == 1.0
+            assert feasibility(world.oracle_reachable(ctx, traj.observations, horizon=5)) == 1.0
 
 
 def test_completeness_goal_on_plan_end():
@@ -85,20 +72,18 @@ def test_completeness_goal_on_plan_end():
     world, ctx = world_and_ctx()
     goal = AgentState(2.2, 1.0)
     around_the_wall = [(0.5, 0.5), (0.9, 0.9), (1.0, 1.4), (1.1, 1.9), (1.4, 2.2), (1.7, 1.9), (1.8, 1.4), (2.1, 1.1)]
-    walked = plan_from_states(world, ctx, [AgentState(x, y) for x, y in around_the_wall] + [goal])
-    assert completeness(hops_reachable(world, ctx, walked, horizon=5))
-    through_the_wall = plan_from_states(world, ctx, [AgentState(0.5, 0.5), goal])
-    assert not completeness(hops_reachable(world, ctx, through_the_wall, horizon=5))
-    assert completeness(hops_reachable(world, ctx, plan_from_states(world, ctx, [goal]), horizon=5))
+    assert completeness(hops(world, ctx, [AgentState(x, y) for x, y in around_the_wall] + [goal]))
+    assert not completeness(hops(world, ctx, [AgentState(0.5, 0.5), goal]))
+    assert completeness(hops(world, ctx, [goal]))
 
 
 def test_completeness_is_false_when_one_middle_hop_fails():
     world, ctx = world_and_ctx()
     states = [AgentState(0.5, 0.5), AgentState(0.7, 0.5), AgentState(2.0, 0.5), AgentState(2.2, 0.5)]
-    hops = hops_reachable(world, ctx, plan_from_states(world, ctx, states), horizon=5)
-    assert hops == [True, False, True]
-    assert feasibility(hops) == pytest.approx(2 / 3)
-    assert not completeness(hops)
+    verdicts = hops(world, ctx, states)
+    assert verdicts == [True, False, True]
+    assert feasibility(verdicts) == pytest.approx(2 / 3)
+    assert not completeness(verdicts)
 
 
 def test_mi_lower_bound_values_and_validation():
@@ -206,11 +191,14 @@ def test_fidelity_equals_per_sample_state_valid():
     rng = np.random.default_rng(1)
     obs = rng.uniform(0.0, 1.0, (40, 256)) * (rng.uniform(size=(40, 256)) < 0.02)
     obs[::7] = 0.0  # empty rasters cannot be decoded and count as invalid
+    centers = (np.arange(16) + 0.5) * (2.8 / 16)
     valid = 0
     for o in obs:
-        try:
-            valid += world.state_valid(ctx, world.decode(o))
-        except EvaluationError:
-            pass
+        grid = o.reshape(16, 16)
+        total = grid.sum()
+        if total > 0:
+            x = float((grid.sum(axis=0) * centers).sum() / total)
+            y = float((grid.sum(axis=1) * centers).sum() / total)
+            valid += world.state_valid(ctx, AgentState(x, y))
     assert 0 < valid < len(obs)
     assert fidelity(world, ctx, obs) == valid / len(obs)
