@@ -8,6 +8,9 @@ Run without a planning config, that fallback is the inverse-model-only
 baseline; a run is marked planless when it had no planner or when a
 planning attempt found no path. The executor observes each state it visits
 once, and asks the scorer one question, ``pairwise_logits``.
+
+A step that ``step`` rejects repeats until the next replan, waypoint timeout
+or end of the budget, and the executor applies those repeats at once.
 """
 
 from __future__ import annotations
@@ -171,8 +174,16 @@ def execute(
     plan the goal is pursued directly: a ``plan_cfg`` of None is the
     inverse-model-only baseline. The result is planless when there is no
     planner, or when an attempt found no path. The goal, the start and each
-    state after a step that does not end the run are observed once; the
+    state a step changed, unless it ends the run, are observed once; the
     planner, the policy and the waypoint test read that one observation.
+
+    A rejected step is a fixed point: ``step`` returns its input, so the next
+    tick has the same observation, target and context, ``infer_action`` and
+    the waypoint test are pure, and the tick repeats. Unless the waypoint
+    advanced, the k repeats up to the next replan, waypoint timeout or end of
+    the budget are applied at once: k copies of the last trace row, k more
+    steps and k more steps on the waypoint, which advances if that times it
+    out. The result is bit-identical to running those ticks.
     """
     ctx = task.context
     ctx_enc = world.encode_context(ctx)
@@ -212,19 +223,34 @@ def execute(
                 planless = True
         target_obs = plan.observations[wp_idx] if plan is not None else goal_obs
         action = infer_action(models.inverse, obs, target_obs, ctx_enc)
-        state = world.step(ctx, state, action)
+        moved = world.step(ctx, state, action)
+        stuck, state = moved == state, moved
         steps += 1
         trace.append(np.array([state.x, state.y]))
         if distance() <= exec_cfg.tau:
             break
-        obs = world.observe(ctx, state)
-        if plan is not None and wp_idx < len(plan) - 1:
+        if not stuck:
+            obs = world.observe(ctx, state)
+        counting = plan is not None and wp_idx < len(plan) - 1
+        advance = False
+        if counting:
             steps_on_wp += 1
-            if steps_on_wp >= exec_cfg.waypoint_steps or _reached(
+            advance = steps_on_wp >= exec_cfg.waypoint_steps or _reached(
                 world, models.scorer, obs, ctx_enc, state, plan, wp_idx, exec_cfg.eps_wp
-            ):
-                wp_idx += 1
-                steps_on_wp = 0
+            )
+        if stuck and not advance:
+            k = exec_cfg.n - steps
+            if plan_cfg is not None:
+                k = min(k, -steps % exec_cfg.r)  # steps to the next replan
+            if counting:
+                k = min(k, exec_cfg.waypoint_steps - steps_on_wp)
+                steps_on_wp += k
+                advance = steps_on_wp == exec_cfg.waypoint_steps
+            steps += k
+            trace.extend([trace[-1]] * k)
+        if advance:
+            wp_idx += 1
+            steps_on_wp = 0
     return ExecutionResult(
         success=distance() <= exec_cfg.tau,
         steps=steps,

@@ -445,19 +445,19 @@ class BlockWorld:
     # -- exploration ------------------------------------------------------
 
     def rollout_random(self, ctx: Context, start: AgentState, n_steps: int, seed: int):
-        """Uniform i.i.d. actions; returns (states, observations, actions)."""
+        """Uniform i.i.d. actions; returns (states, observations, actions). A
+        state that ``step`` left unchanged keeps its observation."""
         rng = np.random.default_rng(seed)
         a_max = self.spec.a_max
         states = [start]
         observations = [self.observe(ctx, start)]
         actions = np.empty((n_steps, 2))
-        st = start
         for t in range(n_steps):
             a = rng.uniform(-a_max, a_max, size=2)
             actions[t] = a
-            st = self.step(ctx, st, a)
+            st = self.step(ctx, states[-1], a)
+            observations.append(observations[-1] if st == states[-1] else self.observe(ctx, st))
             states.append(st)
-            observations.append(self.observe(ctx, st))
         return states, np.array(observations), actions
 
     # -- oracles and tasks --------------------------------------------------

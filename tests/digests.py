@@ -1,29 +1,78 @@
 """Print the fixed-seed digests: the first 12 hex digits of the sha256 of the
 state and raster ``report.json`` and checkpoints of ``test_pipeline.TINY``,
-and of ``weight_scheme_ablation(train_all(TINY state)).to_json``.
+of every ``ExecutionResult`` of those two zero-shot benchmarks, and of
+``weight_scheme_ablation(train_all(TINY state)).to_json``.
 
     PYTHONPATH=src python3 tests/digests.py
 
-A change that claims bit-identical outputs prints the same eleven lines
+A change that claims bit-identical outputs prints the same thirteen lines
 before and after it. Pytest does not collect this file.
 """
 
 import hashlib
 import pathlib
+import struct
 import tempfile
 
+import numpy as np
+
+from htmem import metrics
 from htmem.config import config_from_dict
 from htmem.pipeline import train_all, weight_scheme_ablation
 from test_pipeline import TINY, run_digests
 
 
+def execution_digest(results) -> str:
+    """sha256 of each result's counters, trace and plans (node indices and
+    observations), in order."""
+    h = hashlib.sha256()
+
+    def array(a):
+        a = np.asarray(a)
+        h.update(repr((a.dtype.str, a.shape)).encode())
+        h.update(a.tobytes())
+
+    for res in results:
+        h.update(
+            struct.pack(
+                "<?qdq?qq",
+                res.success,
+                res.steps,
+                res.final_distance,
+                res.replan_count,
+                res.planless,
+                res.seed,
+                len(res.plans),
+            )
+        )
+        array(res.state_trace)
+        for plan in res.plans:
+            array(np.asarray(plan.node_indices, dtype=np.int64))
+            array(plan.observations)
+    return h.hexdigest()
+
+
 def main():
+    results = []
+    execute = metrics.execute
+
+    def recorded_execute(*args, **kwargs):
+        results.append(execute(*args, **kwargs))
+        return results[-1]
+
     with tempfile.TemporaryDirectory() as tmp:
         tmp = pathlib.Path(tmp)
         for mode in ("state", "raster"):
             (tmp / mode).mkdir()
-            for name, digest in run_digests(tmp / mode, mode).items():
+            metrics.execute = recorded_execute
+            try:
+                digests = run_digests(tmp / mode, mode)
+            finally:
+                metrics.execute = execute
+            for name, digest in digests.items():
                 print(f"{mode} {name} {digest[:12]}")
+            print(f"{mode} executions {execution_digest(results)[:12]}")
+            results.clear()
         art = train_all(config_from_dict({**TINY, "world": {"mode": "state"}}))
         weight_scheme_ablation(art).to_json(tmp / "ablation.json")
         print(f"ablation {hashlib.sha256((tmp / 'ablation.json').read_bytes()).hexdigest()[:12]}")

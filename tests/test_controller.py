@@ -1,4 +1,5 @@
 import math
+import struct
 from dataclasses import replace
 
 import numpy as np
@@ -20,7 +21,7 @@ from htmem.controller import (
 from htmem import controller, metrics
 from htmem.cvae import CvaeModel, hallucinate
 from htmem.data import DataConfig, collect_dataset, split_context_ids
-from htmem.plangraph import NoPathError, PlanningConfig, plan_end_to_end
+from htmem.plangraph import NoPathError, Plan, PlanningConfig, plan_end_to_end
 from htmem.world import AgentState, BlockWorld, Context, Task, Wall, WorldSpec
 from gradcheck import grad_check
 
@@ -155,6 +156,24 @@ def walled_context():
     return Context(0, 2.8, (Wall(1.4, 0.9, 0.08, 0.9),))
 
 
+def pushing_inverse(world, push=(50.0, 0.0)):
+    """A policy that ignores its inputs: tanh of ``push``, full speed right
+    by default."""
+    model = inverse_init(world.obs_dim, world.ctx_dim, world.spec.a_max, InverseConfig(hidden=(4,), seed=9))
+    for w in model.net.weights:
+        w[...] = 0.0
+    model.net.biases[-1][...] = push
+    return model
+
+
+def greedy_inverse(world, gain=20.0):
+    """A state-mode policy that heads straight for its target."""
+    w = np.zeros((2, 4 + world.ctx_dim))
+    w[:, :2], w[:, 2:4] = -gain * np.eye(2), gain * np.eye(2)
+    net = MlpParams([w], [np.zeros(2)], "identity")
+    return InverseModel(net, world.spec.a_max, 2, world.ctx_dim)
+
+
 def test_execute_immediate_success_zero_steps():
     world = BlockWorld(WorldSpec())
     cvae, scorer, inverse = stub_bundle(world)
@@ -177,11 +196,7 @@ def test_execute_respects_step_budget_and_replan_accounting():
     world = BlockWorld(WorldSpec())
     cvae, scorer, _ = stub_bundle(world)
     # inverse model that always pushes right at full speed
-    stuck = inverse_init(2, world.ctx_dim, world.spec.a_max, InverseConfig(hidden=(4,), seed=9))
-    for w in stuck.net.weights:
-        w[...] = 0.0
-    stuck.net.biases[-1][...] = [50.0, 0.0]  # tanh -> full push right
-    bundle = ModelBundle(cvae, scorer, stuck)
+    bundle = ModelBundle(cvae, scorer, pushing_inverse(world))
 
     # into the wall: the run exhausts the budget
     ctx = walled_context()
@@ -219,10 +234,6 @@ def test_execute_respects_step_budget_and_replan_accounting():
 def test_execute_observes_each_state_once(monkeypatch):
     world = BlockWorld(WorldSpec())
     cvae, scorer, _ = stub_bundle(world)
-    stuck = inverse_init(2, world.ctx_dim, world.spec.a_max, InverseConfig(hidden=(4,), seed=9))
-    for w in stuck.net.weights:
-        w[...] = 0.0
-    stuck.net.biases[-1][...] = [50.0, 0.0]  # full push right, into the wall
     observed = []
     observe = BlockWorld.observe
 
@@ -231,19 +242,22 @@ def test_execute_observes_each_state_once(monkeypatch):
         return observe(self, ctx, state)
 
     monkeypatch.setattr(BlockWorld, "observe", counting)
-    task = Task(walled_context(), AgentState(1.1, 0.5), AgentState(2.4, 0.5))
+    # three steps right, then the wall rejects every step
+    task = Task(walled_context(), AgentState(0.85, 0.5), AgentState(2.4, 0.5))
     res = execute(
         world,
         task,
-        ModelBundle(cvae, scorer, stuck),
+        ModelBundle(cvae, scorer, pushing_inverse(world)),
         PlanningConfig(m_samples=4),
         ExecutionConfig(n=10, r=4),
         seed=1,
     )
     assert len(res.plans) == 3
-    # the goal, the start and each state after a step, but not the same state twice
-    assert len(observed) <= res.steps + 2
-    assert observed[0] == task.goal and observed[1] == task.start
+    # the goal, the start, and each state a step changed, each observed once
+    trace = [AgentState(x, y) for x, y in res.state_trace]
+    changed = [b for a, b in zip(trace, trace[1:]) if b != a]
+    assert len(changed) == 3
+    assert observed == [task.goal, task.start, *changed]
 
 
 def test_execute_raster_waypoints_ask_the_scorer_pairwise_logits_alone():
@@ -310,6 +324,275 @@ def test_execute_baseline_is_planless():
     assert res.planless
     assert res.plans == []
     assert res.replan_count == 0
+
+
+# ---------------------------------------------------------------------------
+# stuck steps against the step-by-step loop
+
+
+def stepwise_execute(world, task, models, plan_cfg, exec_cfg, seed):
+    """``execute`` one tick at a time: every tick plans when due, infers an
+    action, steps, observes and tests its waypoint. The reference for the
+    fast-forward of stuck steps in ``execute``."""
+    ctx = task.context
+    ctx_enc = world.encode_context(ctx)
+    goal_obs = world.observe(ctx, task.goal)
+    goal = np.array([task.goal.x, task.goal.y])
+
+    state = task.start
+    obs = world.observe(ctx, state)
+    trace = [np.array([state.x, state.y])]
+    plans = []
+    planless = plan_cfg is None
+    steps = 0
+    plan = None
+    wp_idx = 0
+    steps_on_wp = 0
+
+    def distance():
+        return math.hypot(state.x - goal[0], state.y - goal[1])
+
+    while distance() > exec_cfg.tau and steps < exec_cfg.n:
+        if plan_cfg is not None and steps % exec_cfg.r == 0:
+            try:
+                plan, _ = controller.plan_end_to_end(
+                    ctx_enc,
+                    obs,
+                    goal_obs,
+                    models.cvae,
+                    models.scorer,
+                    plan_cfg,
+                    plan_seed(seed, steps // exec_cfg.r),
+                )
+                plans.append(plan)
+                wp_idx = 1
+                steps_on_wp = 0
+            except NoPathError:
+                plan = None
+                planless = True
+        target_obs = plan.observations[wp_idx] if plan is not None else goal_obs
+        action = infer_action(models.inverse, obs, target_obs, ctx_enc)
+        state = world.step(ctx, state, action)
+        steps += 1
+        trace.append(np.array([state.x, state.y]))
+        if distance() <= exec_cfg.tau:
+            break
+        obs = world.observe(ctx, state)
+        if plan is not None and wp_idx < len(plan) - 1:
+            steps_on_wp += 1
+            if steps_on_wp >= exec_cfg.waypoint_steps or controller._reached(
+                world, models.scorer, obs, ctx_enc, state, plan, wp_idx, exec_cfg.eps_wp
+            ):
+                wp_idx += 1
+                steps_on_wp = 0
+    return controller.ExecutionResult(
+        success=distance() <= exec_cfg.tau,
+        steps=steps,
+        final_distance=distance(),
+        replan_count=(steps - 1) // exec_cfg.r if plan_cfg is not None and steps else 0,
+        planless=planless,
+        state_trace=np.array(trace),
+        plans=plans,
+        seed=seed,
+    )
+
+
+def execute_against_the_reference(monkeypatch, world, task, models, plan_cfg, exec_cfg, seed=1):
+    """Run ``execute`` and ``stepwise_execute``, assert every result field
+    equal byte for byte, and return the result with the number of
+    ``infer_action`` calls ``execute`` made (the reference calls the
+    function it imported, not the module's)."""
+    calls = []
+
+    def counting(*args):
+        calls.append(1)
+        return infer_action(*args)
+
+    monkeypatch.setattr(controller, "infer_action", counting)
+    fast = execute(world, task, models, plan_cfg, exec_cfg, seed)
+    slow = stepwise_execute(world, task, models, plan_cfg, exec_cfg, seed)
+    for name in ("success", "steps", "replan_count", "planless", "seed"):
+        assert getattr(fast, name) == getattr(slow, name), name
+    assert struct.pack("<d", fast.final_distance) == struct.pack("<d", slow.final_distance)
+    assert fast.state_trace.shape == slow.state_trace.shape == (fast.steps + 1, 2)
+    assert fast.state_trace.tobytes() == slow.state_trace.tobytes()
+    assert len(fast.plans) == len(slow.plans)
+    for a, b in zip(fast.plans, slow.plans):
+        assert list(a.node_indices) == list(b.node_indices)
+        assert a.observations.tobytes() == b.observations.tobytes()
+    return fast, len(calls)
+
+
+def stuck_steps(res):
+    """Steps after which the agent stood where it stood before."""
+    return int((np.diff(res.state_trace, axis=0) == 0).all(axis=1).sum())
+
+
+def test_inverse_model_alone_pressing_into_a_wall_matches_the_reference(monkeypatch):
+    world = BlockWorld(WorldSpec())
+    cvae, scorer, _ = stub_bundle(world)
+    task = Task(walled_context(), AgentState(0.85, 0.5), AgentState(2.4, 0.5))
+    res, calls = execute_against_the_reference(
+        monkeypatch, world, task, ModelBundle(cvae, scorer, pushing_inverse(world)), None, ExecutionConfig(n=50)
+    )
+    # three steps right, then one rejected step stands for the other 47
+    assert res.steps == 50 and res.planless and stuck_steps(res) == 47
+    assert calls == 4
+
+
+def test_a_planless_wall_pressing_run_infers_and_steps_at_most_twice(monkeypatch):
+    world = BlockWorld(WorldSpec())
+    cvae, scorer, _ = stub_bundle(world)
+    counts = {"infer_action": 0, "step": 0}
+    step = BlockWorld.step
+
+    def counting_infer(*args):
+        counts["infer_action"] += 1
+        return infer_action(*args)
+
+    def counting_step(self, *args):
+        counts["step"] += 1
+        return step(self, *args)
+
+    monkeypatch.setattr(controller, "infer_action", counting_infer)
+    monkeypatch.setattr(BlockWorld, "step", counting_step)
+    task = Task(walled_context(), AgentState(1.1, 0.5), AgentState(2.4, 0.5))
+    res = execute(
+        world, task, ModelBundle(cvae, scorer, pushing_inverse(world)), None, ExecutionConfig(n=200), seed=0
+    )
+    assert res.steps == 200 and len(res.state_trace) == 201
+    assert counts["infer_action"] <= 2 and counts["step"] <= 2
+
+
+@pytest.mark.parametrize(
+    "exec_cfg",
+    [
+        ExecutionConfig(n=60, r=25, waypoint_steps=5),  # waypoints time out while stuck
+        ExecutionConfig(n=60, r=7, waypoint_steps=5),  # a replan inside a stuck stretch
+        ExecutionConfig(n=1, r=4),
+        ExecutionConfig(n=30, r=1),
+        ExecutionConfig(n=30, r=8, waypoint_steps=1),
+    ],
+    ids=["waypoint-timeouts", "replan-inside", "n1", "r1", "waypoint_steps1"],
+)
+def test_a_stuck_planner_matches_the_reference(monkeypatch, exec_cfg):
+    world = BlockWorld(WorldSpec())
+    cvae, scorer, _ = stub_bundle(world)
+    task = Task(walled_context(), AgentState(1.1, 0.5), AgentState(2.4, 0.5))
+    bundle = ModelBundle(cvae, scorer, pushing_inverse(world))
+    res, calls = execute_against_the_reference(
+        monkeypatch, world, task, bundle, PlanningConfig(m_samples=12), exec_cfg
+    )
+    assert res.steps == exec_cfg.n and len(res.plans) == (exec_cfg.n - 1) // exec_cfg.r + 1
+    if exec_cfg.n > 1 and exec_cfg.r > 1:
+        assert max(len(p) for p in res.plans) >= 3 and calls < res.steps
+
+
+def test_a_no_path_fallback_matches_the_reference(monkeypatch):
+    world = BlockWorld(WorldSpec())
+    cvae, scorer, _ = stub_bundle(world)
+    task = Task(walled_context(), AgentState(1.1, 0.5), AgentState(2.4, 0.5))
+    no_path = {plan_seed(1, 0), plan_seed(1, 2)}
+
+    def some_attempts_find_no_path(*args):
+        if args[-1] in no_path:
+            raise NoPathError("no path")
+        return plan_end_to_end(*args)
+
+    monkeypatch.setattr(controller, "plan_end_to_end", some_attempts_find_no_path)
+    res, calls = execute_against_the_reference(
+        monkeypatch,
+        world,
+        task,
+        ModelBundle(cvae, scorer, pushing_inverse(world)),
+        PlanningConfig(m_samples=12),
+        ExecutionConfig(n=40, r=10),
+    )
+    assert res.planless and len(res.plans) == 2 and calls < res.steps
+
+
+@pytest.mark.parametrize("waypoint_steps, r", [(8, 40), (3, 7), (1, 25), (2, 5)])
+def test_a_stuck_agent_moves_again_after_its_waypoint_advances(monkeypatch, waypoint_steps, r):
+    """The waypoint across the wall times out; the agent, pressed against
+    the wall, has reached the next one, and heads for the one after on its
+    own side."""
+    world = BlockWorld(WorldSpec())
+    cvae, scorer, _ = stub_bundle(world)
+    ctx = walled_context()
+    task = Task(ctx, AgentState(1.1, 0.5), AgentState(2.4, 0.5))
+    nodes = [
+        task.start,
+        AgentState(1.8, 0.5),
+        AgentState(1.18, 0.5),
+        AgentState(0.9, 1.0),
+        AgentState(1.0, 2.3),
+        task.goal,
+    ]
+    obs = np.array([world.observe(ctx, st) for st in nodes])
+
+    def fixed_plan(*args):
+        k = len(nodes)
+        plan = Plan(list(range(k)), obs, np.ones(k - 1), np.zeros(k - 1), k - 1.0, "normalized")
+        return plan, None
+
+    monkeypatch.setattr(controller, "plan_end_to_end", fixed_plan)
+    res, calls = execute_against_the_reference(
+        monkeypatch,
+        world,
+        task,
+        ModelBundle(cvae, scorer, greedy_inverse(world, gain=60.0)),
+        PlanningConfig(m_samples=0),
+        ExecutionConfig(n=80, r=r, waypoint_steps=waypoint_steps),
+    )
+    moved = (np.diff(res.state_trace, axis=0) != 0).any(axis=1)
+    first_stuck = int(np.argmin(moved))
+    assert not moved[first_stuck] and moved[first_stuck + 1 :].any()
+    assert calls < res.steps
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_greedy_runs_between_random_states_match_the_reference(monkeypatch, seed):
+    world = BlockWorld(WorldSpec())
+    cvae, scorer, _ = stub_bundle(world)
+    ctx = walled_context()
+    rng = np.random.default_rng(seed)
+    task = Task(ctx, world.sample_free_state(ctx, rng), world.sample_free_state(ctx, rng))
+    exec_cfg = ExecutionConfig(n=60, r=int(rng.integers(1, 20)), waypoint_steps=int(rng.integers(1, 8)))
+    execute_against_the_reference(
+        monkeypatch, world, task, ModelBundle(cvae, scorer, greedy_inverse(world)), PlanningConfig(m_samples=10), exec_cfg, seed
+    )
+
+
+def test_a_stuck_raster_run_matches_the_reference(monkeypatch):
+    """Its waypoints use the ``pairwise_logits`` test. The agent backs into
+    the arena's border, away from its waypoint."""
+    world = BlockWorld(WorldSpec(mode="raster"))
+    ctx = walled_context()
+    task = Task(ctx, AgentState(0.45, 0.5), AgentState(2.4, 0.5))
+    # every sample is the raster of the midpoint, so plans pass through it
+    mid = world.observe(ctx, AgentState(1.425, 0.5))
+    d_z, obs_dim, ctx_dim = 2, world.obs_dim, world.ctx_dim
+    enc = MlpParams([np.zeros((2 * d_z, obs_dim + ctx_dim))], [np.zeros(2 * d_z)], "identity")
+    dec = MlpParams([np.zeros((obs_dim, d_z + ctx_dim))], [mid], "identity")
+    cvae = CvaeModel(enc, dec, obs_dim, ctx_dim, d_z)
+    rows = []
+
+    class DecodedDistScorer:
+        def pairwise_logits(self, obs, ctx):
+            rows.append(len(obs))
+            xy = world.decode_xy(obs)
+            return -8.0 * np.linalg.norm(xy[:, None, :] - xy[None, :, :], axis=2)
+
+    res, calls = execute_against_the_reference(
+        monkeypatch,
+        world,
+        task,
+        ModelBundle(cvae, DecodedDistScorer(), pushing_inverse(world, (-50.0, 0.0))),
+        PlanningConfig(m_samples=3),
+        ExecutionConfig(n=40, r=15, waypoint_steps=6),
+    )
+    assert all(len(p) >= 3 for p in res.plans)
+    assert 2 in rows and stuck_steps(res) > 0 and calls < res.steps
 
 
 

@@ -241,6 +241,27 @@ def test_rollout_replay_consistency():
         assert np.array_equal(world.observe(ctx, st), obs[t + 1])
 
 
+@pytest.mark.parametrize("mode", ["state", "raster"])
+def test_rollout_observes_each_state_a_step_changed_once(monkeypatch, mode):
+    world = make_world(mode=mode)
+    ctx = one_wall_context(world)
+    observed = []
+    observe = BlockWorld.observe
+
+    def counting(self, ctx, state):
+        observed.append(state)
+        return observe(self, ctx, state)
+
+    monkeypatch.setattr(BlockWorld, "observe", counting)
+    # from the corner by the wall, many uniform steps are rejected
+    states, obs, _ = world.rollout_random(ctx, AgentState(1.15, 0.16), 60, 4)
+    changed = [b for a, b in zip(states, states[1:]) if b != a]
+    assert 0 < len(changed) < 60
+    assert observed == [states[0], *changed]
+    monkeypatch.undo()
+    assert all(np.array_equal(world.observe(ctx, st), o) for st, o in zip(states, obs))
+
+
 def test_rollout_state_marginal_covers_free_space():
     world = make_world()
     ctx = one_wall_context(world)
