@@ -8,7 +8,8 @@ array accumulates into a single gradient. A tape's owner calls
 ``Tape.release`` once it has read the gradients, so that the recorded
 arrays are freed then and not by the cyclic garbage collector. Losses
 record on the tape they are given; ``evaluate`` reads a loss's value on a
-tape of its own and releases it.
+forward-only tape of its own, which records nothing, so that each value is
+freed as soon as the loss code stops using it.
 
 Also hosts the small-MLP container, the adaptive-moment optimizer and the
 training loop every learned model uses, and the checkpoint codec every
@@ -70,13 +71,11 @@ class TrainingDiverged(RuntimeError):
 
 
 def sigmoid(x):
+    """Logistic function that never overflows: 1 / (1 + e^-x) for x >= 0 and
+    e^x / (1 + e^x) below, both from e = e^-|x|."""
     x = np.asarray(x, dtype=float)
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 def logsumexp_np(x, axis=-1):
@@ -189,6 +188,20 @@ class Tape:
         """Forget every recorded node; the tape records nothing more."""
         self.nodes = []
         self._watched = {}
+
+
+class _ForwardTape:
+    """What ``evaluate`` gives a loss in place of a Tape: it computes every
+    value as a Tape would but keeps no node list, no parents and no vjp, so
+    reference counting frees each value once the loss code drops it."""
+
+    def leaf(self, value) -> Node:
+        return Node(self, np.asarray(value, dtype=float))
+
+    watch = leaf
+
+    def _push(self, value, parents, vjp) -> Node:
+        return Node(self, value)
 
 
 def _as_node(tape: Tape, x) -> Node:
@@ -521,12 +534,11 @@ def adam_step(params, grads, state: OptimizerState) -> OptimizerState:
 
 
 def evaluate(build):
-    """Value of ``build(tape)`` on a fresh tape, which is released before
-    this returns: the float of the returned node, or a tuple of floats when
-    it returns a tuple of nodes."""
-    tape = Tape()
-    out = build(tape)
-    tape.release()
+    """Value of ``build(tape)`` on a forward-only tape: the float of the
+    returned node, or a tuple of floats when it returns a tuple of nodes.
+    The tape records nothing, so a value is freed once nothing uses it, and
+    the values equal those a recording Tape computes."""
+    out = build(_ForwardTape())
     if isinstance(out, tuple):
         return tuple(float(node.value) for node in out)
     return float(out.value)

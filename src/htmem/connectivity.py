@@ -130,11 +130,10 @@ def connectivity_init(obs_dim, ctx_dim, cfg: CpcConfig | SptmConfig) -> Connecti
 @dataclass
 class CpcBatch:
     anchors: np.ndarray  # (B, obs)
-    positives: np.ndarray  # (B, obs)
-    negatives: np.ndarray  # (B, N-1, obs), same context as the anchor
+    candidates: np.ndarray  # (B, N, obs): the positive, then N-1 negatives of the anchor's context
     contexts: np.ndarray  # (B, ctx)
     offsets: np.ndarray  # (B,), k in 1..horizon
-    halluc_mask: np.ndarray  # (B, N-1) True where the negative was generated
+    halluc_mask: np.ndarray  # (B, N-1) True where negative j, candidate j + 1, was generated
 
     def __len__(self):
         return len(self.anchors)
@@ -174,14 +173,12 @@ def sample_cpc_batch(stack: ContextStack, cfg: CpcConfig, seed: int) -> CpcBatch
     positive = start + offsets
     u = rng.integers(n_flat - 1, size=(b, n_neg))
     u += u >= positive[:, None]  # skip the positive's index
-    negatives = flat[c[:, None], u]
+    candidates = flat[c[:, None], np.column_stack([positive, u])]
     n_h = np.where(stack.pool_size[c] > 0, int(round(cfg.phi * n_neg)), 0)
     halluc_mask = np.arange(n_neg) < n_h[:, None]
     rows, cols = np.nonzero(halluc_mask)
-    negatives[rows, cols] = stack.draw_pool(c[rows], rng)
-    return CpcBatch(
-        flat[c, start], flat[c, positive], negatives, stack.encodings[c], offsets, halluc_mask
-    )
+    candidates[rows, cols + 1] = stack.draw_pool(c[rows], rng)
+    return CpcBatch(flat[c, start], candidates, stack.encodings[c], offsets, halluc_mask)
 
 
 def sample_sptm_batch(stack: ContextStack, cfg: SptmConfig, seed: int) -> SptmBatch:
@@ -243,9 +240,8 @@ def cpc_loss(model: ConnectivityModel, batch: CpcBatch, tape: Tape):
     b = len(batch)
     if b == 0:
         raise ValueError("empty batch")
-    cands = np.concatenate([batch.positives[:, None, :], batch.negatives], axis=1)
     za = mlp_apply(model.encoder, batch.anchors, tape, context=batch.contexts)
-    zc = mlp_apply(model.encoder, cands, tape, context=batch.contexts)  # (b, n, d)
+    zc = mlp_apply(model.encoder, batch.candidates, tape, context=batch.contexts)  # (b, n, d)
     proj = ad.matmul(za, ad.transpose(tape.watch(model.bilinear)))  # rows W @ z_anchor
     logits = ad.sum_axis(ad.mul(zc, ad.reshape(proj, (b, 1, model.d))), -1)
     pos = ad.reshape(ad.slice_cols(logits, 0, 1), (-1,))
@@ -271,9 +267,7 @@ def sptm_bce_loss(model: ConnectivityModel, batch: SptmBatch, tape: Tape):
 
 def _train_scorer(model, dataset, world, cfg, sample_fn, loss_fn, hallucinations, label):
     train, val = training_stacks(dataset, world, hallucinations)
-    val_batches = [
-        sample_fn(val, cfg, derived_seed(cfg.seed, "val", i)) for i in range(cfg.val_batches)
-    ]
+    val_seeds = [derived_seed(cfg.seed, "val", i) for i in range(cfg.val_batches)]
 
     def steps(epoch):
         for i in range(cfg.steps_per_epoch):
@@ -282,7 +276,11 @@ def _train_scorer(model, dataset, world, cfg, sample_fn, loss_fn, hallucinations
             yield lambda tape: loss_fn(model, batch, tape)
 
     def validate():
-        losses = [ad.evaluate(lambda tape: loss_fn(model, b, tape)) for b in val_batches]
+        # each batch is drawn again from its seed and freed after its loss
+        losses = [
+            ad.evaluate(lambda tape: loss_fn(model, sample_fn(val, cfg, seed), tape))
+            for seed in val_seeds
+        ]
         return {"val_loss": float(np.mean(losses))}
 
     return fit(model, cfg.epochs, steps, validate, cfg.lr, label)

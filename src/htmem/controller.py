@@ -82,42 +82,44 @@ def infer_action(model: InverseModel, o_current, o_target, ctx) -> np.ndarray:
     return model.a_max * np.tanh(mlp_apply(model.net, x))
 
 
-def inverse_loss(model: InverseModel, obs, targets, ctx, actions, tape: Tape):
-    """Mean squared error between predicted and logged actions."""
-    raw = mlp_apply(model.net, np.concatenate([obs, targets], axis=1), tape, context=ctx)
+def inverse_loss(model: InverseModel, inputs, actions, tape: Tape):
+    """Mean squared error between predicted and logged actions; each row of
+    ``inputs`` is (observation, next observation, context), as
+    ``infer_action`` feeds the net."""
+    raw = mlp_apply(model.net, inputs, tape)
     pred = ad.mul(ad.tanh(raw), model.a_max)
     diff = ad.sub(pred, tape.leaf(actions))
     return ad.mean_all(ad.sum_axis(ad.mul(diff, diff), -1))
 
 
-def _transitions(stack: ContextStack):
-    """(observations, next observations, encodings, actions): one row per
-    stored transition, in context, trajectory, step order."""
-    _, n_traj, t1, obs_dim = stack.observations.shape
-    return (
-        stack.observations[:, :, :-1].reshape(-1, obs_dim),
-        stack.observations[:, :, 1:].reshape(-1, obs_dim),
-        np.repeat(stack.encodings, n_traj * (t1 - 1), axis=0),
-        stack.actions.reshape(-1, 2),
-    )
+def _transitions(stack: ContextStack, idx):
+    """(inputs, actions) of the stored transitions ``idx``, numbered in
+    context, trajectory, step order: each input row is gathered from the
+    stack as (observation, next observation, context encoding)."""
+    _, n_traj, t, _ = stack.actions.shape
+    c, j, step = idx // (n_traj * t), idx // t % n_traj, idx % t
+    obs = stack.observations
+    inputs = np.concatenate([obs[c, j, step], obs[c, j, step + 1], stack.encodings[c]], axis=1)
+    return inputs, stack.actions[c, j, step]
 
 
 def train_inverse(dataset: TransitionDataset, world: BlockWorld, cfg: InverseConfig) -> InverseModel:
     train, val = training_stacks(dataset, world)
-    x, tgt, ctx, act = _transitions(train)
-    xv, tv, cv, av = _transitions(val)
+    n_train = train.actions[..., 0].size
+    val_inputs, val_actions = _transitions(val, np.arange(val.actions[..., 0].size))
 
     model = inverse_init(world.obs_dim, world.ctx_dim, world.spec.a_max, cfg)
     rng = np.random.default_rng(derived_seed(cfg.seed, "shuffle"))
 
     def steps(epoch):
-        perm = rng.permutation(len(x))
-        for start in range(0, len(x), cfg.batch_size):
+        perm = rng.permutation(n_train)
+        for start in range(0, n_train, cfg.batch_size):
             idx = perm[start : start + cfg.batch_size]
-            yield lambda tape: inverse_loss(model, x[idx], tgt[idx], ctx[idx], act[idx], tape)
+            yield lambda tape: inverse_loss(model, *_transitions(train, idx), tape)
 
     def validate():
-        return {"val_loss": ad.evaluate(lambda tape: inverse_loss(model, xv, tv, cv, av, tape))}
+        loss = ad.evaluate(lambda tape: inverse_loss(model, val_inputs, val_actions, tape))
+        return {"val_loss": loss}
 
     return fit(model, cfg.epochs, steps, validate, cfg.lr, "inverse")
 

@@ -114,10 +114,12 @@ def cvae_elbo(model: CvaeModel, obs, ctx, noise_seed: int, tape: Tape, beta=1.0)
 
 
 def _rows(stack: ContextStack):
-    """(observations, encodings): one row per stored observation, in
-    context, trajectory, step order."""
-    _, n_traj, t1, obs_dim = stack.observations.shape
-    return stack.observations.reshape(-1, obs_dim), np.repeat(stack.encodings, n_traj * t1, axis=0)
+    """(observations, context index): a view of the stack with one row per
+    stored observation, in context, trajectory, step order, and the stack
+    context of each row. Rows ``idx`` are conditioned on
+    ``stack.encodings[context_index[idx]]``, gathered per batch."""
+    n_ctx, n_traj, t1, obs_dim = stack.observations.shape
+    return stack.observations.reshape(-1, obs_dim), np.repeat(np.arange(n_ctx), n_traj * t1)
 
 
 def train_cvae(dataset: TransitionDataset, world: BlockWorld, cfg: CvaeConfig) -> CvaeModel:
@@ -137,12 +139,12 @@ def train_cvae(dataset: TransitionDataset, world: BlockWorld, cfg: CvaeConfig) -
             idx = perm[start : start + cfg.batch_size]
             noise_seed = derived_seed(cfg.seed, "noise", epoch, batch)
             yield lambda tape: cvae_elbo(
-                model, x_train[idx], c_train[idx], noise_seed, tape, cfg.beta
+                model, x_train[idx], train.encodings[c_train[idx]], noise_seed, tape, cfg.beta
             )[0]
 
     def validate():
         total, recon, kl = ad.evaluate(
-            lambda tape: cvae_elbo(model, x_val, c_val, val_seed, tape, cfg.beta)
+            lambda tape: cvae_elbo(model, x_val, val.encodings[c_val], val_seed, tape, cfg.beta)
         )
         return {"val_loss": total, "val_recon": recon, "val_kl": kl}
 

@@ -126,9 +126,12 @@ class ContextStack:
                     f"stacked contexts need one count and one length (first: {first[0]} of "
                     f"{first[1]})"
                 )
-        per_ctx = [dataset.trajectories[cid] for cid in ids]
-        observations = np.stack([np.stack([t.observations for t in ts]) for ts in per_ctx])
-        actions = np.stack([np.stack([t.actions for t in ts]) for ts in per_ctx])
+        # one stack over every trajectory, so that no per-context copy is made
+        trajs = [t for cid in ids for t in dataset.trajectories[cid]]
+        observations, actions = (
+            np.stack(arrays).reshape(len(ids), first[0], *arrays[0].shape)
+            for arrays in ([t.observations for t in trajs], [t.actions for t in trajs])
+        )
         encodings = np.stack([world.encode_context(dataset.context_by_id(cid)) for cid in ids])
         pools = [(hallucinations or {}).get(cid) for cid in ids]
         pools = [np.reshape([] if p is None else p, (-1, world.obs_dim)) for p in pools]

@@ -431,6 +431,30 @@ def test_sigmoid_stable_at_extremes():
     assert vals[0] < 1e-100 and vals[2] > 1.0 - 1e-15
 
 
+def masked_sigmoid(x):
+    """The boolean-mask form: each sign's entries gathered, computed and
+    scattered back."""
+    x = np.asarray(x, dtype=float)
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+def test_sigmoid_equals_the_masked_form_bit_for_bit():
+    rng = np.random.default_rng(0)
+    edges = [0.0, -0.0, np.inf, -np.inf, 5e-324, -5e-324, 2.2e-308, -2.2e-308]
+    for m in (709.0, 745.0, 800.0):
+        edges += [m, -m]
+    x = np.concatenate([rng.normal(scale=30.0, size=(302, 302)).ravel(), edges])
+    assert ad.sigmoid(x).tobytes() == masked_sigmoid(x).tobytes()
+    assert ad.sigmoid(x.reshape(-1, 2)).shape == (x.size // 2, 2)
+    assert ad.sigmoid(1.0) == masked_sigmoid(1.0)
+    assert np.isnan(ad.sigmoid(np.array([np.nan]))).all()
+
+
 def test_derived_seed_is_stable_and_distinct():
     a = ad.derived_seed(1, "x", 2)
     assert a == ad.derived_seed(1, "x", 2)

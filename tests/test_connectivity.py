@@ -43,8 +43,7 @@ def make_cpc_batch(anchors, positives, negatives, ctx_dim=2):
     b, n_neg, _ = negatives.shape
     return CpcBatch(
         anchors,
-        positives,
-        negatives,
+        np.concatenate([positives[:, None], negatives], axis=1),
         np.zeros((b, ctx_dim)),
         np.ones(b, dtype=int),
         np.zeros((b, n_neg), dtype=bool),
@@ -224,14 +223,14 @@ def test_sample_cpc_batch_offsets_and_context_membership():
     # A blocked move repeats an observation, so each maps to all its indices.
     where = occurrences(ds, (0, 1, 2))
     for i in range(len(batch)):
-        a_at, p_at = where[batch.anchors[i].tobytes()], where[batch.positives[i].tobytes()]
+        a_at, p_at = where[batch.anchors[i].tobytes()], where[batch.candidates[i, 0].tobytes()]
         assert any(
             (a_cid, a_tid) == (p_cid, p_tid) and p_t - a_t == batch.offsets[i]
             for a_cid, a_tid, a_t in a_at
             for p_cid, p_tid, p_t in p_at
         )
-        for j in range(batch.negatives.shape[1]):
-            n_at = where[batch.negatives[i, j].tobytes()]
+        for j in range(1, batch.candidates.shape[1]):
+            n_at = where[batch.candidates[i, j].tobytes()]
             assert any(n_cid == a_cid for n_cid, _, _ in n_at for a_cid, _, _ in a_at)
             # positive never among negatives
             assert any(n != p for n in n_at for p in p_at)
@@ -244,6 +243,10 @@ def test_sample_cpc_batch_uses_hallucination_pool():
     batch = sample_cpc_batch(ContextStack.build(ds, world, [0, 1, 2], pool), cfg, seed=3)
     per_anchor = batch.halluc_mask.sum(axis=1)
     assert np.all(per_anchor == round(0.25 * 15))
+    # negative j is candidate j + 1; column 0 is the real positive
+    pool_values = [0.5 + cid * 0.01 for cid in (0, 1, 2)]
+    assert np.isin(batch.candidates[:, 1:][batch.halluc_mask], pool_values).all()
+    assert not np.isin(batch.candidates[:, 0], pool_values).all(axis=1).any()
 
 
 def test_sample_cpc_batch_offset_histogram_uniform():
@@ -286,8 +289,8 @@ def test_sample_cpc_batch_real_negatives_uniform_except_the_positive():
     n_flat = n_traj * t1
     cfg = CpcConfig(horizon=3, n_candidates=8, batch_anchors=6000, phi=0.0)
     batch = sample_cpc_batch(numbered_stack(n_ctx, n_traj, t1), cfg, seed=5)
-    positive = batch.positives[:, 0].astype(int)
-    negative = batch.negatives[..., 0].astype(int)
+    positive = batch.candidates[:, 0, 0].astype(int)
+    negative = batch.candidates[:, 1:, 0].astype(int)
     assert np.all(negative != positive[:, None])
     assert np.all(negative // n_flat == (positive // n_flat)[:, None])  # anchor's context
     # per positive index, every other index of its context is equally likely

@@ -87,7 +87,7 @@ def test_inverse_loss_gradients_pass_fd_check():
     act = rng.uniform(-0.1, 0.1, size=(5, 2))
 
     def build(tape):
-        return inverse_loss(model, obs, tgt, ctx, act, tape)
+        return inverse_loss(model, np.concatenate([obs, tgt, ctx], axis=1), act, tape)
 
     report = grad_check(build, model.parameters())
     assert report.passed, report.max_rel_error

@@ -11,6 +11,7 @@ from htmem.controller import InverseModel
 from htmem.cvae import CvaeModel
 from htmem.data import split_context_ids, training_stacks
 from htmem.pipeline import train_all, weight_scheme_ablation, zero_shot_benchmark
+from htmem.world import BlockWorld
 
 # Small enough to train every model and run the benchmark in about a second
 # per mode; large enough that every stage draws random numbers.
@@ -30,6 +31,17 @@ TINY = {
     "planning": {"m_samples": 20},
     "execution": {"n": 30, "r": 15},
     "evaluation": {"n_tasks": 2, "halluc_pool": 16},
+}
+
+
+# TINY's benchmarks take no step that ``step`` rejects. The agents of six
+# state tasks of 60 steps press into walls, so the executor applies the
+# repeats of rejected steps at once.
+PRESSING = {
+    **TINY,
+    "world": {"mode": "state"},
+    "execution": {"n": 60, "r": 15},
+    "evaluation": {**TINY["evaluation"], "n_tasks": 6},
 }
 
 
@@ -65,6 +77,24 @@ def test_weight_scheme_ablation_runs_each_score_model_under_each_scheme(tmp_path
     report.to_json(tmp_path / "a.json")
     weight_scheme_ablation(art).to_json(tmp_path / "b.json")
     assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
+
+
+def test_the_pressing_benchmark_rejects_steps_and_applies_their_repeats(monkeypatch):
+    calls = rejected = 0
+    step = BlockWorld.step
+
+    def counting_step(self, ctx, state, action):
+        nonlocal calls, rejected
+        moved = step(self, ctx, state, action)
+        calls += 1
+        rejected += moved == state
+        return moved
+
+    art = train_all(config_from_dict(PRESSING))
+    monkeypatch.setattr(BlockWorld, "step", counting_step)
+    report = zero_shot_benchmark(art)
+    assert rejected >= 1
+    assert sum(row.steps for row in report.rows) > calls  # repeats taken without a call
 
 
 @pytest.mark.parametrize(
