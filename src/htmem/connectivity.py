@@ -157,8 +157,8 @@ def sample_cpc_batch(stack: ContextStack, cfg: CpcConfig, seed: int) -> CpcBatch
 
     Contexts, offsets (uniform on 1..horizon), trajectories and start steps
     are uniform. A phi fraction of each negative set is drawn from the
-    anchor's context pool when it has one; the rest are uniform over the
-    context's observations other than the positive's own index.
+    anchor's context pool when the stack has pools; the rest are uniform over
+    the context's observations other than the positive's own index.
     """
     rng = np.random.default_rng(seed)
     flat = stack.flat_observations()
@@ -174,8 +174,8 @@ def sample_cpc_batch(stack: ContextStack, cfg: CpcConfig, seed: int) -> CpcBatch
     u = rng.integers(n_flat - 1, size=(b, n_neg))
     u += u >= positive[:, None]  # skip the positive's index
     candidates = flat[c[:, None], np.column_stack([positive, u])]
-    n_h = np.where(stack.pool_size[c] > 0, int(round(cfg.phi * n_neg)), 0)
-    halluc_mask = np.arange(n_neg) < n_h[:, None]
+    n_h = int(round(cfg.phi * n_neg)) if stack.pool.shape[1] else 0
+    halluc_mask = np.tile(np.arange(n_neg) < n_h, (b, 1))
     rows, cols = np.nonzero(halluc_mask)
     candidates[rows, cols + 1] = stack.draw_pool(c[rows], rng)
     return CpcBatch(flat[c, start], candidates, stack.encodings[c], offsets, halluc_mask)
@@ -205,7 +205,7 @@ def sample_sptm_batch(stack: ContextStack, cfg: SptmConfig, seed: int) -> SptmBa
 
     neg_c, neg_traj, neg_step = c[neg], traj[neg], step[neg]
     halluc_mask = np.zeros(b, dtype=bool)
-    halluc_mask[neg] = (stack.pool_size[neg_c] > 0) & (rng.random(len(neg_c)) < cfg.phi)
+    halluc_mask[neg] = (stack.pool.shape[1] > 0) & (rng.random(len(neg_c)) < cfg.phi)
     # The same trajectory's steps less than l away form one window of flat
     # indices; a uniform draw over the rest skips it.
     lo = np.clip(neg_step - cfg.l + 1, 0, t1)
@@ -290,7 +290,7 @@ def train_cpc(
     dataset: TransitionDataset,
     world: BlockWorld,
     cfg: CpcConfig,
-    hallucinations: dict | None = None,
+    hallucinations: np.ndarray | None = None,
 ) -> ConnectivityModel:
     model = connectivity_init(world.obs_dim, world.ctx_dim, cfg)
     return _train_scorer(
@@ -302,7 +302,7 @@ def train_sptm(
     dataset: TransitionDataset,
     world: BlockWorld,
     cfg: SptmConfig,
-    hallucinations: dict | None = None,
+    hallucinations: np.ndarray | None = None,
 ) -> ConnectivityModel:
     model = connectivity_init(world.obs_dim, world.ctx_dim, cfg)
     return _train_scorer(

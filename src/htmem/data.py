@@ -1,6 +1,7 @@
 """Trajectory dataset: collection from random exploration, the context
-splits, and the stacked per-context view that every training routine reads
-its rows from."""
+splits, and the per-context views that every training routine reads its rows
+from. The dataset's two arrays are the only copy of its rows: each
+trajectory and each ``ContextStack`` is a view of them."""
 
 from __future__ import annotations
 
@@ -27,17 +28,22 @@ class DataConfig:
 class Trajectory:
     context_id: int
     trajectory_id: int
-    observations: np.ndarray  # (T+1, obs_dim)
-    actions: np.ndarray  # (T, 2)
+    observations: np.ndarray  # (T+1, obs_dim), a view of the dataset's observations
+    actions: np.ndarray  # (T, 2), a view of the dataset's actions
     states: np.ndarray  # (T+1, 2) exact positions
 
 
 @dataclass
 class TransitionDataset:
+    """Context ``i`` has id ``i``; ``observations[i, j]`` and ``actions[i, j]``
+    are trajectory ``j`` of context ``i``."""
+
     spec: WorldSpec
     data_config: DataConfig
     contexts: list
     trajectories: dict  # context_id -> list[Trajectory]
+    observations: np.ndarray  # (C, J, T+1, obs_dim)
+    actions: np.ndarray  # (C, J, T, 2)
 
     def context_by_id(self, cid: int) -> Context:
         for c in self.contexts:
@@ -50,27 +56,28 @@ def collect_dataset(world: BlockWorld, cfg: DataConfig) -> TransitionDataset:
     """Random-exploration dataset over freshly generated contexts.
 
     Deterministic in (world spec, cfg): per-context and per-rollout seeds are
-    derived from the master seed.
+    derived from the master seed. Each rollout is written into the dataset's
+    two arrays, and its trajectory views its rows there.
     """
+    n_traj, t = cfg.trajectories_per_context, cfg.trajectory_length
+    observations = np.empty((cfg.n_contexts, n_traj, t + 1, world.obs_dim))
+    actions = np.empty((cfg.n_contexts, n_traj, t, 2))
     contexts = []
     trajectories = {}
     for i in range(cfg.n_contexts):
         ctx = world.generate_context(derived_seed(cfg.seed, "ctx", i), context_id=i)
         contexts.append(ctx)
         rows = []
-        for j in range(cfg.trajectories_per_context):
+        for j in range(n_traj):
             rng = np.random.default_rng(derived_seed(cfg.seed, "start", i, j))
             start = world.sample_free_state(ctx, rng)
-            states, obs, actions = world.rollout_random(
-                ctx, start, cfg.trajectory_length, derived_seed(cfg.seed, "roll", i, j)
+            states, observations[i, j], actions[i, j] = world.rollout_random(
+                ctx, start, t, derived_seed(cfg.seed, "roll", i, j)
             )
-            rows.append(
-                Trajectory(
-                    i, j, obs, actions, np.array([[s.x, s.y] for s in states])
-                )
-            )
+            xy = np.array([[s.x, s.y] for s in states])
+            rows.append(Trajectory(i, j, observations[i, j], actions[i, j], xy))
         trajectories[i] = rows
-    return TransitionDataset(world.spec, cfg, contexts, trajectories)
+    return TransitionDataset(world.spec, cfg, contexts, trajectories, observations, actions)
 
 
 def split_context_ids(dataset: TransitionDataset):
@@ -90,56 +97,44 @@ def split_context_ids(dataset: TransitionDataset):
 
 @dataclass(frozen=True, eq=False)
 class ContextStack:
-    """The trajectories, encodings and generated pools of a fixed list of
-    contexts, stacked once so that training gathers its rows by index.
+    """The trajectories, encodings and generated pools of a contiguous run of
+    contexts, so that training gathers its rows by index. Observations,
+    actions and pool are views of the dataset's and the pools' arrays, not
+    copies.
 
     Context ``i`` of the stack is ``context_ids[i]``; its observations and
-    actions are indexed by trajectory and step, and its pool is the rows
-    ``pool_start[i]`` to ``pool_start[i] + pool_size[i]`` of ``pool``.
+    actions are indexed by trajectory and step, and its pool by row.
     """
 
     context_ids: tuple
     observations: np.ndarray  # (C, J, T+1, obs_dim)
     actions: np.ndarray  # (C, J, T, 2)
     encodings: np.ndarray  # (C, ctx_dim)
-    pool: np.ndarray  # (P, obs_dim), every context's generated observations
-    pool_start: np.ndarray  # (C,)
-    pool_size: np.ndarray  # (C,), 0 for a context without a pool
+    pool: np.ndarray  # (C, P, obs_dim), every context's generated observations; P may be 0
 
     @classmethod
     def build(
-        cls, dataset: TransitionDataset, world: BlockWorld, ids, hallucinations: dict | None = None
+        cls,
+        dataset: TransitionDataset,
+        world: BlockWorld,
+        ids,
+        hallucinations: np.ndarray | None = None,
     ) -> "ContextStack":
-        """Stack ``ids``; ``hallucinations`` maps a context id to its pool."""
+        """View the contiguous run of context ids ``ids``; row ``cid`` of the
+        (n, P, obs_dim) ``hallucinations`` is context ``cid``'s pool."""
         ids = tuple(ids)
         if not ids:
             raise ValueError("no contexts to stack")
-        shapes = {}
-        for cid in ids:
-            trajs = dataset.trajectories[cid]
-            shapes[cid] = (len(trajs), sorted({t.observations.shape[0] for t in trajs}))
-        first = shapes[ids[0]]
-        for cid, (n_traj, lengths) in shapes.items():
-            if len(lengths) != 1 or (n_traj, lengths) != first:
-                raise ValueError(
-                    f"context {cid}: {n_traj} trajectories of {lengths} observations, but "
-                    f"stacked contexts need one count and one length (first: {first[0]} of "
-                    f"{first[1]})"
-                )
-        # one stack over every trajectory, so that no per-context copy is made
-        trajs = [t for cid in ids for t in dataset.trajectories[cid]]
-        observations, actions = (
-            np.stack(arrays).reshape(len(ids), first[0], *arrays[0].shape)
-            for arrays in ([t.observations for t in trajs], [t.actions for t in trajs])
-        )
+        run = slice(ids[0], ids[0] + len(ids))
+        if ids != tuple(range(run.start, run.stop)):
+            raise ValueError(f"context ids {list(ids)} are not a contiguous run")
         encodings = np.stack([world.encode_context(dataset.context_by_id(cid)) for cid in ids])
-        pools = [(hallucinations or {}).get(cid) for cid in ids]
-        pools = [np.reshape([] if p is None else p, (-1, world.obs_dim)) for p in pools]
-        pool_size = np.array([len(p) for p in pools])
-        pool_start = np.concatenate([[0], np.cumsum(pool_size)[:-1]])
-        return cls(
-            ids, observations, actions, encodings, np.concatenate(pools), pool_start, pool_size
-        )
+        if hallucinations is None:
+            hallucinations = np.empty((run.stop, 0, world.obs_dim))
+        pool = hallucinations[run]
+        if len(pool) != len(ids):
+            raise ValueError(f"context ids {list(ids)}: no pool beyond id {len(hallucinations) - 1}")
+        return cls(ids, dataset.observations[run], dataset.actions[run], encodings, pool)
 
     def flat_observations(self) -> np.ndarray:
         """(C, J*(T+1), obs_dim): index ``j*(T+1) + t`` is step t of trajectory j."""
@@ -148,12 +143,12 @@ class ContextStack:
 
     def draw_pool(self, ctx_index, rng) -> np.ndarray:
         """One uniform pool row for each context index in ``ctx_index``;
-        every context indexed must have a nonempty pool."""
-        return self.pool[self.pool_start[ctx_index] + rng.integers(self.pool_size[ctx_index])]
+        the pools must be nonempty unless ``ctx_index`` is."""
+        return self.pool[ctx_index, rng.integers(self.pool.shape[1], size=len(ctx_index))]
 
 
 def training_stacks(
-    dataset: TransitionDataset, world: BlockWorld, hallucinations: dict | None = None
+    dataset: TransitionDataset, world: BlockWorld, hallucinations: np.ndarray | None = None
 ) -> tuple[ContextStack, ContextStack]:
     """(train, val) stacks of the split; a split without validation contexts
     validates on its first training context."""

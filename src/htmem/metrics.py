@@ -171,7 +171,8 @@ def run_benchmark(
     are computed on the first plan of each run, which need not come from
     its first planning attempt: one ``world.oracle_reachable`` call judges
     its hops, and fidelity rates the candidates it searched (None when there
-    are none).
+    are none). Every plan of a result then drops its candidates, so that
+    kept results do not hold them.
     """
     rows = []
     for method, (bundle, scheme) in bundles.items():
@@ -185,6 +186,8 @@ def run_benchmark(
                 hops = world.oracle_reachable(task.context, first.observations, oracle_horizon)
                 feas, comp = feasibility(hops), completeness(hops)
                 fid = fidelity(world, task.context, first.candidates)
+            for plan in result.plans:
+                plan.candidates = None
             rows.append(
                 TaskRow(
                     task_id,

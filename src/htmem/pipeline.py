@@ -7,6 +7,8 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 
+import numpy as np
+
 from .autodiff import derived_seed
 from .config import RunConfig, config_hash
 from .connectivity import ConnectivityModel, train_cpc, train_sptm
@@ -25,19 +27,19 @@ class PipelineArtifacts:
     world: BlockWorld
     dataset: TransitionDataset
     cvae: CvaeModel
-    pools: dict  # context_id -> generated observation pool
+    pools: dict  # context_id -> generated observation pool, a row of one (n, P, obs_dim) array
     cpc: ConnectivityModel
     sptm: ConnectivityModel
     inverse: InverseModel
 
 
-def build_hallucination_pools(world, dataset, cvae, context_ids, size, seed) -> dict:
-    """Per-context sample pools used as generated negatives during scorer
-    training."""
-    pools = {}
-    for cid in context_ids:
+def build_hallucination_pools(world, dataset, cvae, context_ids, size, seed) -> np.ndarray:
+    """(len(context_ids), size, obs_dim) sample pools, row k that of
+    ``context_ids[k]``, used as generated negatives during scorer training."""
+    pools = np.empty((len(context_ids), size, world.obs_dim))
+    for k, cid in enumerate(context_ids):
         enc = world.encode_context(dataset.context_by_id(cid))
-        pools[cid] = hallucinate(cvae, enc, size, derived_seed(seed, "pool", cid))
+        pools[k] = hallucinate(cvae, enc, size, derived_seed(seed, "pool", cid))
     return pools
 
 
@@ -52,8 +54,10 @@ def train_all(cfg: RunConfig, dataset: TransitionDataset | None = None) -> Pipel
     log.info("training generator")
     cvae = train_cvae(dataset, world, cfg.cvae)
     train_ids, val_ids, _ = split_context_ids(dataset)
+    # the split puts every pooled context before the held-out ones, so row cid is id cid's pool
+    pooled = train_ids + val_ids
     pools = build_hallucination_pools(
-        world, dataset, cvae, train_ids + val_ids, cfg.evaluation.halluc_pool, cfg.cvae.seed
+        world, dataset, cvae, pooled, cfg.evaluation.halluc_pool, cfg.cvae.seed
     )
     log.info("training connectivity (contrastive)")
     cpc = train_cpc(dataset, world, cfg.cpc, pools)
@@ -61,6 +65,7 @@ def train_all(cfg: RunConfig, dataset: TransitionDataset | None = None) -> Pipel
     sptm = train_sptm(dataset, world, cfg.sptm, pools)
     log.info("training inverse model")
     inverse = train_inverse(dataset, world, cfg.inverse)
+    pools = dict(zip(pooled, pools))
     return PipelineArtifacts(cfg, world, dataset, cvae, pools, cpc, sptm, inverse)
 
 

@@ -21,7 +21,9 @@ WEIGHT_SCHEMES = ("inverse", "normalized", "sptm_threshold", "sptm_exp")
 
 
 class NoPathError(RuntimeError):
-    """Goal unreachable; only possible when thresholding removes edges."""
+    """Goal unreachable: every route takes an absent edge. Thresholding
+    removes edges, and a weight that overflows to inf in ``scheme_weights``
+    is absent too."""
 
 
 @dataclass
@@ -44,7 +46,9 @@ class Plan:
     edge_logits: np.ndarray
     total_weight: float
     scheme: str
-    candidates: np.ndarray | None = None  # (m, obs_dim) generated nodes searched, 614 KB raster at m 300
+    # (m, obs_dim) generated nodes searched, 614 KB raster at m 300; run_benchmark
+    # rates the first plan's and then sets every plan's to None
+    candidates: np.ndarray | None = None
 
     def __len__(self):
         return len(self.node_indices)

@@ -67,9 +67,8 @@ def numbered_stack(n_ctx, n_traj, t1):
     ``(context * n_traj + trajectory) * t1 + step``."""
     obs = np.arange(float(n_ctx * n_traj * t1)).reshape(n_ctx, n_traj, t1, 1)
     actions = np.zeros((n_ctx, n_traj, t1 - 1, 2))
-    empty = np.zeros(n_ctx, dtype=int)
     return ContextStack(
-        tuple(range(n_ctx)), obs, actions, np.zeros((n_ctx, 1)), np.empty((0, 1)), empty, empty
+        tuple(range(n_ctx)), obs, actions, np.zeros((n_ctx, 1)), np.empty((n_ctx, 0, 1))
     )
 
 
@@ -239,7 +238,7 @@ def test_sample_cpc_batch_offsets_and_context_membership():
 def test_sample_cpc_batch_uses_hallucination_pool():
     world, ds = tiny_dataset()
     cfg = CpcConfig(horizon=3, n_candidates=16, batch_anchors=30, phi=0.25)
-    pool = {cid: np.full((10, 2), 0.5) + cid * 0.01 for cid in (0, 1, 2)}
+    pool = np.full((3, 10, 2), 0.5) + np.arange(3)[:, None, None] * 0.01
     batch = sample_cpc_batch(ContextStack.build(ds, world, [0, 1, 2], pool), cfg, seed=3)
     per_anchor = batch.halluc_mask.sum(axis=1)
     assert np.all(per_anchor == round(0.25 * 15))
@@ -326,11 +325,16 @@ def test_sample_sptm_batch_far_negatives_uniform_over_the_admissible_set():
     assert chi2_uniform(admissible_counts) < CHI2_CRIT_DF172_P001
 
 
-def test_context_stack_rejects_contexts_of_different_shapes():
+def test_context_stack_views_a_contiguous_run_and_rejects_any_other():
     world, ds = tiny_dataset()
-    ds.trajectories[1] = ds.trajectories[1][:-1]
-    with pytest.raises(ValueError, match="context 1"):
-        ContextStack.build(ds, world, [0, 1])
+    stack = ContextStack.build(ds, world, [1, 2])
+    assert np.shares_memory(stack.observations, ds.observations)
+    assert np.array_equal(stack.observations, ds.observations[1:3])
+    for a, b in ([0, 2], [2, 1], [1, 1]):
+        with pytest.raises(ValueError, match=rf"context ids \[{a}, {b}\] are not a contiguous run"):
+            ContextStack.build(ds, world, [a, b])
+    with pytest.raises(ValueError, match=r"context ids \[0, 1\]: no pool beyond id 0"):
+        ContextStack.build(ds, world, [0, 1], np.zeros((1, 3, world.obs_dim)))
 
 
 def test_train_cpc_encodes_each_context_once(monkeypatch):

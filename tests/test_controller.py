@@ -19,11 +19,14 @@ from htmem.controller import (
     train_inverse,
 )
 from htmem import controller, metrics
+from htmem.config import config_from_dict
 from htmem.cvae import CvaeModel, hallucinate
 from htmem.data import DataConfig, collect_dataset, split_context_ids
 from htmem.plangraph import NoPathError, Plan, PlanningConfig, plan_end_to_end
+from htmem.pipeline import train_all, zero_shot_benchmark
 from htmem.world import AgentState, BlockWorld, Context, Task, Wall, WorldSpec
 from gradcheck import grad_check
+from test_pipeline import TINY
 
 
 def tiny_dataset():
@@ -601,13 +604,15 @@ def test_benchmark_fidelity_rates_the_first_plan_after_a_failed_attempt(monkeypa
     cvae, scorer, inverse = stub_bundle(world)
     ctx = walled_context()
     task = Task(ctx, AgentState(1.1, 0.5), AgentState(2.4, 0.5))
-    attempts = []
+    attempts, drawn = [], []
 
     def no_path_at_first(*args):
         attempts.append(args)
         if len(attempts) == 1:
             raise NoPathError("no path")
-        return plan_end_to_end(*args)
+        plan, graph = plan_end_to_end(*args)
+        drawn.append(plan.candidates)
+        return plan, graph
 
     results = []
 
@@ -630,11 +635,42 @@ def test_benchmark_fidelity_rates_the_first_plan_after_a_failed_attempt(monkeypa
     (result,), (row,) = results, report.rows
     # attempt 0 found no path, so the first plan is the first replan's
     enc = world.encode_context(ctx)
-    first = result.plans[0]
-    assert result.planless
-    assert np.array_equal(first.candidates, hallucinate(cvae, enc, m, plan_seed(result.seed, 1)))
-    assert row.fidelity == metrics.fidelity(world, ctx, first.candidates)
+    assert result.planless and len(drawn) == len(result.plans) >= 1
+    assert np.array_equal(drawn[0], hallucinate(cvae, enc, m, plan_seed(result.seed, 1)))
+    assert row.fidelity == metrics.fidelity(world, ctx, drawn[0])
+    assert all(plan.candidates is None for plan in result.plans)
     assert report.aggregates()["htm"]["no_plan_rate"] == 0.0
+
+
+@pytest.mark.parametrize("mode", ["state", "raster"])
+def test_benchmark_rates_the_candidates_drawn_at_plan_time_and_keeps_none(monkeypatch, mode):
+    art = train_all(config_from_dict({**TINY, "world": {"mode": mode}}))
+    drawn, results = [], []
+
+    def drawing_planner(*args):
+        plan, graph = plan_end_to_end(*args)
+        drawn[-1].append(plan.candidates)
+        return plan, graph
+
+    def recorded_execute(world, task, *args):
+        drawn.append([])
+        results.append((task, execute(world, task, *args)))
+        return results[-1][1]
+
+    monkeypatch.setattr(controller, "plan_end_to_end", drawing_planner)
+    monkeypatch.setattr(metrics, "execute", recorded_execute)
+    report = zero_shot_benchmark(art)
+    assert len(results) == len(report.rows) == 3 * TINY["evaluation"]["n_tasks"]
+    rated = 0
+    for row, (task, result), candidates in zip(report.rows, results, drawn):
+        assert len(candidates) == len(result.plans)
+        assert all(plan.candidates is None for plan in result.plans)
+        if result.plans:
+            assert row.fidelity == metrics.fidelity(art.world, task.context, candidates[0])
+            rated += 1
+        else:
+            assert row.fidelity is None
+    assert rated == 2 * TINY["evaluation"]["n_tasks"]  # every htm and sptm row
 
 
 def test_benchmark_fidelity_rates_the_nodes_the_plan_searched(monkeypatch):

@@ -1,6 +1,8 @@
 """Training and evaluation hold memory in proportion to a batch, not to the
-dataset: they gather rows from the stacked contexts by index, evaluate on a
-forward-only tape and draw validation batches on demand.
+dataset: the dataset and the generated pools are each one array, which every
+trajectory and context stack views; training gathers rows from the stacks by
+index, evaluates on a forward-only tape and draws validation batches on
+demand.
 
 Peaks are read with ``tracemalloc``, which counts numpy's array buffers.
 """
@@ -11,11 +13,14 @@ import numpy as np
 import pytest
 
 from htmem import autodiff as ad
+from htmem.config import config_from_dict
 from htmem.connectivity import CpcConfig, train_cpc
 from htmem.controller import InverseConfig, train_inverse
 from htmem.cvae import CvaeConfig, cvae_elbo, cvae_init, train_cvae
-from htmem.data import DataConfig, collect_dataset, training_stacks
+from htmem.data import ContextStack, DataConfig, collect_dataset, training_stacks
+from htmem.pipeline import train_all
 from htmem.world import BlockWorld, WorldSpec
+from test_pipeline import TINY
 
 
 def peak_above_start(fn):
@@ -77,20 +82,54 @@ TRAINERS = {
 
 @pytest.mark.parametrize("stage", sorted(TRAINERS))
 def test_training_peaks_below_a_per_row_copy_or_held_validation_batches(raster_data, stage):
-    """A stage may hold the stacks it builds and a batch's working set, which
-    here is less than a context copied to every training row and less than
-    every validation batch held at once."""
+    """A stage holds a batch's working set, and its stacks view the dataset,
+    so it peaks below a context copied to every training row and below every
+    validation batch held at once."""
     world, ds = raster_data
     train, val = training_stacks(ds, world)
     assert len(train.context_ids) == 16 and len(val.context_ids) == 1
-    arrays = (train.observations, train.actions, train.encodings, val.observations, val.actions)
-    stacks = sum(a.nbytes for a in arrays)
     rows = train.observations[..., 0].size
     context_copy = rows * world.ctx_dim * 8
     # anchors, candidates and contexts of every validation batch
     batch = CPC.batch_anchors * ((CPC.n_candidates + 1) * world.obs_dim + world.ctx_dim) * 8
     held_validation = CPC.val_batches * batch
-    bound = stacks + min(context_copy, held_validation)
 
     _, peak = peak_above_start(lambda: TRAINERS[stage](ds, world))
-    assert peak < bound, (peak - stacks, context_copy, held_validation)
+    assert peak < min(context_copy, held_validation), (peak, context_copy, held_validation)
+
+
+def test_trajectories_and_stacks_view_the_dataset_arrays(raster_data):
+    world, ds = raster_data
+    train, val = training_stacks(ds, world)
+    traj = ds.trajectories[3][2]
+    assert np.shares_memory(traj.observations, ds.observations)
+    assert np.shares_memory(traj.actions, ds.actions)
+    assert np.shares_memory(traj.observations, train.observations)
+    assert np.shares_memory(ds.trajectories[16][0].observations, val.observations)
+    for stack in (train, val):
+        assert np.shares_memory(stack.observations, ds.observations)
+        assert np.shares_memory(stack.actions, ds.actions)
+
+
+def test_every_stack_pool_views_the_pipeline_pools(monkeypatch):
+    stacks = []
+    build = ContextStack.build.__func__
+
+    def recorded_build(cls, *args, **kwargs):
+        stacks.append(build(cls, *args, **kwargs))
+        return stacks[-1]
+
+    monkeypatch.setattr(ContextStack, "build", classmethod(recorded_build))
+    art = train_all(config_from_dict({**TINY, "world": {"mode": "raster"}}))
+    pooled = [s for s in stacks if s.pool.shape[1]]
+    assert len(pooled) == 4  # train and validation stacks of CPC and SPTM
+    for stack in pooled:
+        for i, cid in enumerate(stack.context_ids):
+            assert np.shares_memory(stack.pool[i], art.pools[cid])
+            assert np.array_equal(stack.pool[i], art.pools[cid])
+
+
+def test_training_stacks_peak_below_one_copy_of_the_training_rows(raster_data):
+    world, ds = raster_data
+    (train, _), peak = peak_above_start(lambda: training_stacks(ds, world))
+    assert peak < train.observations.nbytes, (peak, train.observations.nbytes)
