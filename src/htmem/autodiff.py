@@ -355,17 +355,13 @@ def sum_axis(a: Node, axis: int) -> Node:
 
 
 def logsumexp(a: Node) -> Node:
-    """log-sum-exp over the last axis, computed stably."""
-    m = np.max(a.value, axis=-1, keepdims=True)
-    e = np.exp(a.value - m)
-    s = e.sum(axis=-1, keepdims=True)
-    value = np.squeeze(m + np.log(s), axis=-1)
-    softmax = e / s
+    """log-sum-exp over the last axis; its softmax is formed in the vjp."""
 
     def vjp(g):
-        return (np.expand_dims(g, -1) * softmax,)
+        e = np.exp(a.value - np.max(a.value, axis=-1, keepdims=True))
+        return (np.expand_dims(g, -1) * (e / e.sum(axis=-1, keepdims=True)),)
 
-    return a.tape._push(value, (a,), vjp)
+    return a.tape._push(logsumexp_np(a.value), (a,), vjp)
 
 
 def reshape(a: Node, shape) -> Node:

@@ -179,24 +179,17 @@ def validate_config(cfg: RunConfig) -> None:
     _require(g.epochs >= 1, "cvae.epochs", "must be at least 1")
     _require(g.batch_size >= 1, "cvae.batch_size", "must be at least 1")
 
-    c = cfg.cpc
-    _require(c.d >= 1, "cpc.d", "must be at least 1")
-    _require(c.horizon >= 1, "cpc.horizon", "must be at least 1")
-    _require(c.n_candidates >= 2, "cpc.n_candidates", "must be at least 2")
-    _require(0 <= c.phi <= 1, "cpc.phi", "must lie in [0, 1]")
-    _require(c.lr > 0, "cpc.lr", "must be positive")
-    _require(c.batch_anchors >= 1, "cpc.batch_anchors", "must be at least 1")
-
-    s = cfg.sptm
-    _require(s.d >= 1, "sptm.d", "must be at least 1")
-    _require(s.horizon >= 1, "sptm.horizon", "must be at least 1")
-    _require(s.l > s.horizon, "sptm.negative_offset", "must exceed the positive horizon")
-    _require(0 <= s.phi <= 1, "sptm.phi", "must lie in [0, 1]")
-    _require(s.lr > 0, "sptm.lr", "must be positive")
-    _require(s.batch_pairs >= 1, "sptm.batch_pairs", "must be at least 1")
-    for section, scorer in (("cpc", c), ("sptm", s)):
+    for section, scorer in (("cpc", cfg.cpc), ("sptm", cfg.sptm)):
+        _require(scorer.d >= 1, f"{section}.d", "must be at least 1")
+        _require(scorer.horizon >= 1, f"{section}.horizon", "must be at least 1")
+        _require(0 <= scorer.phi <= 1, f"{section}.phi", "must lie in [0, 1]")
+        _require(scorer.lr > 0, f"{section}.lr", "must be positive")
         for key in ("epochs", "steps_per_epoch", "val_batches"):
             _require(getattr(scorer, key) >= 1, f"{section}.{key}", "must be at least 1")
+    _require(cfg.cpc.n_candidates >= 2, "cpc.n_candidates", "must be at least 2")
+    _require(cfg.cpc.batch_anchors >= 1, "cpc.batch_anchors", "must be at least 1")
+    _require(cfg.sptm.l > cfg.sptm.horizon, "sptm.negative_offset", "must exceed the positive horizon")
+    _require(cfg.sptm.batch_pairs >= 1, "sptm.batch_pairs", "must be at least 1")
 
     i = cfg.inverse
     _require(i.lr > 0, "inverse.lr", "must be positive")

@@ -3,8 +3,8 @@
 The primary model is a context-conditioned encoder with a bilinear form
 trained contrastively: the true short-horizon successor of an anchor must
 outscore candidates drawn from the same context (and optionally from the
-generative model). The baseline classifier shares the architecture but is
-trained with binary cross-entropy on near/far pair labels.
+generative model). The baseline classifier shares the model, ``ScorerConfig``,
+trainer and edge logit, but trains with binary cross-entropy on near/far pairs.
 
 Scores are directed: logit(o_from -> o_to) = g(o_to)^T W g(o_from), and no
 operation symmetrizes them.
@@ -33,32 +33,28 @@ from .world import BlockWorld
 
 
 @dataclass
-class CpcConfig:
+class ScorerConfig:
     d: int = 16
     hidden: tuple = (64, 64)
     horizon: int = 5  # positive offsets k in 1..horizon
-    n_candidates: int = 16  # 1 positive + N-1 negatives per anchor
-    batch_anchors: int = 64
     phi: float = 0.25  # fraction of negatives taken from the generative model
     lr: float = 1e-3
     epochs: int = 25
     steps_per_epoch: int = 200
     val_batches: int = 20
+
+
+@dataclass
+class CpcConfig(ScorerConfig):
+    n_candidates: int = 16  # 1 positive + N-1 negatives per anchor
+    batch_anchors: int = 64
     seed: int = 22
 
 
 @dataclass
-class SptmConfig:
-    d: int = 16
-    hidden: tuple = (64, 64)
-    horizon: int = 5
+class SptmConfig(ScorerConfig):
     negative_offset: int | None = None  # defaults to 4 * horizon
     batch_pairs: int = 128
-    phi: float = 0.25
-    lr: float = 1e-3
-    epochs: int = 25
-    steps_per_epoch: int = 200
-    val_batches: int = 20
     seed: int = 33
 
     @property
@@ -233,17 +229,23 @@ def sample_sptm_batch(stack: ContextStack, cfg: SptmConfig, seed: int) -> SptmBa
 # losses
 
 
+def _edge_logits(model: ConnectivityModel, from_obs, to_obs, contexts, tape: Tape):
+    """Logits g(to)^T W g(from) per row, of its one or N ``to_obs`` candidates."""
+    if len(from_obs) == 0:
+        raise ValueError("empty batch")
+    z_from = mlp_apply(model.encoder, from_obs, tape, context=contexts)
+    z_to = mlp_apply(model.encoder, to_obs, tape, context=contexts)
+    proj = ad.matmul(z_from, ad.transpose(tape.watch(model.bilinear)))  # rows W @ g(from)
+    if to_obs.ndim == 3:
+        proj = ad.reshape(proj, (len(from_obs), 1, model.d))
+    return ad.sum_axis(ad.mul(z_to, proj), -1)
+
+
 def cpc_loss(model: ConnectivityModel, batch: CpcBatch, tape: Tape):
     """Softmax cross-entropy of picking the true successor among the
     candidate set, averaged over anchors; log-sum-exp keeps it overflow-free.
     Equals ln(n_candidates) exactly at the zero-bilinear initialization."""
-    b = len(batch)
-    if b == 0:
-        raise ValueError("empty batch")
-    za = mlp_apply(model.encoder, batch.anchors, tape, context=batch.contexts)
-    zc = mlp_apply(model.encoder, batch.candidates, tape, context=batch.contexts)  # (b, n, d)
-    proj = ad.matmul(za, ad.transpose(tape.watch(model.bilinear)))  # rows W @ z_anchor
-    logits = ad.sum_axis(ad.mul(zc, ad.reshape(proj, (b, 1, model.d))), -1)
+    logits = _edge_logits(model, batch.anchors, batch.candidates, batch.contexts, tape)
     pos = ad.reshape(ad.slice_cols(logits, 0, 1), (-1,))
     return ad.mean_all(ad.sub(ad.logsumexp(logits), pos))
 
@@ -251,12 +253,7 @@ def cpc_loss(model: ConnectivityModel, batch: CpcBatch, tape: Tape):
 def sptm_bce_loss(model: ConnectivityModel, batch: SptmBatch, tape: Tape):
     """Mean binary cross-entropy of sigmoid(logit) against the near/far
     labels, in the numerically safe softplus form."""
-    if len(batch) == 0:
-        raise ValueError("empty batch")
-    z_from = mlp_apply(model.encoder, batch.from_obs, tape, context=batch.contexts)
-    z_to = mlp_apply(model.encoder, batch.to_obs, tape, context=batch.contexts)
-    proj = ad.matmul(z_from, ad.transpose(tape.watch(model.bilinear)))
-    logits = ad.sum_axis(ad.mul(z_to, proj), -1)
+    logits = _edge_logits(model, batch.from_obs, batch.to_obs, batch.contexts, tape)
     # bce(y, x) = softplus(x) - y * x
     return ad.mean_all(ad.sub(ad.softplus(logits), ad.mul(logits, tape.leaf(batch.labels))))
 
@@ -265,7 +262,8 @@ def sptm_bce_loss(model: ConnectivityModel, batch: SptmBatch, tape: Tape):
 # training
 
 
-def _train_scorer(model, dataset, world, cfg, sample_fn, loss_fn, hallucinations, label):
+def _train_scorer(dataset, world, cfg, sample_fn, loss_fn, hallucinations, label):
+    model = connectivity_init(world.obs_dim, world.ctx_dim, cfg)
     train, val = training_stacks(dataset, world, hallucinations)
     val_seeds = [derived_seed(cfg.seed, "val", i) for i in range(cfg.val_batches)]
 
@@ -292,10 +290,7 @@ def train_cpc(
     cfg: CpcConfig,
     hallucinations: np.ndarray | None = None,
 ) -> ConnectivityModel:
-    model = connectivity_init(world.obs_dim, world.ctx_dim, cfg)
-    return _train_scorer(
-        model, dataset, world, cfg, sample_cpc_batch, cpc_loss, hallucinations, "cpc"
-    )
+    return _train_scorer(dataset, world, cfg, sample_cpc_batch, cpc_loss, hallucinations, "cpc")
 
 
 def train_sptm(
@@ -304,10 +299,7 @@ def train_sptm(
     cfg: SptmConfig,
     hallucinations: np.ndarray | None = None,
 ) -> ConnectivityModel:
-    model = connectivity_init(world.obs_dim, world.ctx_dim, cfg)
-    return _train_scorer(
-        model, dataset, world, cfg, sample_sptm_batch, sptm_bce_loss, hallucinations, "sptm"
-    )
+    return _train_scorer(dataset, world, cfg, sample_sptm_batch, sptm_bce_loss, hallucinations, "sptm")
 
 
 # ---------------------------------------------------------------------------

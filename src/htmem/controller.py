@@ -106,7 +106,6 @@ def _transitions(stack: ContextStack, idx):
 def train_inverse(dataset: TransitionDataset, world: BlockWorld, cfg: InverseConfig) -> InverseModel:
     train, val = training_stacks(dataset, world)
     n_train = train.actions[..., 0].size
-    val_inputs, val_actions = _transitions(val, np.arange(val.actions[..., 0].size))
 
     model = inverse_init(world.obs_dim, world.ctx_dim, world.spec.a_max, cfg)
     rng = np.random.default_rng(derived_seed(cfg.seed, "shuffle"))
@@ -118,8 +117,9 @@ def train_inverse(dataset: TransitionDataset, world: BlockWorld, cfg: InverseCon
             yield lambda tape: inverse_loss(model, *_transitions(train, idx), tape)
 
     def validate():
-        loss = ad.evaluate(lambda tape: inverse_loss(model, val_inputs, val_actions, tape))
-        return {"val_loss": loss}
+        # the rows are gathered again for each pass and freed after it
+        val_rows = _transitions(val, np.arange(val.actions[..., 0].size))
+        return {"val_loss": ad.evaluate(lambda tape: inverse_loss(model, *val_rows, tape))}
 
     return fit(model, cfg.epochs, steps, validate, cfg.lr, "inverse")
 
@@ -274,6 +274,8 @@ def _reached(world, scorer, obs, ctx_enc, state, plan: Plan, wp_idx, eps_wp) -> 
     if world.spec.mode == "state":
         x, y = world.decode_xy(target_obs[None])[0]
         return math.hypot(state.x - x, state.y - y) <= eps_wp
+    if np.array_equal(obs, plan.observations[wp_idx - 1]):
+        return True  # the plan's own edge: its logit is the one compared with
     # L[i, j] scores the edge j -> i, so [1, 0] is obs -> target
     logit_now = scorer.pairwise_logits(np.stack([obs, target_obs]), ctx_enc)[1, 0]
     return logit_now >= plan.edge_logits[wp_idx - 1]

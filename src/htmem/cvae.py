@@ -157,8 +157,5 @@ def hallucinate(model: CvaeModel, ctx_encoding, m: int, seed: int) -> np.ndarray
     (model, seed, m)."""
     if m < 0:
         raise ValueError("sample count must be >= 0")
-    ctx_encoding = np.asarray(ctx_encoding, dtype=float)
-    if m == 0:
-        return np.zeros((0, model.obs_dim))
     z = np.random.default_rng(seed).standard_normal((m, model.d_z))
     return model.decode(z, ctx_encoding)

@@ -3,11 +3,13 @@ state and raster ``report.json`` and checkpoints of ``test_pipeline.TINY``,
 of every ``ExecutionResult`` of those two zero-shot benchmarks, of
 ``weight_scheme_ablation(train_all(TINY state)).to_json``, and of every
 ``ExecutionResult`` of the zero-shot benchmark of ``test_pipeline.PRESSING``,
-whose agents press into walls.
+whose agents press into walls, and of ``execute`` runs of the hand-made
+models of ``test_controller`` that press into a wall while they count steps
+on an intermediate waypoint.
 
     PYTHONPATH=src python3 tests/digests.py
 
-A change that claims bit-identical outputs prints the same fourteen lines
+A change that claims bit-identical outputs prints the same fifteen lines
 before and after it. Pytest does not collect this file.
 """
 
@@ -19,9 +21,19 @@ import tempfile
 
 import numpy as np
 
-from htmem import metrics
+from htmem import controller, metrics
 from htmem.config import config_from_dict
+from htmem.controller import ExecutionConfig, ModelBundle, execute
 from htmem.pipeline import train_all, weight_scheme_ablation, zero_shot_benchmark
+from htmem.plangraph import PlanningConfig
+from htmem.world import AgentState, BlockWorld, Task, WorldSpec
+from test_controller import (
+    across_the_wall_plan,
+    greedy_inverse,
+    pushing_inverse,
+    stub_bundle,
+    walled_context,
+)
 from test_pipeline import PRESSING, TINY, run_digests
 
 
@@ -72,6 +84,37 @@ def recorded_executions():
         metrics.execute = execute
 
 
+def waypoint_fast_forwards():
+    """Runs that take rejected steps while they count steps on an
+    intermediate waypoint: full-speed pushes into a wall under several
+    replan periods and waypoint bounds, and a greedy policy on a fixed plan
+    whose waypoint across the wall times out before the agent moves on (the
+    models and plan of ``test_controller``)."""
+    world = BlockWorld(WorldSpec())
+    cvae, scorer, _ = stub_bundle(world)
+    task = Task(walled_context(), AgentState(1.1, 0.5), AgentState(2.4, 0.5))
+    pushing = ModelBundle(cvae, scorer, pushing_inverse(world))
+    results = [
+        execute(world, task, pushing, PlanningConfig(m_samples=12), exec_cfg, 1)
+        for exec_cfg in (
+            ExecutionConfig(n=60, r=25, waypoint_steps=5),
+            ExecutionConfig(n=60, r=7, waypoint_steps=5),
+            ExecutionConfig(n=30, r=8, waypoint_steps=1),
+        )
+    ]
+    plan = across_the_wall_plan(world, task)
+    greedy = ModelBundle(cvae, scorer, greedy_inverse(world, gain=60.0))
+    planner = controller.plan_end_to_end
+    controller.plan_end_to_end = lambda *args: (plan, None)
+    try:
+        for waypoint_steps, r in ((8, 40), (3, 7), (1, 25), (2, 5)):
+            exec_cfg = ExecutionConfig(n=80, r=r, waypoint_steps=waypoint_steps)
+            results.append(execute(world, task, greedy, PlanningConfig(m_samples=0), exec_cfg, 1))
+    finally:
+        controller.plan_end_to_end = planner
+    return results
+
+
 def main():
     with tempfile.TemporaryDirectory() as tmp:
         tmp = pathlib.Path(tmp)
@@ -88,6 +131,7 @@ def main():
     with recorded_executions() as results:
         zero_shot_benchmark(train_all(config_from_dict(PRESSING)))
     print(f"pressing executions {execution_digest(results)[:12]}")
+    print(f"fast-forward executions {execution_digest(waypoint_fast_forwards())[:12]}")
 
 
 if __name__ == "__main__":

@@ -219,6 +219,37 @@ def test_logsumexp_matches_reference_and_is_stable():
     assert np.allclose(out.value, ref)
 
 
+def stored_softmax_logsumexp(x):
+    """The value and softmax of a log-sum-exp formed together in the forward
+    pass, as the tape op once stored them."""
+    m = np.max(x, axis=-1, keepdims=True)
+    e = np.exp(x - m)
+    s = e.sum(axis=-1, keepdims=True)
+    return np.squeeze(m + np.log(s), axis=-1), e / s
+
+
+def test_logsumexp_equals_the_stored_softmax_form_bit_for_bit():
+    rng = np.random.default_rng(0)
+    matrices = [
+        rng.normal(scale=rng.uniform(0.1, 100.0), size=(rng.integers(1, 40), 16))
+        for _ in range(200)
+    ]
+    extreme = rng.normal(size=(8, 16))
+    extreme[::2, ::3], extreme[1::2, 1::3] = 800.0, -800.0  # rows of +-800 among small entries
+    matrices += [extreme, np.full((2, 5), 800.0), np.full((2, 5), -800.0), rng.normal(size=(3, 4, 16))]
+    for x in matrices:
+        value, softmax = stored_softmax_logsumexp(x)
+        assert ad.evaluate(lambda tape: ad.mean_all(ad.logsumexp(tape.leaf(x)))) == float(value.mean())
+        assert ad.logsumexp_np(x).tobytes() == value.tobytes()
+        tape = Tape()
+        xn = tape.watch(x)
+        out = ad.logsumexp(xn)
+        assert out.value.tobytes() == value.tobytes()
+        g = rng.normal(size=out.value.shape)
+        tape.backward(ad.sum_axis(ad.reshape(ad.mul(out, tape.leaf(g)), (-1,)), 0))
+        assert tape.grad(x).tobytes() == (np.expand_dims(g, -1) * softmax).tobytes()
+
+
 def test_grad_check_passes_on_composite_loss():
     params = mlp_init([3, 6, 2], "tanh", seed=5)
     x = np.random.default_rng(1).normal(size=(4, 3))

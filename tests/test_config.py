@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from htmem.config import ConfigError, config_from_dict, config_hash, config_to_dict
+from htmem.config import ConfigError, RunConfig, config_from_dict, config_hash, config_to_dict
 from htmem.plangraph import WEIGHT_SCHEMES
 from htmem.world import MODES
 
@@ -48,6 +48,23 @@ def test_config_rejects_values_that_cannot_run(overrides, key):
         config_from_dict(overrides)
     assert info.value.key == key
     assert key in str(info.value)
+
+
+def test_scorer_sections_keep_their_keys_defaults_and_hash():
+    cfg = config_to_dict(RunConfig())
+    shared = {
+        "d": 16,
+        "hidden": [64, 64],
+        "horizon": 5,
+        "phi": 0.25,
+        "lr": 0.001,
+        "epochs": 25,
+        "steps_per_epoch": 200,
+        "val_batches": 20,
+    }
+    assert cfg["cpc"] == {**shared, "n_candidates": 16, "batch_anchors": 64, "seed": 22}
+    assert cfg["sptm"] == {**shared, "negative_offset": None, "batch_pairs": 128, "seed": 33}
+    assert config_hash(RunConfig()) == "3d89f83714e823a3a35cea94aa8a29dd1f393003f40bbbb014291694aec0ee16"
 
 
 def test_optional_and_tuple_fields_follow_the_integer_rules():

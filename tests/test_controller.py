@@ -297,6 +297,33 @@ def test_execute_raster_waypoints_ask_the_scorer_pairwise_logits_alone():
     assert 2 in rows  # the waypoint test scored the agent against its waypoint
 
 
+def test_raster_waypoint_is_reached_from_the_start_of_its_own_edge():
+    """At the node its edge leaves from, the agent meets the edge's logit
+    exactly, however a 2-row product of the scorer rounds."""
+    world = BlockWorld(WorldSpec(mode="raster"))
+    ctx = free_context()
+    states = [AgentState(0.5, 1.4), AgentState(1.4, 1.4), AgentState(2.3, 1.4)]
+    obs = np.array([world.observe(ctx, st) for st in states])
+    edge_logits = np.array([-1.7, -1.7])
+    plan = Plan([0, 1, 2], obs, np.ones(2), edge_logits, 2.0, "normalized")
+    rows = []
+
+    class OneUlpLowScorer:
+        def pairwise_logits(self, nodes, ctx_enc):
+            rows.append(len(nodes))
+            return np.full((len(nodes), len(nodes)), np.nextafter(edge_logits[0], -np.inf))
+
+    ctx_enc = world.encode_context(ctx)
+    for wp_idx in (1, 2):
+        assert controller._reached(
+            world, OneUlpLowScorer(), obs[wp_idx - 1], ctx_enc, states[wp_idx - 1], plan, wp_idx, 0.1
+        )
+    assert rows == []
+    # from anywhere else the scorer decides
+    assert not controller._reached(world, OneUlpLowScorer(), obs[2], ctx_enc, states[2], plan, 1, 0.1)
+    assert rows == [2]
+
+
 def test_execute_success_consistency_flag():
     world = BlockWorld(WorldSpec())
     cvae, scorer, inverse = stub_bundle(world)
@@ -514,15 +541,10 @@ def test_a_no_path_fallback_matches_the_reference(monkeypatch):
     assert res.planless and len(res.plans) == 2 and calls < res.steps
 
 
-@pytest.mark.parametrize("waypoint_steps, r", [(8, 40), (3, 7), (1, 25), (2, 5)])
-def test_a_stuck_agent_moves_again_after_its_waypoint_advances(monkeypatch, waypoint_steps, r):
-    """The waypoint across the wall times out; the agent, pressed against
-    the wall, has reached the next one, and heads for the one after on its
-    own side."""
-    world = BlockWorld(WorldSpec())
-    cvae, scorer, _ = stub_bundle(world)
-    ctx = walled_context()
-    task = Task(ctx, AgentState(1.1, 0.5), AgentState(2.4, 0.5))
+def across_the_wall_plan(world, task):
+    """A plan of ``walled_context`` from ``task.start`` whose first waypoint
+    lies across the wall; the agent, pressed against the wall, has reached
+    the second, and the ones after it lie on the agent's own side."""
     nodes = [
         task.start,
         AgentState(1.8, 0.5),
@@ -531,14 +553,21 @@ def test_a_stuck_agent_moves_again_after_its_waypoint_advances(monkeypatch, wayp
         AgentState(1.0, 2.3),
         task.goal,
     ]
-    obs = np.array([world.observe(ctx, st) for st in nodes])
+    obs = np.array([world.observe(task.context, st) for st in nodes])
+    k = len(nodes)
+    return Plan(list(range(k)), obs, np.ones(k - 1), np.zeros(k - 1), k - 1.0, "normalized")
 
-    def fixed_plan(*args):
-        k = len(nodes)
-        plan = Plan(list(range(k)), obs, np.ones(k - 1), np.zeros(k - 1), k - 1.0, "normalized")
-        return plan, None
 
-    monkeypatch.setattr(controller, "plan_end_to_end", fixed_plan)
+@pytest.mark.parametrize("waypoint_steps, r", [(8, 40), (3, 7), (1, 25), (2, 5)])
+def test_a_stuck_agent_moves_again_after_its_waypoint_advances(monkeypatch, waypoint_steps, r):
+    """The waypoint across the wall times out; the agent, pressed against
+    the wall, has reached the next one, and heads for the one after on its
+    own side."""
+    world = BlockWorld(WorldSpec())
+    cvae, scorer, _ = stub_bundle(world)
+    task = Task(walled_context(), AgentState(1.1, 0.5), AgentState(2.4, 0.5))
+    plan = across_the_wall_plan(world, task)
+    monkeypatch.setattr(controller, "plan_end_to_end", lambda *args: (plan, None))
     res, calls = execute_against_the_reference(
         monkeypatch,
         world,

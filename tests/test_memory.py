@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from htmem import autodiff as ad
+from htmem import controller
 from htmem.config import config_from_dict
 from htmem.connectivity import CpcConfig, train_cpc
 from htmem.controller import InverseConfig, train_inverse
@@ -133,3 +134,33 @@ def test_training_stacks_peak_below_one_copy_of_the_training_rows(raster_data):
     world, ds = raster_data
     (train, _), peak = peak_above_start(lambda: training_stacks(ds, world))
     assert peak < train.observations.nbytes, (peak, train.observations.nbytes)
+
+
+def test_inverse_training_steps_run_without_the_validation_rows(monkeypatch):
+    """``train_inverse`` gathers its validation rows inside each validation
+    pass, so a training step starts with less live than one copy of them."""
+    world = BlockWorld(WorldSpec(mode="raster", max_walls=1))
+    cfg = DataConfig(
+        n_contexts=6, trajectories_per_context=10, trajectory_length=20, n_holdout=0,
+        val_fraction=0.5, seed=0,
+    )
+    ds = collect_dataset(world, cfg)
+    _, val = training_stacks(ds, world)
+    val_rows = val.actions[..., 0].size * (2 * world.obs_dim + world.ctx_dim) * 8
+    inverse_loss = controller.inverse_loss
+    live = []
+
+    def measured_loss(model, inputs, actions, tape):
+        if isinstance(tape, ad.Tape):  # a training step, not a validation pass
+            live.append(tracemalloc.get_traced_memory()[0] - start)
+        return inverse_loss(model, inputs, actions, tape)
+
+    monkeypatch.setattr(controller, "inverse_loss", measured_loss)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        train_inverse(ds, world, InverseConfig(hidden=(32,), epochs=2, batch_size=64))
+    finally:
+        tracemalloc.stop()
+    assert len(live) == 2 * 10  # 600 training transitions, batches of 64
+    assert max(live) < val_rows, (max(live), val_rows)
