@@ -9,7 +9,8 @@ array accumulates into a single gradient. A tape's owner calls
 arrays are freed then and not by the cyclic garbage collector. Losses
 record on the tape they are given; ``evaluate`` reads a loss's value on a
 forward-only tape of its own, which records nothing, so that each value is
-freed as soon as the loss code stops using it.
+freed as soon as the loss code stops using it. ``evaluate_rows`` does the
+same for per-row losses a chunk of rows at a time.
 
 Also hosts the small-MLP container, the adaptive-moment optimizer and the
 training loop every learned model uses, and the checkpoint codec every
@@ -191,9 +192,10 @@ class Tape:
 
 
 class _ForwardTape:
-    """What ``evaluate`` gives a loss in place of a Tape: it computes every
-    value as a Tape would but keeps no node list, no parents and no vjp, so
-    reference counting frees each value once the loss code drops it."""
+    """What ``evaluate`` and ``evaluate_rows`` give a loss in place of a
+    Tape: it computes every value as a Tape would but keeps no node list, no
+    parents and no vjp, so reference counting frees each value once the loss
+    code drops it."""
 
     def leaf(self, value) -> Node:
         return Node(self, np.asarray(value, dtype=float))
@@ -538,6 +540,24 @@ def evaluate(build):
     if isinstance(out, tuple):
         return tuple(float(node.value) for node in out)
     return float(out.value)
+
+
+def evaluate_rows(build, n_rows: int, chunk: int) -> tuple:
+    """Means over ``n_rows`` rows of per-row terms, built ``chunk`` rows at a
+    time: ``build(tape, rows)`` records a tuple of (rows,) nodes for the
+    slice ``rows`` on a forward-only tape. Each term's rows are written into
+    one (n_rows,) array, whose mean is the one ``mean_all`` takes, so a pass
+    holds one chunk's working set and not the whole set's. Returns a tuple
+    of floats, one per term."""
+    values = None
+    for start in range(0, n_rows, chunk):
+        rows = slice(start, min(start + chunk, n_rows))
+        terms = build(_ForwardTape(), rows)
+        if values is None:
+            values = np.empty((len(terms), n_rows))
+        for out, node in zip(values, terms):
+            out[rows] = node.value
+    return tuple(float(v.mean()) for v in values)
 
 
 def _train_step(build_loss, params, opt: OptimizerState) -> float:

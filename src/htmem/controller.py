@@ -86,10 +86,15 @@ def inverse_loss(model: InverseModel, inputs, actions, tape: Tape):
     """Mean squared error between predicted and logged actions; each row of
     ``inputs`` is (observation, next observation, context), as
     ``infer_action`` feeds the net."""
+    return ad.mean_all(_action_errors(model, inputs, actions, tape))
+
+
+def _action_errors(model: InverseModel, inputs, actions, tape):
+    """Per-row squared action error, a (rows,) node."""
     raw = mlp_apply(model.net, inputs, tape)
     pred = ad.mul(ad.tanh(raw), model.a_max)
     diff = ad.sub(pred, tape.leaf(actions))
-    return ad.mean_all(ad.sum_axis(ad.mul(diff, diff), -1))
+    return ad.sum_axis(ad.mul(diff, diff), -1)
 
 
 def _transitions(stack: ContextStack, idx):
@@ -104,8 +109,12 @@ def _transitions(stack: ContextStack, idx):
 
 
 def train_inverse(dataset: TransitionDataset, world: BlockWorld, cfg: InverseConfig) -> InverseModel:
+    """Adam training on the ``inverse_loss`` of batches of training
+    transitions, with the best-validation parameters restored at the end.
+    Validation takes the same mean over every validation transition, but
+    gathers and evaluates them a batch at a time."""
     train, val = training_stacks(dataset, world)
-    n_train = train.actions[..., 0].size
+    n_train, n_val = train.actions[..., 0].size, val.actions[..., 0].size
 
     model = inverse_init(world.obs_dim, world.ctx_dim, world.spec.a_max, cfg)
     rng = np.random.default_rng(derived_seed(cfg.seed, "shuffle"))
@@ -117,9 +126,14 @@ def train_inverse(dataset: TransitionDataset, world: BlockWorld, cfg: InverseCon
             yield lambda tape: inverse_loss(model, *_transitions(train, idx), tape)
 
     def validate():
-        # the rows are gathered again for each pass and freed after it
-        val_rows = _transitions(val, np.arange(val.actions[..., 0].size))
-        return {"val_loss": ad.evaluate(lambda tape: inverse_loss(model, *val_rows, tape))}
+        (val_loss,) = ad.evaluate_rows(
+            lambda tape, rows: (
+                _action_errors(model, *_transitions(val, np.arange(rows.start, rows.stop)), tape),
+            ),
+            n_val,
+            cfg.batch_size,
+        )
+        return {"val_loss": val_loss}
 
     return fit(model, cfg.epochs, steps, validate, cfg.lr, "inverse")
 

@@ -87,6 +87,9 @@ def cvae_elbo(model: CvaeModel, obs, ctx, noise_seed: int, tape: Tape, beta=1.0)
     nodes (total, reconstruction, kl), with total = reconstruction +
     beta * kl; ``ad.evaluate`` turns them into floats. Reparameterization
     noise is drawn from ``noise_seed`` so a fixed seed freezes the estimate.
+    Both means are taken over the per-row terms of ``_elbo_rows``;
+    ``train_cvae`` validates on those terms a batch of rows at a time, with
+    the noise this function would draw for the whole validation set.
     """
     obs = np.atleast_2d(np.asarray(obs, dtype=float))
     ctx = np.atleast_2d(np.asarray(ctx, dtype=float))
@@ -97,9 +100,16 @@ def cvae_elbo(model: CvaeModel, obs, ctx, noise_seed: int, tape: Tape, beta=1.0)
             f"batch dims {obs.shape[1]}/{ctx.shape[1]} do not match model "
             f"{model.obs_dim}/{model.ctx_dim}"
         )
-    n = obs.shape[0]
-    eps = np.random.default_rng(noise_seed).standard_normal((n, model.d_z))
+    eps = np.random.default_rng(noise_seed).standard_normal((obs.shape[0], model.d_z))
+    recon_rows, kl_rows = _elbo_rows(model, obs, ctx, eps, tape)
+    recon, kl = ad.mean_all(recon_rows), ad.mean_all(kl_rows)
+    return ad.add(recon, ad.mul(kl, float(beta))), recon, kl
 
+
+def _elbo_rows(model: CvaeModel, obs, ctx, eps, tape):
+    """Per-row (reconstruction, kl) nodes of shape (rows,) for observations
+    ``obs``, their contexts ``ctx`` and reparameterization noise ``eps`` of
+    shape (rows, d_z)."""
     enc_out = mlp_apply(model.encoder, obs, tape, context=ctx)
     mu = ad.slice_cols(enc_out, 0, model.d_z)
     logvar = ad.slice_cols(enc_out, model.d_z, 2 * model.d_z)
@@ -107,10 +117,9 @@ def cvae_elbo(model: CvaeModel, obs, ctx, noise_seed: int, tape: Tape, beta=1.0)
     recon_mean = mlp_apply(model.decoder, z, tape, context=ctx)
 
     diff = ad.sub(recon_mean, tape.leaf(obs))
-    recon = ad.mean_all(ad.sum_axis(ad.mul(diff, diff), -1))
+    recon = ad.sum_axis(ad.mul(diff, diff), -1)
     kl_inner = ad.sub(ad.add(ad.mul(mu, mu), ad.exp(logvar)), ad.add(logvar, 1.0))
-    kl = ad.mean_all(ad.mul(ad.sum_axis(kl_inner, -1), 0.5))
-    return ad.add(recon, ad.mul(kl, float(beta))), recon, kl
+    return recon, ad.mul(ad.sum_axis(kl_inner, -1), 0.5)
 
 
 def _rows(stack: ContextStack):
@@ -131,7 +140,10 @@ def train_cvae(dataset: TransitionDataset, world: BlockWorld, cfg: CvaeConfig) -
 
     model = cvae_init(world.obs_dim, world.ctx_dim, cfg)
     rng = np.random.default_rng(derived_seed(cfg.seed, "shuffle"))
-    val_seed = derived_seed(cfg.seed, "val-noise")
+    # the noise ``cvae_elbo`` would draw for the whole validation set at once
+    val_eps = np.random.default_rng(derived_seed(cfg.seed, "val-noise")).standard_normal(
+        (len(x_val), cfg.d_z)
+    )
 
     def steps(epoch):
         perm = rng.permutation(len(x_train))
@@ -143,10 +155,14 @@ def train_cvae(dataset: TransitionDataset, world: BlockWorld, cfg: CvaeConfig) -
             )[0]
 
     def validate():
-        total, recon, kl = ad.evaluate(
-            lambda tape: cvae_elbo(model, x_val, val.encodings[c_val], val_seed, tape, cfg.beta)
+        recon, kl = ad.evaluate_rows(
+            lambda tape, rows: _elbo_rows(
+                model, x_val[rows], val.encodings[c_val[rows]], val_eps[rows], tape
+            ),
+            len(x_val),
+            cfg.batch_size,
         )
-        return {"val_loss": total, "val_recon": recon, "val_kl": kl}
+        return {"val_loss": recon + kl * cfg.beta, "val_recon": recon, "val_kl": kl}
 
     return fit(model, cfg.epochs, steps, validate, cfg.lr, "cvae")
 

@@ -22,8 +22,9 @@ WEIGHT_SCHEMES = ("inverse", "normalized", "sptm_threshold", "sptm_exp")
 
 class NoPathError(RuntimeError):
     """Goal unreachable: every route takes an absent edge. Thresholding
-    removes edges, and a weight that overflows to inf in ``scheme_weights``
-    is absent too."""
+    removes edges, and so does a weight above the largest float64, which
+    ``scheme_weights`` makes inf: under ``inverse``, a logit below
+    -ln(float64 max), about -709.78."""
 
 
 @dataclass
@@ -62,15 +63,21 @@ def scheme_weights(logits: np.ndarray, scheme: str, s_shortcut=0.5) -> np.ndarra
                     includes every node, so each weight is >= 1
     sptm_threshold: unit weight where sigmoid(logit) >= s_shortcut, else no edge
     sptm_exp:       w_ij = exp(-sigmoid(logit_ij))
+
+    A weight above the largest float64 overflows to inf without a warning,
+    and is an absent edge: under ``inverse``, that is a logit below
+    -ln(float64 max), about -709.78.
     """
     if scheme not in WEIGHT_SCHEMES:
         raise ValueError(f"unknown weight scheme {scheme!r}")
     n = logits.shape[0]
     if scheme == "inverse":
-        w = np.exp(-logits)
+        with np.errstate(over="ignore"):
+            w = np.exp(-logits)
     elif scheme == "normalized":
         col_lse = logsumexp_np(logits, axis=0)  # over sources of mass out of j
-        w = np.exp(col_lse[None, :] - logits)
+        with np.errstate(over="ignore"):
+            w = np.exp(col_lse[None, :] - logits)
     elif scheme == "sptm_threshold":
         if not 0.0 < s_shortcut < 1.0:
             raise ValueError("s_shortcut must lie in (0, 1)")

@@ -5,16 +5,19 @@ of every ``ExecutionResult`` of those two zero-shot benchmarks, of
 ``ExecutionResult`` of the zero-shot benchmark of ``test_pipeline.PRESSING``,
 whose agents press into walls, and of ``execute`` runs of the hand-made
 models of ``test_controller`` that press into a wall while they count steps
-on an intermediate waypoint.
+on an intermediate waypoint, and of the CVAE and inverse-model ``history``
+rows of a ``test_pipeline.TINY`` raster run with batches of 28 rows, which
+split both validation sets into several chunks and a remainder.
 
     PYTHONPATH=src python3 tests/digests.py
 
-A change that claims bit-identical outputs prints the same fifteen lines
+A change that claims bit-identical outputs prints the same sixteen lines
 before and after it. Pytest does not collect this file.
 """
 
 import contextlib
 import hashlib
+import json
 import pathlib
 import struct
 import tempfile
@@ -23,7 +26,9 @@ import numpy as np
 
 from htmem import controller, metrics
 from htmem.config import config_from_dict
-from htmem.controller import ExecutionConfig, ModelBundle, execute
+from htmem.controller import ExecutionConfig, ModelBundle, execute, train_inverse
+from htmem.cvae import train_cvae
+from htmem.data import collect_dataset
 from htmem.pipeline import train_all, weight_scheme_ablation, zero_shot_benchmark
 from htmem.plangraph import PlanningConfig
 from htmem.world import AgentState, BlockWorld, Task, WorldSpec
@@ -115,6 +120,24 @@ def waypoint_fast_forwards():
     return results
 
 
+def validation_histories() -> str:
+    """sha256 of the CVAE and inverse-model ``history`` rows of a TINY raster
+    run whose 104 CVAE and 96 inverse validation rows are validated in
+    chunks of 28."""
+    cfg = config_from_dict(
+        {
+            **TINY,
+            "world": {"mode": "raster"},
+            "cvae": {**TINY["cvae"], "batch_size": 28},
+            "inverse": {**TINY["inverse"], "batch_size": 28},
+        }
+    )
+    world = BlockWorld(cfg.world)
+    ds = collect_dataset(world, cfg.data)
+    rows = [train_cvae(ds, world, cfg.cvae).history, train_inverse(ds, world, cfg.inverse).history]
+    return hashlib.sha256(json.dumps(rows).encode()).hexdigest()
+
+
 def main():
     with tempfile.TemporaryDirectory() as tmp:
         tmp = pathlib.Path(tmp)
@@ -132,6 +155,7 @@ def main():
         zero_shot_benchmark(train_all(config_from_dict(PRESSING)))
     print(f"pressing executions {execution_digest(results)[:12]}")
     print(f"fast-forward executions {execution_digest(waypoint_fast_forwards())[:12]}")
+    print(f"validation histories {validation_histories()[:12]}")
 
 
 if __name__ == "__main__":

@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from htmem.autodiff import MlpParams, mlp_apply
+from htmem.autodiff import MlpParams, evaluate, mlp_apply
 from htmem.controller import (
     ExecutionConfig,
     InverseConfig,
@@ -21,7 +21,7 @@ from htmem.controller import (
 from htmem import controller, metrics
 from htmem.config import config_from_dict
 from htmem.cvae import CvaeModel, hallucinate
-from htmem.data import DataConfig, collect_dataset, split_context_ids
+from htmem.data import DataConfig, collect_dataset, split_context_ids, training_stacks
 from htmem.plangraph import NoPathError, Plan, PlanningConfig, plan_end_to_end
 from htmem.pipeline import train_all, zero_shot_benchmark
 from htmem.world import AgentState, BlockWorld, Context, Task, Wall, WorldSpec
@@ -110,13 +110,38 @@ def test_train_inverse_beats_mean_predictor_and_is_deterministic():
     assert m1.history[-1]["val_loss"] == pytest.approx(m2.history[-1]["val_loss"], abs=1e-12)
 
     # mean-action predictor oracle on the same validation split
-    from htmem.data import training_stacks
-
     train, val = training_stacks(ds, world)
     act_train, act_val = train.actions.reshape(-1, 2), val.actions.reshape(-1, 2)
     mean_action = act_train.mean(axis=0)
     baseline = float(((act_val - mean_action) ** 2).sum(axis=1).mean())
     assert m1.history[-1]["val_loss"] < 0.5 * baseline
+
+
+@pytest.mark.parametrize("trajectories", [2, 5])  # 12 and 30 validation transitions
+def test_streamed_validation_matches_the_whole_set_loss(trajectories):
+    """The pre-training history row, validated in chunks of 16 transitions,
+    against ``inverse_loss`` over every validation transition at once."""
+    world = BlockWorld(WorldSpec(max_walls=1))
+    ds = collect_dataset(
+        world,
+        DataConfig(
+            n_contexts=4, trajectories_per_context=trajectories, trajectory_length=6,
+            n_holdout=1, seed=0,
+        ),
+    )
+    cfg = InverseConfig(hidden=(16,), epochs=1, batch_size=16, seed=2)
+    got = train_inverse(ds, world, cfg).history[0]["val_loss"]
+    _, val = training_stacks(ds, world)
+    n = val.actions[..., 0].size
+    model = inverse_init(world.obs_dim, world.ctx_dim, world.spec.a_max, cfg)
+    want = evaluate(
+        lambda tape: inverse_loss(model, *controller._transitions(val, np.arange(n)), tape)
+    )
+    if n <= cfg.batch_size:
+        assert np.float64(got).tobytes() == np.float64(want).tobytes()
+    else:
+        assert n % cfg.batch_size
+        assert got == pytest.approx(want, rel=1e-12, abs=0)
 
 
 def test_train_inverse_encodes_each_context_once(monkeypatch):

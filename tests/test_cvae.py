@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from htmem.autodiff import ShapeError, evaluate, mlp_apply, mlp_init
+from htmem.autodiff import ShapeError, derived_seed, evaluate, mlp_apply, mlp_init
+from htmem import cvae
 from htmem.cvae import (
     CvaeConfig,
     CvaeModel,
@@ -12,7 +13,7 @@ from htmem.cvae import (
     hallucinate,
     train_cvae,
 )
-from htmem.data import DataConfig, collect_dataset, split_context_ids
+from htmem.data import DataConfig, collect_dataset, split_context_ids, training_stacks
 from htmem.world import BlockWorld, WorldSpec
 from gradcheck import grad_check
 
@@ -120,6 +121,36 @@ def test_training_decreases_validation_loss_and_is_deterministic():
     assert m1.history[-1]["val_loss"] < m1.history[0]["val_loss"]
     for a, b in zip(m1.parameters(), m2.parameters()):
         assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("trajectories", [2, 5])  # 14 and 35 validation rows
+def test_streamed_validation_matches_the_whole_set_elbo(trajectories):
+    """The pre-training history row, validated in chunks of 16 rows, against
+    ``cvae_elbo`` over the whole validation set with the same noise."""
+    world = BlockWorld(WorldSpec(max_walls=1))
+    ds = collect_dataset(
+        world,
+        DataConfig(
+            n_contexts=4, trajectories_per_context=trajectories, trajectory_length=6,
+            n_holdout=1, seed=0,
+        ),
+    )
+    cfg = CvaeConfig(d_z=4, hidden=(16,), beta=0.3, epochs=1, batch_size=16, seed=5)
+    row = train_cvae(ds, world, cfg).history[0]
+    _, val = training_stacks(ds, world)
+    obs, c = cvae._rows(val)
+    model = cvae_init(world.obs_dim, world.ctx_dim, cfg)
+    want = evaluate(
+        lambda tape: cvae_elbo(
+            model, obs, val.encodings[c], derived_seed(cfg.seed, "val-noise"), tape, cfg.beta
+        )
+    )
+    got = (row["val_loss"], row["val_recon"], row["val_kl"])
+    if len(obs) <= cfg.batch_size:
+        assert np.array(got).tobytes() == np.array(want).tobytes()
+    else:
+        assert len(obs) % cfg.batch_size
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
 
 
 def test_train_cvae_encodes_each_context_once(monkeypatch):

@@ -1,8 +1,9 @@
 """Training and evaluation hold memory in proportion to a batch, not to the
 dataset: the dataset and the generated pools are each one array, which every
 trajectory and context stack views; training gathers rows from the stacks by
-index, evaluates on a forward-only tape and draws validation batches on
-demand.
+index, evaluates on a forward-only tape, draws the scorers' validation
+batches on demand and streams the CVAE and inverse-model validation passes a
+batch of rows at a time.
 
 Peaks are read with ``tracemalloc``, which counts numpy's array buffers.
 """
@@ -134,6 +135,35 @@ def test_training_stacks_peak_below_one_copy_of_the_training_rows(raster_data):
     world, ds = raster_data
     (train, _), peak = peak_above_start(lambda: training_stacks(ds, world))
     assert peak < train.observations.nbytes, (peak, train.observations.nbytes)
+
+
+@pytest.fixture(scope="module")
+def large_validation():
+    """One training and six validation contexts of 200 raster transitions,
+    so that the validation inputs outweigh a training step's working set."""
+    world = BlockWorld(WorldSpec(mode="raster", max_walls=1))
+    cfg = DataConfig(
+        n_contexts=7, trajectories_per_context=10, trajectory_length=20, n_holdout=0,
+        val_fraction=0.85, seed=0,
+    )
+    return world, collect_dataset(world, cfg)
+
+
+@pytest.mark.parametrize("stage", ["cvae", "inverse"])
+def test_validation_passes_peak_below_one_copy_of_their_first_layer_inputs(
+    large_validation, stage
+):
+    """A validation pass takes its rows a batch at a time, so a stage never
+    holds the first-layer inputs of its whole validation set."""
+    world, ds = large_validation
+    train, val = training_stacks(ds, world)
+    assert len(train.context_ids) == 1 and len(val.context_ids) == 6
+    first_layer = {
+        "cvae": val.observations[..., 0].size * (world.obs_dim + world.ctx_dim) * 8,
+        "inverse": val.actions[..., 0].size * (2 * world.obs_dim + world.ctx_dim) * 8,
+    }[stage]
+    _, peak = peak_above_start(lambda: TRAINERS[stage](ds, world))
+    assert peak < first_layer, (peak, first_layer)
 
 
 def test_inverse_training_steps_run_without_the_validation_rows(monkeypatch):

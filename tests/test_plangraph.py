@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from htmem.autodiff import MlpParams
+from htmem.autodiff import MlpParams, logsumexp_np
 from htmem.cvae import CvaeModel
 from htmem.plangraph import (
     NoPathError,
@@ -242,6 +242,26 @@ def test_weights_finite_for_extreme_logits():
         off = ~np.eye(2, dtype=bool)
         assert np.all(np.isfinite(w[off])), scheme
         assert np.all(w[off] > 0)
+
+
+def test_overflowed_weights_are_absent_edges_without_a_warning():
+    """No scheme raises under ``over="raise"`` on logits spanning +-800; an
+    exp above ln(float64 max) is an inf weight, an absent edge."""
+    n = 12
+    logits = np.random.default_rng(5).uniform(-800.0, 800.0, size=(n, n))
+    ln_max = math.log(np.finfo(float).max)  # np.exp(x) is inf exactly for x > ln_max
+    diagonal = np.eye(n, dtype=bool)
+    absent = {
+        "inverse": -logits > ln_max,
+        "normalized": logsumexp_np(logits, axis=0)[None, :] - logits > ln_max,
+        "sptm_threshold": logits < 0.0,  # sigmoid below the default 0.5
+        "sptm_exp": np.zeros((n, n), dtype=bool),
+    }
+    assert absent["inverse"][~diagonal].any() and absent["normalized"][~diagonal].any()
+    with np.errstate(over="raise"):
+        for scheme in WEIGHT_SCHEMES:
+            w = scheme_weights(logits, scheme)
+            assert np.array_equal(np.isinf(w), absent[scheme] | diagonal), scheme
 
 
 def test_build_graph_needs_two_nodes():
