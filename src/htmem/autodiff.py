@@ -385,22 +385,13 @@ def slice_cols(a: Node, start: int, stop: int) -> Node:
 # ---------------------------------------------------------------------------
 # MLP
 
-ACTIVATIONS = ("relu", "tanh", "identity")
-_ACT_TAPE = {"relu": relu, "tanh": tanh, "identity": lambda x: x}
-_ACT_NP = {
-    "relu": lambda x: np.maximum(x, 0.0),
-    "tanh": np.tanh,
-    "identity": lambda x: x,
-}
-
 
 @dataclass
 class MlpParams:
-    """Dense MLP weights; hidden layers use ``activation``, output is linear."""
+    """Dense MLP weights; hidden layers apply ReLU, output is linear."""
 
     weights: list  # each (out_dim, in_dim)
     biases: list  # each (out_dim,)
-    activation: str = "relu"
 
     def sizes(self) -> list[int]:
         return [self.weights[0].shape[1]] + [w.shape[0] for w in self.weights]
@@ -413,17 +404,15 @@ class MlpParams:
         return out
 
 
-def mlp_init(sizes, activation="relu", seed=0) -> MlpParams:
+def mlp_init(sizes, seed=0) -> MlpParams:
     """Uniform fan-in init for weights, zero biases."""
-    if activation not in ACTIVATIONS:
-        raise ValueError(f"unknown activation {activation!r}")
     rng = np.random.default_rng(seed)
     weights, biases = [], []
     for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
         bound = 1.0 / np.sqrt(fan_in)
         weights.append(rng.uniform(-bound, bound, size=(fan_out, fan_in)))
         biases.append(np.zeros(fan_out))
-    return MlpParams(weights, biases, activation)
+    return MlpParams(weights, biases)
 
 
 def mlp_apply(params: MlpParams, x, tape: Tape | None = None, context=None):
@@ -453,14 +442,13 @@ def mlp_apply(params: MlpParams, x, tape: Tape | None = None, context=None):
         raise ShapeError(
             f"input dim {k} + context dim {c} != first layer dim {params.weights[0].shape[1]}"
         )
-    act = params.activation
     n_layers = len(params.weights)
     if tape is None:
         h, context = _first_inputs(xv.reshape(-1, k), context)
         for i, (w, b) in enumerate(zip(params.weights, params.biases)):
             h = _affine(h, w, b, context if i == 0 else None)
             if i < n_layers - 1:
-                h = _ACT_NP[act](h)
+                h = np.maximum(h, 0.0)
         return h.reshape(lead + h.shape[1:])
     if not isinstance(x, Node):
         h = tape.leaf(xv.reshape(-1, k))
@@ -469,7 +457,7 @@ def mlp_apply(params: MlpParams, x, tape: Tape | None = None, context=None):
     for i, (w, b) in enumerate(zip(params.weights, params.biases)):
         h = linear(h, tape.watch(w), tape.watch(b), context if i == 0 else None)
         if i < n_layers - 1:
-            h = _ACT_TAPE[act](h)
+            h = relu(h)
     if len(lead) != 1:
         h = reshape(h, lead + h.value.shape[1:])
     return h
@@ -620,10 +608,10 @@ def save_parts(path, kind: str, header, parts) -> None:
     File layout, little-endian: the magic ``HTMC``; u32 version; the 4-byte
     ASCII kind tag; u32 count of meta ints, then the meta ints as u32; u64
     count of floats, then the floats as float64. The meta ints are the
-    header, then for each MlpParams part its activation's index in
-    ``ACTIVATIONS``, its number of layer sizes and the sizes. The floats are
-    the parts in order: an MlpParams gives each layer's weights (row-major)
-    then its biases, an array gives its entries (row-major).
+    header, then for each MlpParams part its activation slot, 0 for ReLU,
+    its number of layer sizes and the sizes. The floats are the parts in
+    order: an MlpParams gives each layer's weights (row-major) then its
+    biases, an array gives its entries (row-major).
     """
     if len(kind) != 4:
         raise ValueError("model kind tag must be 4 characters")
@@ -631,7 +619,7 @@ def save_parts(path, kind: str, header, parts) -> None:
     for part in parts:
         if isinstance(part, MlpParams):
             sizes = part.sizes()
-            meta += [ACTIVATIONS.index(part.activation), len(sizes), *sizes]
+            meta += [0, len(sizes), *sizes]
             arrays += part.parameters()
         else:
             arrays.append(part)
@@ -691,9 +679,9 @@ def load_parts(path, header_sizes: dict, layout):
         if spec[0] is not MlpParams:
             parts.append(take(spec))
             continue
-        if len(meta) < m_off + 2 or meta[m_off] >= len(ACTIVATIONS):
+        if len(meta) < m_off + 2 or meta[m_off] != 0:
             raise CheckpointError(f"{path}: MLP meta is truncated or names an unknown activation")
-        act, n_sizes = ACTIVATIONS[meta[m_off]], meta[m_off + 1]
+        n_sizes = meta[m_off + 1]
         sizes = meta[m_off + 2 : m_off + 2 + n_sizes]
         if len(sizes) < 2:
             raise CheckpointError(f"{path}: MLP of sizes {sizes} has no layer")
@@ -704,7 +692,7 @@ def load_parts(path, header_sizes: dict, layout):
             )
         m_off += 2 + n_sizes
         layers = [(take((o, i)), take((o,))) for i, o in zip(sizes[:-1], sizes[1:])]
-        parts.append(MlpParams([w for w, _ in layers], [b for _, b in layers], act))
+        parts.append(MlpParams([w for w, _ in layers], [b for _, b in layers]))
     if m_off != len(meta) or f_off != flat.size:
         raise CheckpointError(f"{path}: parts do not consume the payload exactly")
     return header, parts

@@ -110,9 +110,7 @@ class ConnectivityModel:
 
 def connectivity_init(obs_dim, ctx_dim, cfg: CpcConfig | SptmConfig) -> ConnectivityModel:
     """Zero-bilinear scorer; an SptmConfig gives it the classifier's offset."""
-    encoder = mlp_init(
-        [obs_dim + ctx_dim, *cfg.hidden, cfg.d], "relu", seed=derived_seed(cfg.seed, "enc")
-    )
+    encoder = mlp_init([obs_dim + ctx_dim, *cfg.hidden, cfg.d], seed=derived_seed(cfg.seed, "enc"))
     negative_offset = cfg.l if isinstance(cfg, SptmConfig) else None
     return ConnectivityModel(
         encoder, np.zeros((cfg.d, cfg.d)), obs_dim, ctx_dim, cfg.d, cfg.horizon, negative_offset

@@ -70,9 +70,7 @@ class InverseModel:
 
 
 def inverse_init(obs_dim, ctx_dim, a_max, cfg: InverseConfig) -> InverseModel:
-    net = mlp_init(
-        [2 * obs_dim + ctx_dim, *cfg.hidden, 2], "relu", seed=derived_seed(cfg.seed, "net")
-    )
+    net = mlp_init([2 * obs_dim + ctx_dim, *cfg.hidden, 2], seed=derived_seed(cfg.seed, "net"))
     return InverseModel(net, a_max, obs_dim, ctx_dim)
 
 

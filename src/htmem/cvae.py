@@ -70,8 +70,8 @@ def cvae_init(obs_dim, ctx_dim, cfg: CvaeConfig) -> CvaeModel:
     enc_sizes = [obs_dim + ctx_dim, *cfg.hidden, 2 * cfg.d_z]
     dec_sizes = [cfg.d_z + ctx_dim, *cfg.hidden, obs_dim]
     return CvaeModel(
-        encoder=mlp_init(enc_sizes, "relu", seed=derived_seed(cfg.seed, "enc")),
-        decoder=mlp_init(dec_sizes, "relu", seed=derived_seed(cfg.seed, "dec")),
+        encoder=mlp_init(enc_sizes, seed=derived_seed(cfg.seed, "enc")),
+        decoder=mlp_init(dec_sizes, seed=derived_seed(cfg.seed, "dec")),
         obs_dim=obs_dim,
         ctx_dim=ctx_dim,
         d_z=cfg.d_z,

@@ -2,7 +2,7 @@
 
 Nodes are observations (generated candidates plus the actual start and goal);
 every ordered pair gets a directed logit from the connectivity model, turned
-into positive edge weights under a selectable scheme. The normalized scheme
+into non-negative edge weights under a selectable scheme. The normalized scheme
 divides each column's total score mass by the edge's own score, so shortest
 paths maximize a likelihood bound along the way (checkable via
 ``jensen_bound_check``).
@@ -66,7 +66,9 @@ def scheme_weights(logits: np.ndarray, scheme: str, s_shortcut=0.5) -> np.ndarra
 
     A weight above the largest float64 overflows to inf without a warning,
     and is an absent edge: under ``inverse``, that is a logit below
-    -ln(float64 max), about -709.78.
+    -ln(float64 max), about -709.78. Weights are non-negative, and one below
+    the smallest float64 underflows to 0.0, a free edge, the mirror of the
+    inf floor: under ``inverse``, a logit above about 745.13.
     """
     if scheme not in WEIGHT_SCHEMES:
         raise ValueError(f"unknown weight scheme {scheme!r}")
@@ -104,11 +106,12 @@ def shortest_path(graph: PlanGraph, start_idx: int, goal_idx: int) -> Plan:
     Each step settles every frontier node with ``dist[v] < dmin + min_in[v]``
     (Crauser et al. 1998), where ``dmin`` is the least frontier distance and
     ``min_in[v]`` the cheapest edge into ``v``, and relaxes all their out-edges
-    in one vector minimum. Weights are positive and rounding is monotone, so a
-    route into ``v`` through any unsettled node costs at least ``dmin +
+    in one vector minimum. Weights are non-negative and rounding is monotone,
+    so a route into ``v`` through any unsettled node costs at least ``dmin +
     min_in[v]``: it can neither beat nor tie ``dist[v]``. When no node passes
     (``dmin`` is inf, or tiny weights are absorbed into it), the step settles
-    one closest node, as plain Dijkstra does. Equal-cost ties, in that choice
+    one closest node, as plain Dijkstra does. A node whose cheapest in-edge
+    weighs 0.0 (a free edge) never passes, so it is always settled that way. Equal-cost ties, in that choice
     and in relaxing edges, go to the lexicographically smallest node-index
     sequence, so plans and totals are those of a one-node-per-step search.
     Non-finite weights, NaN included, are absent edges.

@@ -92,43 +92,14 @@ def point_rect_distance(px, py, wall: Wall) -> float:
     return math.hypot(dx, dy)
 
 
-def _seg_seg_distance(p1, p2, q1, q2) -> float:
-    """Min distance between 2D segments p1p2 and q1q2."""
-
-    def orient(a, b, c):
-        return (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
-
-    def on_segment(a, b, c):
-        return (
-            min(a[0], b[0]) - 1e-15 <= c[0] <= max(a[0], b[0]) + 1e-15
-            and min(a[1], b[1]) - 1e-15 <= c[1] <= max(a[1], b[1]) + 1e-15
-        )
-
-    d1, d2 = orient(q1, q2, p1), orient(q1, q2, p2)
-    d3, d4 = orient(p1, p2, q1), orient(p1, p2, q2)
-    if ((d1 > 0) != (d2 > 0) and (d3 > 0) != (d4 > 0)) or (
-        (d1 == 0 and on_segment(q1, q2, p1))
-        or (d2 == 0 and on_segment(q1, q2, p2))
-        or (d3 == 0 and on_segment(p1, p2, q1))
-        or (d4 == 0 and on_segment(p1, p2, q2))
-    ):
-        return 0.0
-
-    def point_seg(p, a, b):
-        ab = (b[0] - a[0], b[1] - a[1])
-        denom = ab[0] * ab[0] + ab[1] * ab[1]
-        if denom == 0.0:
-            return math.hypot(p[0] - a[0], p[1] - a[1])
-        t = ((p[0] - a[0]) * ab[0] + (p[1] - a[1]) * ab[1]) / denom
-        t = min(1.0, max(0.0, t))
-        return math.hypot(p[0] - a[0] - t * ab[0], p[1] - a[1] - t * ab[1])
-
-    return min(
-        point_seg(p1, q1, q2),
-        point_seg(p2, q1, q2),
-        point_seg(q1, p1, p2),
-        point_seg(q2, p1, p2),
-    )
+def _point_segment_distance(px, py, a, b) -> float:
+    """Distance from the point (px, py) to the segment ab."""
+    ex, ey = b[0] - a[0], b[1] - a[1]
+    denom = ex * ex + ey * ey
+    if denom == 0.0:
+        return math.hypot(px - a[0], py - a[1])
+    t = min(1.0, max(0.0, ((px - a[0]) * ex + (py - a[1]) * ey) / denom))
+    return math.hypot(px - a[0] - t * ex, py - a[1] - t * ey)
 
 
 def rect_rect_distance(a: Wall, b: Wall) -> float:
@@ -138,20 +109,27 @@ def rect_rect_distance(a: Wall, b: Wall) -> float:
 
 
 def segment_rect_distance(p1, p2, wall: Wall) -> float:
-    """Distance from segment to the solid rectangle (0 when they overlap)."""
+    """Distance from segment to the solid rectangle (0 when they overlap).
+
+    Slab clipping decides whether the segment meets the closed rectangle.
+    If it does not, the two convex shapes are closest at a vertex of one of
+    them: an endpoint of the segment or a corner of the rectangle."""
     x0, x1 = wall.cx - wall.half_w, wall.cx + wall.half_w
     y0, y1 = wall.cy - wall.half_h, wall.cy + wall.half_h
-    if (x0 <= p1[0] <= x1 and y0 <= p1[1] <= y1) or (
-        x0 <= p2[0] <= x1 and y0 <= p2[1] <= y1
-    ):
+    t_in, t_out = 0.0, 1.0
+    for p, d, lo, hi in ((p1[0], p2[0] - p1[0], x0, x1), (p1[1], p2[1] - p1[1], y0, y1)):
+        if d != 0.0:
+            ta, tb = (lo - p) / d, (hi - p) / d
+            t_in, t_out = max(t_in, min(ta, tb)), min(t_out, max(ta, tb))
+        elif not lo <= p <= hi:
+            t_out = -1.0  # parallel to this slab and outside it
+    if t_in <= t_out:
         return 0.0
-    corners = [(x0, y0), (x1, y0), (x1, y1), (x0, y1)]
-    best = math.inf
-    for a, b in zip(corners, corners[1:] + corners[:1]):
-        best = min(best, _seg_seg_distance(p1, p2, a, b))
-        if best == 0.0:
-            break
-    return best
+    return min(
+        point_rect_distance(p1[0], p1[1], wall),
+        point_rect_distance(p2[0], p2[1], wall),
+        *(_point_segment_distance(cx, cy, p1, p2) for cx in (x0, x1) for cy in (y0, y1)),
+    )
 
 
 @functools.lru_cache(maxsize=None)

@@ -7,11 +7,13 @@ whose agents press into walls, and of ``execute`` runs of the hand-made
 models of ``test_controller`` that press into a wall while they count steps
 on an intermediate waypoint, and of the CVAE and inverse-model ``history``
 rows of a ``test_pipeline.TINY`` raster run with batches of 28 rows, which
-split both validation sets into several chunks and a remainder.
+split both validation sets into several chunks and a remainder, and of the
+``step`` results and ``swept_free`` verdicts of moves and hops that start
+near the edges and corners of the walls of generated contexts.
 
     PYTHONPATH=src python3 tests/digests.py
 
-A change that claims bit-identical outputs prints the same sixteen lines
+A change that claims bit-identical outputs prints the same seventeen lines
 before and after it. Pytest does not collect this file.
 """
 
@@ -138,6 +140,33 @@ def validation_histories() -> str:
     return hashlib.sha256(json.dumps(rows).encode()).hexdigest()
 
 
+def swept_disc_decisions() -> str:
+    """sha256 of the ``step`` result of each move and the ``swept_free``
+    verdict of each hop that starts within 0.3 of a wall's edges, or r(1 +/-
+    1e-9) from one of its corners, in the contexts of seeds 0-5."""
+    world = BlockWorld(WorldSpec(n_walls=(1, 2)))
+    r, a_max = world.spec.agent_radius, world.spec.a_max
+    rng = np.random.default_rng(11)
+    h = hashlib.sha256()
+    for seed in range(6):
+        ctx = world.generate_context(seed)
+        for w in ctx.walls:
+            u, v = rng.uniform(-0.3, 0.3, (2, 400))
+            starts = np.stack([w.cx + np.copysign(w.half_w, u) + u, w.cy + np.copysign(w.half_h, v) + v], 1)
+            theta = rng.uniform(0.0, 2 * np.pi, 400)
+            sx, sy = rng.choice([-1.0, 1.0], (2, 400))
+            dist = r * (1 + rng.uniform(-1e-9, 1e-9, 400))
+            corners = np.stack(
+                [w.cx + sx * w.half_w + dist * np.cos(theta), w.cy + sy * w.half_h + dist * np.sin(theta)], 1
+            )
+            for p0 in np.concatenate([starts, corners]).tolist():
+                a = rng.uniform(-1.2 * a_max, 1.2 * a_max, 2)
+                st = world.step(ctx, AgentState(*p0), a)
+                p1 = (p0[0] + rng.uniform(-0.8, 0.8), p0[1] + rng.uniform(-0.8, 0.8))
+                h.update(struct.pack("<dd?", st.x, st.y, world.swept_free(ctx, p0, p1)))
+    return h.hexdigest()
+
+
 def main():
     with tempfile.TemporaryDirectory() as tmp:
         tmp = pathlib.Path(tmp)
@@ -156,6 +185,7 @@ def main():
     print(f"pressing executions {execution_digest(results)[:12]}")
     print(f"fast-forward executions {execution_digest(waypoint_fast_forwards())[:12]}")
     print(f"validation histories {validation_histories()[:12]}")
+    print(f"swept-disc decisions {swept_disc_decisions()[:12]}")
 
 
 if __name__ == "__main__":

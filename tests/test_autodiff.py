@@ -27,33 +27,27 @@ def straight_line_forward(params, x):
     for i, (w, b) in enumerate(zip(params.weights, params.biases)):
         h = w @ h + b
         if i < len(params.weights) - 1:
-            if params.activation == "relu":
-                h = np.where(h > 0, h, 0.0)
-            elif params.activation == "tanh":
-                h = np.tanh(h)
+            h = np.where(h > 0, h, 0.0)
     return h
 
 
 def test_mlp_identity_passthrough():
-    params = MlpParams([np.eye(3)], [np.zeros(3)], "identity")
+    params = MlpParams([np.eye(3)], [np.zeros(3)])
     x = np.array([0.3, -1.2, 4.0])
     assert np.array_equal(mlp_apply(params, x), x)
 
 
 def test_mlp_single_layer_relu_between_hidden_only():
     # relu applies between layers, not on the final output
-    params = MlpParams(
-        [np.eye(2), np.eye(2)], [np.zeros(2), np.zeros(2)], "relu"
-    )
+    params = MlpParams([np.eye(2), np.eye(2)], [np.zeros(2), np.zeros(2)])
     out = mlp_apply(params, np.array([-1.0, 2.0]))
     assert np.allclose(out, [0.0, 2.0])
 
 
-@pytest.mark.parametrize("activation", ["relu", "tanh", "identity"])
-def test_mlp_matches_straight_line_oracle(activation):
+def test_mlp_matches_straight_line_oracle():
     rng = np.random.default_rng(7)
     for trial in range(10):
-        params = mlp_init([5, 9, 4, 3], activation, seed=100 + trial)
+        params = mlp_init([5, 9, 4, 3], seed=100 + trial)
         x = rng.normal(size=5)
         got = mlp_apply(params, x)
         want = straight_line_forward(params, x)
@@ -61,7 +55,7 @@ def test_mlp_matches_straight_line_oracle(activation):
 
 
 def test_mlp_batch_and_tape_paths_agree():
-    params = mlp_init([4, 8, 2], "tanh", seed=3)
+    params = mlp_init([4, 8, 2], seed=3)
     xs = np.random.default_rng(0).normal(size=(6, 4))
     plain = mlp_apply(params, xs)
     tape = Tape()
@@ -94,7 +88,7 @@ CONTEXT_KINDS = ["grouped", "per_row", "shared"]
 
 @pytest.mark.parametrize("kind", CONTEXT_KINDS)
 def test_mlp_context_equals_the_appended_context(kind):
-    params = mlp_init([6, 8, 3], "relu", seed=4)
+    params = mlp_init([6, 8, 3], seed=4)
     x, ctx, appended = context_case(kind, np.random.default_rng(2))
     want = mlp_apply(params, appended)
     plain = mlp_apply(params, x, context=ctx)
@@ -108,7 +102,7 @@ def test_mlp_context_equals_the_appended_context(kind):
 
 @pytest.mark.parametrize("kind", CONTEXT_KINDS)
 def test_mlp_context_gradients(kind):
-    params = mlp_init([6, 8, 3], "tanh", seed=6)
+    params = mlp_init([6, 8, 3], seed=6)
     x, ctx, appended = context_case(kind, np.random.default_rng(3))
 
     def build(tape):
@@ -251,7 +245,7 @@ def test_logsumexp_equals_the_stored_softmax_form_bit_for_bit():
 
 
 def test_grad_check_passes_on_composite_loss():
-    params = mlp_init([3, 6, 2], "tanh", seed=5)
+    params = mlp_init([3, 6, 2], seed=5)
     x = np.random.default_rng(1).normal(size=(4, 3))
 
     def build(tape):
@@ -264,7 +258,7 @@ def test_grad_check_passes_on_composite_loss():
 
 
 def test_unwatched_input_gets_no_gradient_and_parameter_gradients_are_unchanged():
-    params = mlp_init([3, 6, 2], "tanh", seed=5)
+    params = mlp_init([3, 6, 2], seed=5)
     x = np.random.default_rng(1).normal(size=(4, 3))
 
     def build(tape, x_node=None):
@@ -301,7 +295,7 @@ def test_grad_check_linear_loss_near_exact():
 def test_finite_difference_oracle_on_softmax_cross_entropy():
     # CPC-shaped loss: logits via bilinear form, softmax CE on column 0
     rng = np.random.default_rng(9)
-    enc = mlp_init([4, 8, 3], "relu", seed=2)
+    enc = mlp_init([4, 8, 3], seed=2)
     W = rng.normal(size=(3, 3)) * 0.3
     anchors = rng.uniform(size=(5, 4))
     cands = rng.uniform(size=(5, 6, 4))
@@ -391,13 +385,13 @@ def _one_mlp(n_in, n_out):
 
 
 def test_checkpoint_roundtrip_and_rejections(tmp_path):
-    params = mlp_init([3, 5, 2], "tanh", seed=8)
+    params = mlp_init([3, 5, 2], seed=8)
     path = tmp_path / "model.ckpt"
     save_parts(path, "CPCE", [], [params])
 
     header, (rebuilt,) = load_parts(path, {"CPCE": 0}, _one_mlp(3, 2))
     assert header == []
-    assert rebuilt.activation == "tanh" and rebuilt.sizes() == [3, 5, 2]
+    assert rebuilt.sizes() == [3, 5, 2]
     for a, b in zip(rebuilt.parameters(), params.parameters()):
         assert np.array_equal(a, b)
 
@@ -427,9 +421,9 @@ def test_checkpoint_floats_little_endian_layout(tmp_path):
 
 def test_checkpoint_rejects_each_malformed_field(tmp_path):
     path = tmp_path / "model.ckpt"
-    save_parts(path, "TEST", [7], [mlp_init([2, 3], "relu", seed=0)])
+    save_parts(path, "TEST", [7], [mlp_init([2, 3], seed=0)])
     raw = path.read_bytes()  # meta ints 7, 0 (relu), 2, 2, 3 at bytes 16..36; 9 floats
-    unknown_act = raw[:20] + len(ad.ACTIVATIONS).to_bytes(4, "little") + raw[24:]
+    unknown_act = raw[:20] + (1).to_bytes(4, "little") + raw[24:]
     # meta 7, 0, 1, 2 and no floats: one size, so no layer
     one_size = raw[:12] + b"".join(v.to_bytes(4, "little") for v in (4, 7, 0, 1, 2)) + bytes(8)
     cases = [

@@ -30,7 +30,7 @@ CHI2_CRIT_DF172_P001 = 235.053  # df=172, alpha=0.001
 
 def identity_scorer(d=4, w=None, negative_offset=None):
     """Encoder passes (obs + ctx) straight through; logits fully hand-driven."""
-    encoder = MlpParams([np.eye(d)], [np.zeros(d)], "identity")
+    encoder = MlpParams([np.eye(d)], [np.zeros(d)])
     w = np.zeros((d, d)) if w is None else w
     return ConnectivityModel(encoder, w, 2, 2, d, 5, negative_offset)
 

@@ -41,11 +41,10 @@ def stub_bundle(world, obs_dim=2, ctx_dim=None):
     """Generator spreads samples over the arena; scorer favors nearby pairs."""
     ctx_dim = ctx_dim if ctx_dim is not None else world.ctx_dim
     d_z = 2
-    enc = MlpParams([np.zeros((2 * d_z, obs_dim + ctx_dim))], [np.zeros(2 * d_z)], "identity")
+    enc = MlpParams([np.zeros((2 * d_z, obs_dim + ctx_dim))], [np.zeros(2 * d_z)])
     dec = MlpParams(
         [np.concatenate([np.eye(2) * 0.15, np.zeros((2, ctx_dim))], axis=1)],
         [np.full(2, 0.5)],
-        "identity",
     )
     cvae = CvaeModel(enc, dec, obs_dim, ctx_dim, d_z)
 
@@ -198,7 +197,7 @@ def greedy_inverse(world, gain=20.0):
     """A state-mode policy that heads straight for its target."""
     w = np.zeros((2, 4 + world.ctx_dim))
     w[:, :2], w[:, 2:4] = -gain * np.eye(2), gain * np.eye(2)
-    net = MlpParams([w], [np.zeros(2)], "identity")
+    net = MlpParams([w], [np.zeros(2)])
     return InverseModel(net, world.spec.a_max, 2, world.ctx_dim)
 
 
@@ -297,8 +296,8 @@ def test_execute_raster_waypoints_ask_the_scorer_pairwise_logits_alone():
     # every sample is the raster of the midpoint, so plans pass through it
     mid = world.observe(ctx, AgentState(1.4, 1.4))
     d_z, obs_dim, ctx_dim = 2, world.obs_dim, world.ctx_dim
-    enc = MlpParams([np.zeros((2 * d_z, obs_dim + ctx_dim))], [np.zeros(2 * d_z)], "identity")
-    dec = MlpParams([np.zeros((obs_dim, d_z + ctx_dim))], [mid], "identity")
+    enc = MlpParams([np.zeros((2 * d_z, obs_dim + ctx_dim))], [np.zeros(2 * d_z)])
+    dec = MlpParams([np.zeros((obs_dim, d_z + ctx_dim))], [mid])
     cvae = CvaeModel(enc, dec, obs_dim, ctx_dim, d_z)
     inverse = inverse_init(obs_dim, ctx_dim, world.spec.a_max, InverseConfig(hidden=(4,)))
     rows = []
@@ -629,8 +628,8 @@ def test_a_stuck_raster_run_matches_the_reference(monkeypatch):
     # every sample is the raster of the midpoint, so plans pass through it
     mid = world.observe(ctx, AgentState(1.425, 0.5))
     d_z, obs_dim, ctx_dim = 2, world.obs_dim, world.ctx_dim
-    enc = MlpParams([np.zeros((2 * d_z, obs_dim + ctx_dim))], [np.zeros(2 * d_z)], "identity")
-    dec = MlpParams([np.zeros((obs_dim, d_z + ctx_dim))], [mid], "identity")
+    enc = MlpParams([np.zeros((2 * d_z, obs_dim + ctx_dim))], [np.zeros(2 * d_z)])
+    dec = MlpParams([np.zeros((obs_dim, d_z + ctx_dim))], [mid])
     cvae = CvaeModel(enc, dec, obs_dim, ctx_dim, d_z)
     rows = []
 

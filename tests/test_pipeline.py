@@ -123,7 +123,6 @@ def _mlp(sizes, rng):
     return MlpParams(
         [rng.normal(size=(o, i)) for i, o in zip(sizes[:-1], sizes[1:])],
         [rng.normal(size=o) for o in sizes[1:]],
-        "relu",
     )
 
 
@@ -150,7 +149,7 @@ def _models():
 def _documented_layout(kind, header, parts):
     """The checkpoint bytes, written from the layout ``save_parts`` documents:
     magic, u32 version 1, kind tag, u32 meta count and meta ints (the header,
-    then activation index, size count and sizes per MLP), u64 float count and
+    then activation slot 0, size count and sizes per MLP), u64 float count and
     little-endian float64s (per MLP layer the weights, then the biases)."""
     meta, floats = list(header), []
     for part in parts:
@@ -158,7 +157,7 @@ def _documented_layout(kind, header, parts):
             floats += part.ravel().tolist()
             continue
         sizes = [part.weights[0].shape[1]] + [w.shape[0] for w in part.weights]
-        meta += [("relu", "tanh", "identity").index(part.activation), len(sizes)] + sizes
+        meta += [0, len(sizes)] + sizes
         for w, b in zip(part.weights, part.biases):
             floats += w.ravel().tolist() + b.ravel().tolist()
     return (

@@ -246,7 +246,8 @@ def test_weights_finite_for_extreme_logits():
 
 def test_overflowed_weights_are_absent_edges_without_a_warning():
     """No scheme raises under ``over="raise"`` on logits spanning +-800; an
-    exp above ln(float64 max) is an inf weight, an absent edge."""
+    exp above ln(float64 max) is an inf weight, an absent edge, and an exp
+    that underflows is a 0.0 weight, a free edge."""
     n = 12
     logits = np.random.default_rng(5).uniform(-800.0, 800.0, size=(n, n))
     ln_max = math.log(np.finfo(float).max)  # np.exp(x) is inf exactly for x > ln_max
@@ -258,10 +259,15 @@ def test_overflowed_weights_are_absent_edges_without_a_warning():
         "sptm_exp": np.zeros((n, n), dtype=bool),
     }
     assert absent["inverse"][~diagonal].any() and absent["normalized"][~diagonal].any()
+    # only ``inverse`` can underflow: the other schemes' weights are >= exp(-1)
+    free = np.array([[x > 0.0 and math.exp(-x) == 0.0 for x in row] for row in logits.tolist()])
+    assert free[~diagonal].any()
     with np.errstate(over="raise"):
         for scheme in WEIGHT_SCHEMES:
             w = scheme_weights(logits, scheme)
             assert np.array_equal(np.isinf(w), absent[scheme] | diagonal), scheme
+            want_free = free & ~diagonal if scheme == "inverse" else np.zeros((n, n), dtype=bool)
+            assert np.array_equal(w == 0.0, want_free), scheme
 
 
 def test_build_graph_needs_two_nodes():
@@ -389,14 +395,17 @@ def test_shortest_path_matches_sequential_search_on_dense_graphs(scheme):
 
 def test_shortest_path_matches_sequential_search_on_integer_weights():
     # weights in {1, 2, 3} make exact cost ties common, both between nodes
-    # settled together and against a frontier node's current distance
-    rng = np.random.default_rng(8)
-    for _ in range(200):
-        n = int(rng.integers(20, 61))
-        w = rng.integers(1, 4, size=(n, n)).astype(float)
-        w[rng.random((n, n)) < rng.uniform(0.3, 0.95)] = math.inf
-        start, goal = rng.integers(n, size=2)
-        assert_same_as_sequential(graph_from_weights(w), int(start), int(goal))
+    # settled together and against a frontier node's current distance; in
+    # {0, 1, 2, 3}, a quarter of the edges are free, as an underflowed
+    # ``inverse`` weight is
+    for low in (1, 0):
+        rng = np.random.default_rng(8)
+        for _ in range(200):
+            n = int(rng.integers(20, 61))
+            w = rng.integers(low, 4, size=(n, n)).astype(float)
+            w[rng.random((n, n)) < rng.uniform(0.3, 0.95)] = math.inf
+            start, goal = rng.integers(n, size=2)
+            assert_same_as_sequential(graph_from_weights(w), int(start), int(goal))
 
 
 def test_shortest_path_matches_sequential_search_when_tiny_weights_are_absorbed():
@@ -495,11 +504,10 @@ def test_path_totals_equal_edge_sums():
 
 
 def tiny_cvae(obs_dim=2, ctx_dim=2, d_z=2):
-    enc = MlpParams([np.zeros((2 * d_z, obs_dim + ctx_dim))], [np.zeros(2 * d_z)], "identity")
+    enc = MlpParams([np.zeros((2 * d_z, obs_dim + ctx_dim))], [np.zeros(2 * d_z)])
     dec = MlpParams(
         [np.random.default_rng(0).uniform(0.1, 0.5, size=(obs_dim, d_z + ctx_dim))],
         [np.full(obs_dim, 0.4)],
-        "identity",
     )
     return CvaeModel(enc, dec, obs_dim, ctx_dim, d_z)
 

@@ -111,6 +111,130 @@ def test_segment_rect_distance_matches_sampling():
         assert sampled - exact < 5e-3  # dense sampling approaches the true min
 
 
+# The segment-segment distance that slab clipping and vertex distances
+# replaced; the new distance must give the same numbers and decisions.
+
+
+def seg_seg_distance_reference(p1, p2, q1, q2):
+    """Min distance between 2D segments p1p2 and q1q2."""
+
+    def orient(a, b, c):
+        return (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
+
+    def on_segment(a, b, c):
+        return (
+            min(a[0], b[0]) - 1e-15 <= c[0] <= max(a[0], b[0]) + 1e-15
+            and min(a[1], b[1]) - 1e-15 <= c[1] <= max(a[1], b[1]) + 1e-15
+        )
+
+    d1, d2 = orient(q1, q2, p1), orient(q1, q2, p2)
+    d3, d4 = orient(p1, p2, q1), orient(p1, p2, q2)
+    if ((d1 > 0) != (d2 > 0) and (d3 > 0) != (d4 > 0)) or (
+        (d1 == 0 and on_segment(q1, q2, p1))
+        or (d2 == 0 and on_segment(q1, q2, p2))
+        or (d3 == 0 and on_segment(p1, p2, q1))
+        or (d4 == 0 and on_segment(p1, p2, q2))
+    ):
+        return 0.0
+
+    def point_seg(p, a, b):
+        ab = (b[0] - a[0], b[1] - a[1])
+        denom = ab[0] * ab[0] + ab[1] * ab[1]
+        if denom == 0.0:
+            return math.hypot(p[0] - a[0], p[1] - a[1])
+        t = ((p[0] - a[0]) * ab[0] + (p[1] - a[1]) * ab[1]) / denom
+        t = min(1.0, max(0.0, t))
+        return math.hypot(p[0] - a[0] - t * ab[0], p[1] - a[1] - t * ab[1])
+
+    return min(
+        point_seg(p1, q1, q2),
+        point_seg(p2, q1, q2),
+        point_seg(q1, p1, p2),
+        point_seg(q2, p1, p2),
+    )
+
+
+def segment_rect_distance_reference(p1, p2, wall):
+    """0 when an endpoint lies in the closed rectangle, else the least
+    segment-segment distance to its four edges."""
+    x0, x1 = wall.cx - wall.half_w, wall.cx + wall.half_w
+    y0, y1 = wall.cy - wall.half_h, wall.cy + wall.half_h
+    if (x0 <= p1[0] <= x1 and y0 <= p1[1] <= y1) or (
+        x0 <= p2[0] <= x1 and y0 <= p2[1] <= y1
+    ):
+        return 0.0
+    corners = [(x0, y0), (x1, y0), (x1, y1), (x0, y1)]
+    best = math.inf
+    for a, b in zip(corners, corners[1:] + corners[:1]):
+        best = min(best, seg_seg_distance_reference(p1, p2, a, b))
+        if best == 0.0:
+            break
+    return best
+
+
+def reference_segments(rng, n, a_max):
+    """n (p1, p2, wall) of each family: moves of at most a_max per axis that
+    start within 0.4 of a wall's edges, hops across the arena, axis-aligned
+    segments (a third from a corner along an edge line), and grazing
+    segments: through a corner, along an edge line moved 0-2 float steps
+    out, or from a point of the boundary."""
+    centres, halves = rng.uniform(0.6, 2.2, (4 * n, 2)), rng.uniform(0.02, 0.6, (4 * n, 2))
+    walls = [Wall(*c, *h) for c, h in zip(centres.tolist(), halves.tolist())]
+    sign = rng.choice([-1.0, 1.0], (4 * n, 2)).tolist()
+    u = rng.uniform(-1.0, 1.0, (4 * n, 2)).tolist()
+    v = rng.uniform(-1.0, 1.0, (4 * n, 2)).tolist()
+    families = {name: [] for name in ("steps", "hops", "axis", "grazing")}
+    for k, w in enumerate(walls):
+        (sx, sy), (ux, uy), (vx, vy) = sign[k], u[k], v[k]
+        edge_x, edge_y = w.cx + sx * w.half_w, w.cy + sy * w.half_h
+        if k < n:
+            p = (edge_x + 0.4 * ux, edge_y + 0.4 * uy)
+            families["steps"].append((p, (p[0] + a_max * vx, p[1] + a_max * vy), w))
+        elif k < 2 * n:
+            p = (1.4 + 1.4 * ux, 1.4 + 1.4 * uy)
+            families["hops"].append((p, (1.4 + 1.4 * vx, 1.4 + 1.4 * vy), w))
+        elif k < 3 * n:
+            x, y = (edge_x, edge_y) if k % 3 == 0 else (1.4 + 1.4 * ux, 1.4 + 1.4 * uy)
+            families["axis"].append(((x, y), (x + vx, y) if k % 2 else (x, y + vx), w))
+        elif k % 3 == 0:
+            c, d = math.cos(math.pi * ux), math.sin(math.pi * ux)
+            t0, t1 = 0.5 + 0.49 * vx, 0.5 + 0.49 * vy
+            p, q = (edge_x - t0 * c, edge_y - t0 * d), (edge_x + t1 * c, edge_y + t1 * d)
+            families["grazing"].append((p, q, w))
+        elif k % 3 == 1:
+            y = edge_y
+            for _ in range(k % 5 % 3):
+                y = math.nextafter(y, sy * math.inf)
+            families["grazing"].append(((edge_x + 0.3 * ux, y), (edge_x + 0.3 * vx, y), w))
+        else:
+            p = (edge_x, w.cy + w.half_h * uy) if k % 2 else (w.cx + w.half_w * ux, edge_y)
+            q = (p[0] + 0.3 * vx, p[1] + 0.3 * vy)
+            families["grazing"].append((p, q, w) if k % 4 < 2 else (q, p, w))
+    return families
+
+
+def test_segment_rect_distance_matches_the_segment_segment_reference():
+    world = make_world()
+    radii = (world.spec.agent_radius, 0.05, 0.4)
+    families = reference_segments(np.random.default_rng(45), 25_000, world.spec.a_max)
+    distances = []
+    for name, segments in families.items():
+        new = np.array([segment_rect_distance(p1, p2, w) for p1, p2, w in segments])
+        old = np.array([segment_rect_distance_reference(p1, p2, w) for p1, p2, w in segments])
+        assert np.abs(new - old).max() <= 1e-15, name
+        for r in radii:
+            assert np.array_equal(new < r, old < r), (name, r)
+        # where one reads 0 and the other a rounding residue, the segment
+        # passes within a few float steps of the rectangle
+        residue = (new == 0.0) != (old == 0.0)
+        assert residue.sum() <= (len(segments) // 50 if name == "grazing" else 0), name
+        assert (new == 0.0).any(), name
+        distances.append(new)
+    distances = np.concatenate(distances)
+    for r in radii:
+        assert (np.abs(distances - r) < 0.05 * r).sum() > 100, r
+
+
 # ---------------------------------------------------------------------------
 # contexts
 
