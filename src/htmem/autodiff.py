@@ -427,7 +427,8 @@ def mlp_apply(params: MlpParams, x, tape: Tape | None = None, context=None):
 
     Without a tape this is a plain numpy evaluation; with a tape the pass is
     recorded and parameter gradients become available after ``backward`` via
-    ``tape.grad(w)``.
+    ``tape.grad(w)``. A ``Node`` input is already on the tape and must be
+    (rows, in): grouped rows are consecutive groups of it.
     """
     xv = x.value if isinstance(x, Node) else np.asarray(x, dtype=float)
     lead, k = xv.shape[:-1], xv.shape[-1]
@@ -450,10 +451,7 @@ def mlp_apply(params: MlpParams, x, tape: Tape | None = None, context=None):
             if i < n_layers - 1:
                 h = np.maximum(h, 0.0)
         return h.reshape(lead + h.shape[1:])
-    if not isinstance(x, Node):
-        h = tape.leaf(xv.reshape(-1, k))
-    else:
-        h = x if xv.ndim == 2 else reshape(x, (-1, k))
+    h = x if isinstance(x, Node) else tape.leaf(xv.reshape(-1, k))
     for i, (w, b) in enumerate(zip(params.weights, params.biases)):
         h = linear(h, tape.watch(w), tape.watch(b), context if i == 0 else None)
         if i < n_layers - 1:

@@ -10,6 +10,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field, fields
 
 from .connectivity import CpcConfig, SptmConfig
@@ -53,7 +54,8 @@ def _coerce(key: str, value, like):
 
     ``like`` is the field's default: a tuple's elements follow the type of
     the default's first element, and a field whose default is None takes
-    None or follows the integer rules.
+    None or follows the integer rules. A float field takes finite numbers
+    only.
     """
     if like is None and value is None:
         return None
@@ -68,6 +70,8 @@ def _coerce(key: str, value, like):
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ConfigError(key, "expected a number")
         if isinstance(like, float):
+            if not math.isfinite(value):
+                raise ConfigError(key, "expected a finite number")
             return float(value)
         if isinstance(value, float) and not value.is_integer():
             raise ConfigError(key, "expected an integer")

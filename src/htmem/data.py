@@ -1,7 +1,11 @@
 """Trajectory dataset: collection from random exploration, the context
 splits, and the per-context views that every training routine reads its rows
 from. The dataset's two arrays are the only copy of its rows: each
-trajectory and each ``ContextStack`` is a view of them."""
+trajectory and each ``ContextStack`` is a view of them.
+
+Collection rolls out every trajectory of the dataset in lockstep, one array
+move test per step, while each trajectory keeps its own random streams for
+its start and its actions."""
 
 from __future__ import annotations
 
@@ -11,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import derived_seed
-from .world import BlockWorld, Context, WorldSpec
+from .world import BlockWorld, Context, WorldSpec, wall_array
 
 
 @dataclass
@@ -55,29 +59,65 @@ class TransitionDataset:
 def collect_dataset(world: BlockWorld, cfg: DataConfig) -> TransitionDataset:
     """Random-exploration dataset over freshly generated contexts.
 
-    Deterministic in (world spec, cfg): per-context and per-rollout seeds are
-    derived from the master seed. Each rollout is written into the dataset's
-    two arrays, and its trajectory views its rows there.
+    Deterministic in (world spec, cfg): per-context and per-trajectory seeds
+    are derived from the master seed. Each trajectory keeps its own two
+    streams: its start is ``sample_free_state`` on the "start" stream and its
+    T uniform actions are one draw on the "roll" stream. The rollouts then
+    run in lockstep (``_roll_out``). States, observations and actions are
+    written into the dataset's arrays, and each trajectory views its rows
+    there.
     """
     n_traj, t = cfg.trajectories_per_context, cfg.trajectory_length
+    a_max = world.spec.a_max
     observations = np.empty((cfg.n_contexts, n_traj, t + 1, world.obs_dim))
     actions = np.empty((cfg.n_contexts, n_traj, t, 2))
-    contexts = []
-    trajectories = {}
-    for i in range(cfg.n_contexts):
-        ctx = world.generate_context(derived_seed(cfg.seed, "ctx", i), context_id=i)
-        contexts.append(ctx)
-        rows = []
+    states = np.empty((cfg.n_contexts, n_traj, t + 1, 2))
+    contexts = [
+        world.generate_context(derived_seed(cfg.seed, "ctx", i), context_id=i) for i in range(cfg.n_contexts)
+    ]
+    for i, ctx in enumerate(contexts):
         for j in range(n_traj):
-            rng = np.random.default_rng(derived_seed(cfg.seed, "start", i, j))
-            start = world.sample_free_state(ctx, rng)
-            states, observations[i, j], actions[i, j] = world.rollout_random(
-                ctx, start, t, derived_seed(cfg.seed, "roll", i, j)
-            )
-            xy = np.array([[s.x, s.y] for s in states])
-            rows.append(Trajectory(i, j, observations[i, j], actions[i, j], xy))
-        trajectories[i] = rows
+            start = world.sample_free_state(ctx, np.random.default_rng(derived_seed(cfg.seed, "start", i, j)))
+            states[i, j, 0] = start.x, start.y
+            roll = np.random.default_rng(derived_seed(cfg.seed, "roll", i, j))
+            actions[i, j] = roll.uniform(-a_max, a_max, size=(t, 2))
+    _roll_out(world, contexts, states, actions, observations)
+    trajectories = {
+        i: [Trajectory(i, j, observations[i, j], actions[i, j], states[i, j]) for j in range(n_traj)]
+        for i in range(cfg.n_contexts)
+    }
     return TransitionDataset(world.spec, cfg, contexts, trajectories, observations, actions)
+
+
+def _roll_out(world: BlockWorld, contexts: list, states, actions, observations) -> None:
+    """Step the (C, J) trajectories of the C generated ``contexts`` from
+    ``states[:, :, 0]`` under their ``actions``, all at once: fill the rest
+    of ``states`` and all of ``observations`` with what ``step`` and
+    ``observe`` give one move at a time. Step t of every trajectory is one
+    ``BlockWorld._moves_clear`` call. A raster is drawn only for a state that
+    a step moved; a step that leaves its state copies the previous row."""
+    spec = world.spec
+    s, r = spec.arena_size, spec.agent_radius
+    c, j, t1, _ = states.shape
+    xy = states.reshape(c * j, t1, 2)
+    walls = np.repeat(wall_array(contexts), j, axis=0)
+    # step's clip of each action component
+    moves = np.minimum(np.maximum(actions.reshape(c * j, t1 - 1, 2), -spec.a_max), spec.a_max)
+    raster = observations.reshape(c * j, t1, world.obs_dim) if spec.mode == "raster" else None
+    if raster is not None:
+        for n, (x, y) in enumerate(xy[:, 0].tolist()):
+            raster[n, 0] = world._raster_disc(s, x, y)
+    for k in range(t1 - 1):
+        p0 = xy[:, k]
+        p1 = p0 + moves[:, k]
+        xy[:, k + 1] = np.where(world._moves_clear(walls, s, p0, p1, r)[:, None], p1, p0)
+        if raster is not None:
+            moved = (xy[:, k + 1] != p0).any(axis=1)
+            raster[~moved, k + 1] = raster[~moved, k]
+            for n in np.flatnonzero(moved).tolist():
+                raster[n, k + 1] = world._raster_disc(s, *xy[n, k + 1].tolist())
+    if raster is None:
+        np.divide(states, s, out=observations)
 
 
 def split_context_ids(dataset: TransitionDataset):

@@ -158,6 +158,59 @@ def _near_cells(lo, hi, c, radius):
     return near
 
 
+def _rect_distances(x, y, cx, cy, half_w, half_h):
+    """``point_rect_distance`` of each point from its rectangle, all arrays."""
+    return np.hypot(np.maximum(np.abs(x - cx) - half_w, 0.0), np.maximum(np.abs(y - cy) - half_h, 0.0))
+
+
+def wall_array(contexts) -> np.ndarray:
+    """(n, w, 4) walls of the n contexts as (cx, cy, half_w, half_h) rows,
+    where w is the most walls of any of them; the rows past a context's
+    last wall are NaN."""
+    walls = np.full((len(contexts), max((len(c.walls) for c in contexts), default=0), 4), np.nan)
+    for i, ctx in enumerate(contexts):
+        for k, w in enumerate(ctx.walls):
+            walls[i, k] = w.cx, w.cy, w.half_w, w.half_h
+    return walls
+
+
+def _run_labels(free) -> np.ndarray:
+    """The free cells of the 2-D grid labelled by their maximal run of free
+    cells along a row, the runs numbered from 1 in C order; a blocked cell
+    is 0."""
+    starts = free.copy()
+    starts[:, 1:] &= ~free[:, :-1]
+    return np.cumsum(starts).reshape(free.shape) * free
+
+
+def cells_connected(free) -> bool:
+    """True when the free cells of the boolean 2-D grid ``free`` form one
+    nonempty 4-connected component.
+
+    The maximal runs of free cells along rows and along columns are labelled
+    once. From the first free cell, a pass marks every run that holds a
+    reached cell, rows and columns in turn, until a pass after the first
+    reaches no new cell: the reached cells are then closed along both axes.
+    The number of passes follows the turns of the free space, not its
+    length."""
+    free = np.asarray(free, dtype=bool)
+    if not free.any():
+        return False
+    runs = (_run_labels(free), _run_labels(free.T).T)
+    reached = np.zeros_like(free)
+    reached.flat[np.argmax(free)] = True
+    size, passes = 1, 0
+    while True:
+        labels = runs[passes % 2]
+        hit = np.zeros(free.size + 1, dtype=bool)
+        hit[labels[reached]] = True
+        reached = hit[labels]
+        grown = np.count_nonzero(reached)
+        if passes and grown == size:
+            return grown == np.count_nonzero(free)
+        size, passes = grown, passes + 1
+
+
 class BlockWorld:
     """Simulator facade bundling the static parameters of one experiment."""
 
@@ -256,13 +309,43 @@ class BlockWorld:
                 return False
         return True
 
+    @staticmethod
+    def _moves_clear(walls, s, p0, p1, r) -> np.ndarray:
+        """``_move_clear`` of each row of the (n, 2) starts ``p0`` and ends
+        ``p1`` in an arena of side ``s``, row i among the walls ``walls[i]``
+        of a ``wall_array``. Each wall applies the same box and endpoint
+        bounds with the same margins, to every row at once, and only the rows
+        that neither bound decides call ``segment_rect_distance``. A NaN end
+        leaves the arena, and a NaN wall row is no wall."""
+        x0, y0 = p0.T
+        x1, y1 = p1.T
+        clear = (r <= x1) & (x1 <= s - r) & (r <= y1) & (y1 <= s - r)
+        x_lo, x_hi = np.minimum(x0, x1), np.maximum(x0, x1)
+        y_lo, y_hi = np.minimum(y0, y1), np.maximum(y0, y1)
+        outer, inner = r * (1 + 1e-9), r * (1 - 1e-9)
+        for k, (cx, cy, hw, hh) in enumerate(walls.transpose(1, 2, 0)):
+            gx = np.maximum(np.maximum(cx - hw - x_hi, x_lo - (cx + hw)), 0.0)
+            gy = np.maximum(np.maximum(cy - hh - y_hi, y_lo - (cy + hh)), 0.0)
+            # not > outer, so that a NaN wall is decided clear here
+            near = np.flatnonzero(clear & (np.hypot(gx, gy) <= outer))
+            if not near.size:
+                continue
+            w = cx[near], cy[near], hw[near], hh[near]
+            ends = np.minimum(_rect_distances(x0[near], y0[near], *w), _rect_distances(x1[near], y1[near], *w))
+            clear[near[ends < inner]] = False
+            for i in near[ends >= inner].tolist():
+                if segment_rect_distance(p0[i].tolist(), p1[i].tolist(), Wall(*walls[i, k].tolist())) < r:
+                    clear[i] = False
+        return clear
+
     # -- contexts ---------------------------------------------------------
 
     def generate_context(self, seed: int, context_id: int = 0) -> Context:
         """Deterministic obstacle layout with connected free space.
 
         Walls are anchored to one arena side, leaving a passage of at least
-        min_gap past the tip; connectivity is still verified by flood fill.
+        min_gap past the tip; connectivity is still verified on a grid of cells
+        (``cells_connected``).
         """
         sp = self.spec
         s = sp.arena_size
@@ -306,22 +389,7 @@ class BlockWorld:
         s = ctx.arena_size
         k = int(math.ceil(s / cell))
         centers = (np.arange(k) + 0.5) * (s / k)
-        free = self.positions_valid(ctx, centers[None, :], centers[:, None])
-        if not free.any():
-            return False
-        # grow the component of the first free cell by 4-neighbour dilation
-        seen = np.zeros_like(free)
-        seen.flat[np.argmax(free)] = True
-        while True:
-            grown = seen.copy()
-            grown[1:] |= seen[:-1]
-            grown[:-1] |= seen[1:]
-            grown[:, 1:] |= seen[:, :-1]
-            grown[:, :-1] |= seen[:, 1:]
-            grown &= free
-            if np.array_equal(grown, seen):
-                return np.array_equal(seen, free)
-            seen = grown
+        return cells_connected(self.positions_valid(ctx, centers[None, :], centers[:, None]))
 
     # -- dynamics ---------------------------------------------------------
 
@@ -419,24 +487,6 @@ class BlockWorld:
             # cells outside the wall add exactly 0.0 and stay as they were
             grid = np.minimum(1.0, grid + np.outer(oy, ox) / cell_area)
         return grid.reshape(-1)
-
-    # -- exploration ------------------------------------------------------
-
-    def rollout_random(self, ctx: Context, start: AgentState, n_steps: int, seed: int):
-        """Uniform i.i.d. actions; returns (states, observations, actions). A
-        state that ``step`` left unchanged keeps its observation."""
-        rng = np.random.default_rng(seed)
-        a_max = self.spec.a_max
-        states = [start]
-        observations = [self.observe(ctx, start)]
-        actions = np.empty((n_steps, 2))
-        for t in range(n_steps):
-            a = rng.uniform(-a_max, a_max, size=2)
-            actions[t] = a
-            st = self.step(ctx, states[-1], a)
-            observations.append(observations[-1] if st == states[-1] else self.observe(ctx, st))
-            states.append(st)
-        return states, np.array(observations), actions
 
     # -- oracles and tasks --------------------------------------------------
 

@@ -9,11 +9,14 @@ on an intermediate waypoint, and of the CVAE and inverse-model ``history``
 rows of a ``test_pipeline.TINY`` raster run with batches of 28 rows, which
 split both validation sets into several chunks and a remainder, and of the
 ``step`` results and ``swept_free`` verdicts of moves and hops that start
-near the edges and corners of the walls of generated contexts.
+near the edges and corners of the walls of generated contexts, and of the
+observations, actions and trajectory states of ``collect_dataset`` on the
+data configs of both benchmark workloads and of a raster world with one or
+two walls.
 
     PYTHONPATH=src python3 tests/digests.py
 
-A change that claims bit-identical outputs prints the same seventeen lines
+A change that claims bit-identical outputs prints the same eighteen lines
 before and after it. Pytest does not collect this file.
 """
 
@@ -30,7 +33,7 @@ from htmem import controller, metrics
 from htmem.config import config_from_dict
 from htmem.controller import ExecutionConfig, ModelBundle, execute, train_inverse
 from htmem.cvae import train_cvae
-from htmem.data import collect_dataset
+from htmem.data import DataConfig, collect_dataset
 from htmem.pipeline import train_all, weight_scheme_ablation, zero_shot_benchmark
 from htmem.plangraph import PlanningConfig
 from htmem.world import AgentState, BlockWorld, Task, WorldSpec
@@ -167,6 +170,29 @@ def swept_disc_decisions() -> str:
     return h.hexdigest()
 
 
+# (world spec, data config) of the two benchmark workloads and of a raster
+# world with one or two walls
+DATASET_CASES = (
+    ({"mode": "state"}, {"n_contexts": 30, "trajectories_per_context": 10, "trajectory_length": 20, "n_holdout": 8, "val_fraction": 0.3}),
+    ({"mode": "raster"}, {"n_contexts": 50, "trajectories_per_context": 6, "trajectory_length": 20, "n_holdout": 8, "val_fraction": 0.3}),
+    ({"mode": "raster", "n_walls": (1, 2)}, {"n_contexts": 20, "trajectories_per_context": 8, "trajectory_length": 20}),
+)
+
+
+def dataset_digest() -> str:
+    """sha256 of the observations, actions and trajectory states of
+    ``collect_dataset`` at seeds 1 and 2 of each of ``DATASET_CASES``."""
+    h = hashlib.sha256()
+    for spec, data in DATASET_CASES:
+        world = BlockWorld(WorldSpec(**spec))
+        for seed in (1, 2):
+            ds = collect_dataset(world, DataConfig(**data, seed=seed))
+            for a in (ds.observations, ds.actions, *(t.states for c in ds.contexts for t in ds.trajectories[c.id])):
+                h.update(repr((a.dtype.str, a.shape)).encode())
+                h.update(np.ascontiguousarray(a).tobytes())
+    return h.hexdigest()
+
+
 def main():
     with tempfile.TemporaryDirectory() as tmp:
         tmp = pathlib.Path(tmp)
@@ -186,6 +212,7 @@ def main():
     print(f"fast-forward executions {execution_digest(waypoint_fast_forwards())[:12]}")
     print(f"validation histories {validation_histories()[:12]}")
     print(f"swept-disc decisions {swept_disc_decisions()[:12]}")
+    print(f"datasets {dataset_digest()[:12]}")
 
 
 if __name__ == "__main__":

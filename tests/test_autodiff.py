@@ -112,19 +112,32 @@ def test_mlp_context_gradients(kind):
     report = grad_check(build, params.parameters())
     assert report.passed, report.per_param
 
-    def gradients(rows, context):
+    def row_gradients(rows, context):
+        # the layers of mlp_apply through ad.linear on a watched 2-D leaf;
+        # a context row conditions its share of consecutive rows
         tape = Tape()
-        node = tape.watch(rows)
-        out = mlp_apply(params, node, tape, context=context)
+        node = h = tape.watch(rows.reshape(-1, rows.shape[-1]))
+        context = None if context is None else np.atleast_2d(context)
+        for i, (w, b) in enumerate(zip(params.weights, params.biases)):
+            h = ad.linear(h, tape.watch(w), tape.watch(b), context if i == 0 else None)
+            if i < len(params.weights) - 1:
+                h = ad.relu(h)
+        tape.backward(ad.mean_all(ad.mul(h, h)))
+        return node.grad.reshape(rows.shape), [tape.grad(p) for p in params.parameters()]
+
+    def parameter_gradients(rows, context):
+        tape = Tape()
+        out = mlp_apply(params, rows, tape, context=context)
         tape.backward(ad.mean_all(ad.mul(out, out)))
-        return node.grad, [tape.grad(p) for p in params.parameters()]
+        return [tape.grad(p) for p in params.parameters()]
 
     # row and parameter gradients equal those of the appended rows
-    rows_grad, grads = gradients(x, ctx)
-    appended_grad, want = gradients(appended.copy(), None)
+    rows_grad, grads = row_gradients(x, ctx)
+    appended_grad, want = row_gradients(appended.copy(), None)
     assert np.max(np.abs(rows_grad - appended_grad[..., :4])) < 1e-12
-    for g, w in zip(grads, want):
+    for g, w, m in zip(grads, want, parameter_gradients(x, ctx)):
         assert np.max(np.abs(g - w)) < 1e-12
+        assert np.max(np.abs(m - w)) < 1e-12
 
 
 def test_mlp_context_shape_mismatch_raises():

@@ -1,3 +1,6 @@
+import dataclasses
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -48,6 +51,37 @@ def test_config_rejects_values_that_cannot_run(overrides, key):
         config_from_dict(overrides)
     assert info.value.key == key
     assert key in str(info.value)
+
+
+def float_fields():
+    """(section, key, default) of every float field and float-tuple field of
+    the ``RunConfig`` tree."""
+    cfg = RunConfig()
+    out = []
+    for section in dataclasses.fields(cfg):
+        for f in dataclasses.fields(getattr(cfg, section.name)):
+            default = getattr(getattr(cfg, section.name), f.name)
+            if isinstance(default, float) or (isinstance(default, tuple) and isinstance(default[0], float)):
+                out.append((section.name, f.name, default))
+    return out
+
+
+FLOAT_FIELDS = float_fields()
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("section, name, default", FLOAT_FIELDS, ids=[f"{s}.{n}" for s, n, _ in FLOAT_FIELDS])
+def test_config_rejects_non_finite_floats_naming_the_key(section, name, default, value):
+    # a tuple gets the value as its last element
+    override = [*default[:-1], value] if isinstance(default, tuple) else value
+    with pytest.raises(ConfigError, match="expected a finite number") as info:
+        config_from_dict({section: {name: override}})
+    assert info.value.key == f"{section}.{name}"
+
+
+def test_the_float_fields_include_scalars_and_tuples():
+    keys = {f"{s}.{n}" for s, n, _ in FLOAT_FIELDS}
+    assert {"world.arena_size", "world.a_max", "world.wall_offset_frac", "cvae.lr", "execution.tau"} <= keys
 
 
 def test_scorer_sections_keep_their_keys_defaults_and_hash():

@@ -9,6 +9,8 @@ from hypothesis import strategies as hst
 from scipy import ndimage
 
 import htmem.world as world_module
+from htmem.autodiff import derived_seed
+from htmem.data import DataConfig, collect_dataset
 from htmem.world import (
     AgentState,
     BlockWorld,
@@ -46,6 +48,12 @@ def flood_fill_connected(world, ctx, cell=0.04):
             for y in centers
         ]
     )
+    return bfs_connected(free)
+
+
+def bfs_connected(free):
+    """True when the free cells of the 2-D grid are one nonempty
+    4-connected component, by breadth-first search."""
     total = int(free.sum())
     if total == 0:
         return False
@@ -56,7 +64,7 @@ def flood_fill_connected(world, ctx, cell=0.04):
         i, j = q.popleft()
         for di, dj in ((1, 0), (-1, 0), (0, 1), (0, -1)):
             ni, nj = i + di, j + dj
-            if 0 <= ni < k and 0 <= nj < k and free[ni, nj] and (ni, nj) not in seen:
+            if 0 <= ni < free.shape[0] and 0 <= nj < free.shape[1] and free[ni, nj] and (ni, nj) not in seen:
                 seen.add((ni, nj))
                 q.append((ni, nj))
     return len(seen) == total
@@ -347,64 +355,126 @@ def test_dynamics_safety_long_random_walk():
 # rollouts
 
 
+# The per-step rollout loop that lockstep collection replaced, and the
+# collection it made; lockstep collection must give the same bytes.
+
+
+def rollout_reference(world, ctx, start, n_steps, seed):
+    """Uniform i.i.d. actions, each applied by ``step``; returns (states,
+    observations, actions). A state that ``step`` left unchanged keeps its
+    observation."""
+    rng = np.random.default_rng(seed)
+    a_max = world.spec.a_max
+    states = [start]
+    observations = [world.observe(ctx, start)]
+    actions = np.empty((n_steps, 2))
+    for t in range(n_steps):
+        a = rng.uniform(-a_max, a_max, size=2)
+        actions[t] = a
+        st = world.step(ctx, states[-1], a)
+        observations.append(observations[-1] if st == states[-1] else world.observe(ctx, st))
+        states.append(st)
+    return states, np.array(observations), actions
+
+
+def collect_reference(world, cfg):
+    """(observations, actions, states) of ``collect_dataset`` by the
+    per-step loop, each shaped (C, J, ...)."""
+    observations, actions, states = [], [], []
+    for i in range(cfg.n_contexts):
+        ctx = world.generate_context(derived_seed(cfg.seed, "ctx", i), context_id=i)
+        for j in range(cfg.trajectories_per_context):
+            start = world.sample_free_state(ctx, np.random.default_rng(derived_seed(cfg.seed, "start", i, j)))
+            path, obs, acts = rollout_reference(
+                world, ctx, start, cfg.trajectory_length, derived_seed(cfg.seed, "roll", i, j)
+            )
+            observations.append(obs)
+            actions.append(acts)
+            states.append([[st.x, st.y] for st in path])
+    shape = (cfg.n_contexts, cfg.trajectories_per_context)
+    return tuple(np.array(a).reshape(shape + np.shape(a)[1:]) for a in (observations, actions, states))
+
+
+def dataset_states(ds):
+    return np.array([[traj.states for traj in ds.trajectories[c.id]] for c in ds.contexts])
+
+
+@pytest.mark.parametrize("length", [1, 20])
+@pytest.mark.parametrize("mode", ["state", "raster"])
+def test_lockstep_rollouts_equal_the_per_step_loop(mode, length):
+    for n_walls, seed in (((1, 1), 3), ((1, 2), 4)):
+        world = make_world(mode=mode, n_walls=n_walls)
+        cfg = DataConfig(n_contexts=12, trajectories_per_context=9, trajectory_length=length, seed=seed)
+        ds = collect_dataset(world, cfg)
+        got = (ds.observations, ds.actions, dataset_states(ds))
+        for a, b in zip(got, collect_reference(world, cfg)):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
 def test_rollout_zero_steps():
     world = make_world()
-    ctx = one_wall_context(world)
-    states, obs, actions = world.rollout_random(ctx, AgentState(0.5, 0.5), 0, 1)
-    assert len(states) == 1 and obs.shape == (1, 2) and actions.shape == (0, 2)
+    ds = collect_dataset(world, DataConfig(n_contexts=2, trajectories_per_context=3, trajectory_length=0))
+    assert ds.observations.shape == (2, 3, 1, 2) and ds.actions.shape == (2, 3, 0, 2)
+    assert dataset_states(ds).shape == (2, 3, 1, 2)
+    assert np.array_equal(ds.observations, dataset_states(ds) / world.spec.arena_size)
 
 
 def test_rollout_replay_consistency():
-    world = make_world()
-    ctx = one_wall_context(world)
-    states, obs, actions = world.rollout_random(ctx, AgentState(0.5, 0.5), 20, 9)
-    st = states[0]
-    for t in range(20):
-        st = world.step(ctx, st, actions[t])
-        assert st == states[t + 1]
-        assert np.array_equal(world.observe(ctx, st), obs[t + 1])
+    world = make_world(mode="raster", n_walls=(1, 2))
+    ds = collect_dataset(world, DataConfig(n_contexts=4, trajectories_per_context=5, trajectory_length=20, seed=9))
+    for ctx in ds.contexts:
+        for traj in ds.trajectories[ctx.id]:
+            st = AgentState(*traj.states[0])
+            for t in range(20):
+                st = world.step(ctx, st, traj.actions[t])
+                assert (st.x, st.y) == tuple(traj.states[t + 1])
+                assert np.array_equal(world.observe(ctx, st), traj.observations[t + 1])
 
 
 @pytest.mark.parametrize("mode", ["state", "raster"])
 def test_rollout_observes_each_state_a_step_changed_once(monkeypatch, mode):
     world = make_world(mode=mode)
-    ctx = one_wall_context(world)
-    observed = []
-    observe = BlockWorld.observe
+    drawn, observed = [], []
+    raster_disc, observe = BlockWorld._raster_disc, BlockWorld.observe
 
-    def counting(self, ctx, state):
+    def counting_raster(self, s, cx, cy):
+        drawn.append((cx, cy))
+        return raster_disc(self, s, cx, cy)
+
+    def counting_observe(self, ctx, state):
         observed.append(state)
         return observe(self, ctx, state)
 
-    monkeypatch.setattr(BlockWorld, "observe", counting)
-    # from the corner by the wall, many uniform steps are rejected
-    states, obs, _ = world.rollout_random(ctx, AgentState(1.15, 0.16), 60, 4)
-    changed = [b for a, b in zip(states, states[1:]) if b != a]
-    assert 0 < len(changed) < 60
-    assert observed == [states[0], *changed]
+    monkeypatch.setattr(BlockWorld, "_raster_disc", counting_raster)
+    monkeypatch.setattr(BlockWorld, "observe", counting_observe)
+    ds = collect_dataset(world, DataConfig(n_contexts=3, trajectories_per_context=8, trajectory_length=30, seed=4))
     monkeypatch.undo()
-    assert all(np.array_equal(world.observe(ctx, st), o) for st, o in zip(states, obs))
+    starts, changed = [], []
+    for ctx in ds.contexts:
+        for traj in ds.trajectories[ctx.id]:
+            path = [tuple(p) for p in traj.states.tolist()]
+            starts.append(path[0])
+            changed += [b for a, b in zip(path, path[1:]) if b != a]
+            assert all(np.array_equal(world.observe(ctx, AgentState(*p)), o) for p, o in zip(path, traj.observations))
+    assert 0 < len(changed) < 3 * 8 * 30
+    # a state observation is one division of every state at once
+    assert observed == []
+    want = starts + changed if mode == "raster" else []
+    assert sorted(drawn) == sorted(want)
 
 
 def test_rollout_state_marginal_covers_free_space():
     world = make_world()
-    ctx = one_wall_context(world)
+    ds = collect_dataset(world, DataConfig(n_contexts=1, trajectories_per_context=10_000, trajectory_length=20, seed=2))
+    ctx = ds.contexts[0]
     s = world.spec.arena_size
     k = 8
     centers = (np.arange(k) + 0.5) * (s / k)
-    free = np.array(
-        [
-            [world.state_valid(ctx, AgentState(x, y)) for x in centers]
-            for y in centers
-        ]
-    )
+    free = world.positions_valid(ctx, centers[None, :], centers[:, None])
+    xy = dataset_states(ds).reshape(-1, 2)
+    cells = np.minimum((xy / s * k).astype(int), k - 1)
     visited = np.zeros((k, k), dtype=bool)
-    rng = np.random.default_rng(2)
-    for i in range(10_000):
-        start = world.sample_free_state(ctx, rng)
-        states, _, _ = world.rollout_random(ctx, start, 20, seed=10_000 + i)
-        for st in states:
-            visited[min(int(st.y / s * k), k - 1), min(int(st.x / s * k), k - 1)] = True
+    visited[cells[:, 1], cells[:, 0]] = True
     coverage = visited[free].mean()
     assert coverage >= 0.9
 
@@ -919,6 +989,70 @@ def test_free_space_connected_agrees_with_bfs():
     assert not world._free_space_connected(filled)
 
 
+# The 4-neighbour dilation that the run sweeps replaced.
+
+
+def dilation_connected(free):
+    """Grow the component of the first free cell one ring of cells per
+    pass; True when it covers every free cell."""
+    if not free.any():
+        return False
+    seen = np.zeros_like(free)
+    seen.flat[np.argmax(free)] = True
+    while True:
+        grown = seen.copy()
+        grown[1:] |= seen[:-1]
+        grown[:-1] |= seen[1:]
+        grown[:, 1:] |= seen[:, :-1]
+        grown[:, :-1] |= seen[:, 1:]
+        grown &= free
+        if np.array_equal(grown, seen):
+            return np.array_equal(seen, free)
+        seen = grown
+
+
+def random_grids(rng):
+    """Boolean grids: empty, one-cell, 1 x k, k x 1, all-free, all-blocked
+    and checkerboard ones, then 2,000 random ones of 1-30 rows and columns
+    at free densities from 0.3 to 0.95, a third of them with one or two
+    blocked bands that have a gap or none."""
+    grids = [np.zeros((0, 0), bool), np.zeros((0, 4), bool), np.ones((1, 1), bool), np.zeros((1, 1), bool)]
+    for k in (2, 3, 7):
+        grids += [np.ones((1, k), bool), np.ones((k, 1), bool), np.ones((k, k), bool), np.zeros((k, k), bool)]
+        grids += [np.indices((k, k)).sum(axis=0) % 2 == p for p in (0, 1)]
+        grids += [np.indices((1, k)).sum(axis=0) % 2 == 0, np.array([[True] * k + [False] + [True]])]
+    for n in range(2000):
+        shape = tuple(rng.integers(1, 31, 2))
+        grid = rng.random(shape) < rng.uniform(0.3, 0.95)
+        if n % 3 == 0:
+            for _ in range(rng.integers(1, 3)):
+                axis, at = rng.integers(2), rng.integers(shape[0 if n % 2 else 1])
+                band = grid[at % shape[0]] if axis else grid[:, at % shape[1]]
+                band[:] = False
+                if rng.random() < 0.5:
+                    band[rng.integers(band.size)] = True
+        grids.append(grid)
+    return grids
+
+
+def test_cells_connected_equals_the_dilation_and_bfs():
+    grids = random_grids(np.random.default_rng(46))
+    verdicts = []
+    for grid in grids:
+        want = dilation_connected(grid)
+        assert want == bfs_connected(grid), grid
+        assert world_module.cells_connected(grid) == want, grid
+        verdicts.append(want)
+    assert 300 < sum(verdicts) < len(verdicts) - 300
+    world = make_world(n_walls=(1, 2))
+    for seed in range(300):
+        ctx = world.generate_context(seed)
+        k = int(math.ceil(ctx.arena_size / 0.05))
+        centers = (np.arange(k) + 0.5) * (ctx.arena_size / k)
+        free = world.positions_valid(ctx, centers[None, :], centers[:, None])
+        assert world._free_space_connected(ctx) == dilation_connected(free) == bfs_connected(free)
+
+
 def test_step_and_swept_free_decide_by_segment_distance():
     world = make_world(n_walls=(1, 2))
     r, s, a_max = world.spec.agent_radius, world.spec.arena_size, world.spec.a_max
@@ -1096,3 +1230,57 @@ def test_step_non_finite_actions():
     # a NaN component makes a NaN target, and that move is rejected
     for action in ((math.nan, 0.0), (0.0, math.nan), np.array([np.nan, np.inf]), (math.nan, math.nan)):
         assert world.step(ctx, st0, action) is st0, action
+
+
+# ---------------------------------------------------------------------------
+# the array move test
+
+
+def near_wall_rows(world, contexts, rng, per_wall):
+    """(context index, start, end) rows for every wall of ``contexts``:
+    starts within 0.3 of the wall's edges and r(1 +/- 1e-9) from one of its
+    corners, half each, moved by actions of up to 1.2 a_max per axis under
+    ``step``'s clip; one action in 40 has a NaN component."""
+    r, a_max = world.spec.agent_radius, world.spec.a_max
+    rows, starts = [], []
+    for i, ctx in enumerate(contexts):
+        for w in ctx.walls:
+            n = per_wall // 2
+            u, v = rng.uniform(-0.3, 0.3, (2, n))
+            starts.append(np.stack([w.cx + np.copysign(w.half_w, u) + u, w.cy + np.copysign(w.half_h, v) + v], 1))
+            theta = rng.uniform(0.0, 2 * np.pi, n)
+            sx, sy = rng.choice([-1.0, 1.0], (2, n))
+            dist = r * (1 + rng.uniform(-1e-9, 1e-9, n))
+            starts.append(
+                np.stack([w.cx + sx * w.half_w + dist * np.cos(theta), w.cy + sy * w.half_h + dist * np.sin(theta)], 1)
+            )
+            rows += [i] * 2 * n
+    p0 = np.concatenate(starts)
+    actions = rng.uniform(-1.2 * a_max, 1.2 * a_max, p0.shape)
+    actions[rng.random(p0.shape) < 1 / 80] = np.nan
+    return np.array(rows), p0, p0 + np.clip(actions, -a_max, a_max)
+
+
+def test_moves_clear_equals_move_clear_row_by_row(exact_calls):
+    world = make_world(n_walls=(1, 2))
+    r, s = world.spec.agent_radius, world.spec.arena_size
+    contexts = [world.generate_context(seed) for seed in range(40)]
+    rows, p0, p1 = near_wall_rows(world, contexts, np.random.default_rng(47), 2_400)
+    # a context without walls, its rows among the rest
+    contexts.append(Context(40, s, ()))
+    extra = np.random.default_rng(48).uniform(0.0, s, (500, 2))
+    rows, p0, p1 = np.append(rows, [40] * 500), np.concatenate([p0, extra]), np.concatenate([p1, extra[::-1]])
+    assert len(rows) >= 100_000 and {1, 2} <= {len(c.walls) for c in contexts}
+    want = [
+        BlockWorld._move_clear(contexts[i], a, b, r) for i, a, b in zip(rows.tolist(), p0.tolist(), p1.tolist())
+    ]
+    scalar_fallbacks = len(exact_calls)
+    exact_calls.clear()
+    walls = world_module.wall_array(contexts)[rows]
+    assert walls.shape == (len(rows), 2, 4) and np.isnan(walls[rows == 40]).all()
+    got = BlockWorld._moves_clear(walls, s, p0, p1, r)
+    assert got.dtype == bool and np.array_equal(got, want)
+    # the band between the bounds falls back on the same (row, wall) pairs
+    assert len(exact_calls) == scalar_fallbacks > 2_000
+    assert 10_000 < sum(want) < len(want) - 10_000
+    assert np.isnan(p1).any(axis=1).sum() > 2_000
