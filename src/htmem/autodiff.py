@@ -247,23 +247,6 @@ def mul(a: Node, b) -> Node:
     return a.tape._push(value, (a, b), vjp)
 
 
-def matmul(a: Node, b: Node) -> Node:
-    if a.value.ndim != 2 or b.value.ndim != 2:
-        raise ShapeError("matmul expects 2-D operands")
-    value = a.value @ b.value
-    av, bv = a.value, b.value
-    a_grad, b_grad = a.needs_grad, b.needs_grad
-
-    def vjp(g):
-        return (g @ bv.T if a_grad else None), (av.T @ g if b_grad else None)
-
-    return a.tape._push(value, (a, b), vjp)
-
-
-def transpose(a: Node) -> Node:
-    return a.tape._push(a.value.T, (a,), lambda g: (g.T,))
-
-
 def _first_inputs(x, context):
     """(rows, context) to give ``_affine``. A context that conditions a
     single row is appended to that row: projecting it apart saves nothing

@@ -63,10 +63,7 @@ def _coerce(key: str, value, like):
         if not isinstance(value, (list, tuple)):
             raise ConfigError(key, "expected a list")
         return tuple(_coerce(key, v, like[0]) for v in value)
-    if isinstance(like, bool):
-        if not isinstance(value, bool):
-            raise ConfigError(key, "expected a boolean")
-    elif like is None or isinstance(like, (int, float)):
+    if like is None or isinstance(like, (int, float)):
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ConfigError(key, "expected a number")
         if isinstance(like, float):
@@ -208,7 +205,15 @@ def validate_config(cfg: RunConfig) -> None:
     e = cfg.execution
     _require(e.n >= 1, "execution.n", "must be at least 1")
     _require(e.r >= 1, "execution.r", "must be at least 1")
-    _require(e.tau > 0, "execution.tau", "must be positive")
+    # A task's start and goal lie farther apart than tau, and no two valid
+    # positions lie farther apart than this. Only the impossible values go:
+    # a tau just below it can still use up make_task's tries.
+    farthest = (w.arena_size - 2 * w.agent_radius) * math.sqrt(2)
+    _require(
+        0 < e.tau < farthest,
+        "execution.tau",
+        f"must be positive and below {farthest:.4g}, the farthest start-goal distance",
+    )
     _require(e.eps_wp > 0, "execution.eps_wp", "must be positive")
     _require(e.waypoint_steps >= 1, "execution.waypoint_steps", "must be at least 1")
 
@@ -220,16 +225,8 @@ def validate_config(cfg: RunConfig) -> None:
 
 
 def config_to_dict(cfg: RunConfig) -> dict:
-    out = dataclasses.asdict(cfg)
-
-    def listify(x):
-        if isinstance(x, tuple):
-            return [listify(v) for v in x]
-        if isinstance(x, dict):
-            return {k: listify(v) for k, v in x.items()}
-        return x
-
-    return listify(out)
+    """The config as JSON data: nested dicts, with lists for tuples."""
+    return json.loads(json.dumps(dataclasses.asdict(cfg)))
 
 
 def config_hash(cfg: RunConfig) -> str:

@@ -233,7 +233,7 @@ def _edge_logits(model: ConnectivityModel, from_obs, to_obs, contexts, tape: Tap
         raise ValueError("empty batch")
     z_from = mlp_apply(model.encoder, from_obs, tape, context=contexts)
     z_to = mlp_apply(model.encoder, to_obs, tape, context=contexts)
-    proj = ad.matmul(z_from, ad.transpose(tape.watch(model.bilinear)))  # rows W @ g(from)
+    proj = ad.linear(z_from, tape.watch(model.bilinear), tape.leaf(np.zeros(model.d)))  # rows W @ g(from)
     if to_obs.ndim == 3:
         proj = ad.reshape(proj, (len(from_obs), 1, model.d))
     return ad.sum_axis(ad.mul(z_to, proj), -1)

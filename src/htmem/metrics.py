@@ -117,12 +117,14 @@ class MetricsReport:
                 "success_interval": wilson_interval(successes, n),
                 "mean_final_distance": float(np.mean(distances)),
                 "std_final_distance": float(np.std(distances)),
-                "mean_feasibility": float(np.mean(feas)) if feas else float("nan"),
-                "completeness_rate": float(np.mean(comp)) if comp else float("nan"),
             }
-            # a planner run without a first plan has no plan metrics
+            # a planner run without a first plan has no plan metrics, and a
+            # method with none of them has no plan keys
             if rows[0].scheme:
                 out[method]["no_plan_rate"] = (n - len(feas)) / n
+            if feas:
+                out[method]["mean_feasibility"] = float(np.mean(feas))
+                out[method]["completeness_rate"] = float(np.mean(comp))
             if fid:
                 out[method]["mean_fidelity"] = float(np.mean(fid))
         return out
@@ -134,7 +136,7 @@ class MetricsReport:
             "rows": [asdict(r) for r in self.rows],
         }
         with open(path, "w") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
+            json.dump(payload, fh, indent=2, sort_keys=True, allow_nan=False)
             fh.write("\n")
 
 

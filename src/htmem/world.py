@@ -259,14 +259,12 @@ class BlockWorld:
         x, y = x.reshape(-1), y.reshape(-1)
         valid = (r <= x) & (x <= s - r) & (r <= y) & (y <= s - r)
         for w in ctx.walls:
-            dx = np.maximum(np.abs(x - w.cx) - w.half_w, 0.0)
-            dy = np.maximum(np.abs(y - w.cy) - w.half_h, 0.0)
-            d = np.hypot(dx, dy)
+            d = _rect_distances(x, y, w.cx, w.cy, w.half_w, w.half_h)
             clear = d >= r
             # np.hypot and math.hypot can differ in the last bit, so a
-            # distance this close to r is decided by math.hypot.
+            # distance this close to r is decided by point_rect_distance.
             for i in np.flatnonzero(np.abs(d - r) <= 1e-9 * r):
-                clear[i] = math.hypot(dx[i], dy[i]) >= r
+                clear[i] = point_rect_distance(x[i], y[i], w) >= r
             valid &= clear
         return valid.reshape(shape)
 
@@ -507,14 +505,14 @@ class BlockWorld:
         self,
         ctx: Context,
         seed: int,
-        difficulty: str = "any",
+        difficulty: str = "cross-wall",
         success_threshold: float = 0.5,
         min_separation: float = 0.1,
         max_tries: int = 5000,
     ) -> Task:
-        """A start and a goal in free space; a cross-wall goal is hidden from
-        the start by a wall and lies farther than ``success_threshold``."""
-        if difficulty not in ("any", "cross-wall"):
+        """A start and a goal in free space; the goal is hidden from the
+        start by a wall and lies farther than ``success_threshold``."""
+        if difficulty != "cross-wall":
             raise ConfigurationError(f"unknown difficulty {difficulty!r}")
         rng = np.random.default_rng(seed)
         for _ in range(max_tries):
@@ -523,10 +521,7 @@ class BlockWorld:
             dist = math.hypot(start.x - goal.x, start.y - goal.y)
             if dist < max(min_separation, 1e-9):
                 continue
-            if difficulty == "any" or (
-                dist > success_threshold
-                and not self.swept_free(ctx, (start.x, start.y), (goal.x, goal.y))
-            ):
+            if dist > success_threshold and not self.swept_free(ctx, (start.x, start.y), (goal.x, goal.y)):
                 return Task(ctx, start, goal)
         raise TaskGenerationError(
             f"could not sample a {difficulty} task in context {ctx.id} within {max_tries} tries"

@@ -14,12 +14,16 @@ observations, actions and trajectory states of ``collect_dataset`` on the
 data configs of both benchmark workloads and of a raster world with one or
 two walls.
 
-    PYTHONPATH=src python3 tests/digests.py
+    PYTHONPATH=src python3 tests/digests.py [--check FILE]
 
 A change that claims bit-identical outputs prints the same eighteen lines
-before and after it. Pytest does not collect this file.
+before and after it. With ``--check FILE``, the lines printed are then
+compared with FILE, an earlier output of this script, and the script exits 1
+after naming each line that differs or that only one of the two has. Pytest
+does not collect this file.
 """
 
+import argparse
 import contextlib
 import hashlib
 import json
@@ -193,7 +197,8 @@ def dataset_digest() -> str:
     return h.hexdigest()
 
 
-def main():
+def digest_lines():
+    """Yields the digest lines, each as soon as it is known."""
     with tempfile.TemporaryDirectory() as tmp:
         tmp = pathlib.Path(tmp)
         for mode in ("state", "raster"):
@@ -201,18 +206,46 @@ def main():
             with recorded_executions() as results:
                 digests = run_digests(tmp / mode, mode)
             for name, digest in digests.items():
-                print(f"{mode} {name} {digest[:12]}")
-            print(f"{mode} executions {execution_digest(results)[:12]}")
+                yield f"{mode} {name} {digest[:12]}"
+            yield f"{mode} executions {execution_digest(results)[:12]}"
         art = train_all(config_from_dict({**TINY, "world": {"mode": "state"}}))
         weight_scheme_ablation(art).to_json(tmp / "ablation.json")
-        print(f"ablation {hashlib.sha256((tmp / 'ablation.json').read_bytes()).hexdigest()[:12]}")
+        yield f"ablation {hashlib.sha256((tmp / 'ablation.json').read_bytes()).hexdigest()[:12]}"
     with recorded_executions() as results:
         zero_shot_benchmark(train_all(config_from_dict(PRESSING)))
-    print(f"pressing executions {execution_digest(results)[:12]}")
-    print(f"fast-forward executions {execution_digest(waypoint_fast_forwards())[:12]}")
-    print(f"validation histories {validation_histories()[:12]}")
-    print(f"swept-disc decisions {swept_disc_decisions()[:12]}")
-    print(f"datasets {dataset_digest()[:12]}")
+    yield f"pressing executions {execution_digest(results)[:12]}"
+    yield f"fast-forward executions {execution_digest(waypoint_fast_forwards())[:12]}"
+    yield f"validation histories {validation_histories()[:12]}"
+    yield f"swept-disc decisions {swept_disc_decisions()[:12]}"
+    yield f"datasets {dataset_digest()[:12]}"
+
+
+def mismatches(lines, saved) -> list:
+    """One message per digest name whose line differs between ``lines`` and
+    ``saved``, or that only one of them has."""
+    now = dict(line.rsplit(" ", 1) for line in lines)
+    before = dict(line.rsplit(" ", 1) for line in saved)
+    return [
+        f"{name}: {before.get(name, 'missing')} before, {now.get(name, 'missing')} now"
+        for name in dict.fromkeys([*before, *now])
+        if before.get(name) != now.get(name)
+    ]
+
+
+def main():
+    parser = argparse.ArgumentParser(description="Print the fixed-seed digests.")
+    parser.add_argument("--check", metavar="FILE", help="an earlier output to compare the lines with")
+    args = parser.parse_args()
+    lines = []
+    for line in digest_lines():
+        print(line, flush=True)
+        lines.append(line)
+    if args.check:
+        bad = mismatches(lines, pathlib.Path(args.check).read_text().splitlines())
+        for message in bad:
+            print(f"differs: {message}")
+        if bad:
+            raise SystemExit(1)
 
 
 if __name__ == "__main__":

@@ -316,7 +316,7 @@ def test_finite_difference_oracle_on_softmax_cross_entropy():
     def build(tape):
         za = mlp_apply(enc, anchors, tape)
         zc = ad.reshape(mlp_apply(enc, cands.reshape(-1, 4), tape), (5, 6, 3))
-        proj = ad.matmul(za, ad.transpose(tape.watch(W)))
+        proj = ad.linear(za, tape.watch(W), tape.leaf(np.zeros(3)))
         logits = ad.sum_axis(ad.mul(zc, ad.reshape(proj, (5, 1, 3))), -1)
         pos = ad.reshape(ad.slice_cols(logits, 0, 1), (-1,))
         return ad.mean_all(ad.sub(ad.logsumexp(logits), pos))

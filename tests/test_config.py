@@ -44,6 +44,9 @@ SPTM_OFFSET = 20  # default sptm negative offset: 4 * horizon 5
         ({"world": {"wall_thickness": [0.05, 0.8]}}, "world.wall_thickness"),
         # a context without a wall has no cross-wall task
         ({"world": {"n_walls": [0, 1]}}, "world.n_walls"),
+        # no two valid positions lie 3.6 apart, so make_task finds no task
+        ({"execution": {"tau": 3.6}}, "execution.tau"),
+        ({"planning": {"m_samples": True}}, "planning.m_samples"),
     ],
 )
 def test_config_rejects_values_that_cannot_run(overrides, key):

@@ -127,7 +127,7 @@ def test_report_aggregates_recomputable_from_rows():
     assert agg["sptm"]["success_interval"] == wilson_interval(0, 1)
     assert agg["htm"]["no_plan_rate"] == 0.0
     assert agg["sptm"]["no_plan_rate"] == 1.0
-    assert math.isnan(agg["sptm"]["mean_feasibility"])
+    assert "mean_feasibility" not in agg["sptm"] and "completeness_rate" not in agg["sptm"]
     assert "no_plan_rate" not in agg["inverse_only"]
 
 

@@ -1,4 +1,5 @@
 import hashlib
+import json
 import struct
 
 import numpy as np
@@ -55,12 +56,18 @@ def run_digests(tmp_path, mode):
     return {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(tmp_path.iterdir())}
 
 
+def reject_constant(token):
+    raise ValueError(f"{token} is not JSON")
+
+
 @pytest.mark.parametrize("mode", ["state", "raster"])
 def test_fixed_seed_runs_write_identical_reports_and_checkpoints(tmp_path, mode):
     (tmp_path / "a").mkdir()
     (tmp_path / "b").mkdir()
     first = run_digests(tmp_path / "a", mode)
     assert sorted(first) == ["cpc.ckpt", "cvae.ckpt", "inverse.ckpt", "report.json", "sptm.ckpt"]
+    # strict JSON: no NaN or Infinity tokens, though inverse_only makes no plan
+    json.loads((tmp_path / "a" / "report.json").read_text(), parse_constant=reject_constant)
     assert run_digests(tmp_path / "b", mode) == first
 
 

@@ -697,6 +697,12 @@ def test_twenty_cross_wall_tasks_per_context():
             world.make_task(ctx, seed=k, difficulty="cross-wall")
 
 
+def test_make_task_knows_only_cross_wall_tasks():
+    world = make_world()
+    with pytest.raises(ConfigurationError, match="unknown difficulty"):
+        world.make_task(world.generate_context(7), seed=3, difficulty="any")
+
+
 def test_make_task_unsatisfiable_raises():
     world = make_world()
     ctx = Context(0, 2.8, ())  # nothing to cross
