@@ -73,10 +73,11 @@ class TrainingDiverged(RuntimeError):
 
 def sigmoid(x):
     """Logistic function that never overflows: 1 / (1 + e^-x) for x >= 0 and
-    e^x / (1 + e^x) below, both from e = e^-|x|."""
+    e^x / (1 + e^x) below, both from e = e^-|x|. Since e <= 1, the numerator
+    max(e, x >= 0) is 1 where x >= 0 and e elsewhere, and NaN stays NaN."""
     x = np.asarray(x, dtype=float)
     e = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    return np.maximum(e, x >= 0) / (1.0 + e)
 
 
 def logsumexp_np(x, axis=-1):

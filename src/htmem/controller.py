@@ -2,12 +2,12 @@
 
 The policy maps (current, target, context) to a bounded action and is
 trained on one-step transitions with squared action error. The executor
-pursues each plan node for a bounded number of steps, replans on a global
-step period, and falls back to direct goal pursuit when it has no plan.
-Run without a planning config, that fallback is the inverse-model-only
-baseline; a run is marked planless when it had no planner or when a
-planning attempt found no path. The executor observes each state it visits
-once, and asks the scorer one question, ``pairwise_logits``.
+runs a ``Method``: it pursues each plan node for a bounded number of steps,
+replans on a global step period, and pursues the goal directly when it has
+no plan. A method without a planning config never plans: it is the
+inverse-model-only baseline, and its runs are planless, as is a run in
+which a planning attempt found no path. The executor observes each state it
+visits once, and asks the scorer one question, ``pairwise_logits``.
 
 A step that ``step`` rejects repeats until the next replan, waypoint timeout
 or end of the budget, and the executor applies those repeats at once.
@@ -141,10 +141,14 @@ def train_inverse(dataset: TransitionDataset, world: BlockWorld, cfg: InverseCon
 
 
 @dataclass
-class ModelBundle:
+class Method:
+    """One benchmark row's models and planner config; without ``planning``
+    the inverse model pursues the goal directly."""
+
     cvae: CvaeModel
     scorer: ConnectivityModel
     inverse: InverseModel
+    planning: PlanningConfig | None = None
 
 
 @dataclass
@@ -176,8 +180,7 @@ def plan_seed(seed: int, replan_index: int) -> int:
 def execute(
     world: BlockWorld,
     task: Task,
-    models: ModelBundle,
-    plan_cfg: PlanningConfig | None,
+    method: Method,
     exec_cfg: ExecutionConfig,
     seed: int,
 ) -> ExecutionResult:
@@ -185,7 +188,7 @@ def execute(
 
     A plan is tried at step 0 and at every ``r``-th step after it, attempt
     ``steps // r`` drawing from ``plan_seed(seed, steps // r)``. Without a
-    plan the goal is pursued directly: a ``plan_cfg`` of None is the
+    plan the goal is pursued directly: a method without ``planning`` is the
     inverse-model-only baseline. The result is planless when there is no
     planner, or when an attempt found no path. The goal, the start and each
     state a step changed, unless it ends the run, are observed once; the
@@ -208,7 +211,7 @@ def execute(
     obs = world.observe(ctx, state)
     trace = [np.array([state.x, state.y])]
     plans: list = []
-    planless = plan_cfg is None
+    planless = method.planning is None
     steps = 0
     plan = None
     wp_idx = 0
@@ -218,15 +221,15 @@ def execute(
         return math.hypot(state.x - goal[0], state.y - goal[1])
 
     while distance() > exec_cfg.tau and steps < exec_cfg.n:
-        if plan_cfg is not None and steps % exec_cfg.r == 0:
+        if method.planning is not None and steps % exec_cfg.r == 0:
             try:
                 plan, _ = plan_end_to_end(
                     ctx_enc,
                     obs,
                     goal_obs,
-                    models.cvae,
-                    models.scorer,
-                    plan_cfg,
+                    method.cvae,
+                    method.scorer,
+                    method.planning,
                     plan_seed(seed, steps // exec_cfg.r),
                 )
                 plans.append(plan)
@@ -236,7 +239,7 @@ def execute(
                 plan = None
                 planless = True
         target_obs = plan.observations[wp_idx] if plan is not None else goal_obs
-        action = infer_action(models.inverse, obs, target_obs, ctx_enc)
+        action = infer_action(method.inverse, obs, target_obs, ctx_enc)
         moved = world.step(ctx, state, action)
         stuck, state = moved == state, moved
         steps += 1
@@ -250,11 +253,11 @@ def execute(
         if counting:
             steps_on_wp += 1
             advance = steps_on_wp >= exec_cfg.waypoint_steps or _reached(
-                world, models.scorer, obs, ctx_enc, state, plan, wp_idx, exec_cfg.eps_wp
+                world, method.scorer, obs, ctx_enc, state, plan, wp_idx, exec_cfg.eps_wp
             )
         if stuck and not advance:
             k = exec_cfg.n - steps
-            if plan_cfg is not None:
+            if method.planning is not None:
                 k = min(k, -steps % exec_cfg.r)  # steps to the next replan
             if counting:
                 k = min(k, exec_cfg.waypoint_steps - steps_on_wp)
@@ -269,7 +272,7 @@ def execute(
         success=distance() <= exec_cfg.tau,
         steps=steps,
         final_distance=distance(),
-        replan_count=(steps - 1) // exec_cfg.r if plan_cfg is not None and steps else 0,
+        replan_count=(steps - 1) // exec_cfg.r if method.planning is not None and steps else 0,
         planless=planless,
         state_trace=np.array(trace),
         plans=plans,

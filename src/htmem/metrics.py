@@ -16,13 +16,12 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from .autodiff import derived_seed
 from .controller import ExecutionConfig, execute
-from .plangraph import PlanningConfig
 from .world import BlockWorld
 
 
@@ -159,8 +158,7 @@ def make_benchmark_tasks(world: BlockWorld, contexts, n_tasks: int, seed: int, d
 def run_benchmark(
     world: BlockWorld,
     tasks,
-    bundles: dict,
-    plan_cfg: PlanningConfig,
+    methods: dict,
     exec_cfg: ExecutionConfig,
     oracle_horizon: int,
     seed: int,
@@ -168,20 +166,21 @@ def run_benchmark(
 ) -> MetricsReport:
     """Execute every task under every method.
 
-    ``bundles`` maps method name to (ModelBundle, scheme or None); a None
-    scheme means the inverse-model-only baseline (no planner). Plan metrics
-    are computed on the first plan of each run, which need not come from
-    its first planning attempt: one ``world.oracle_reachable`` call judges
-    its hops, and fidelity rates the candidates it searched (None when there
-    are none). Every plan of a result then drops its candidates, so that
-    kept results do not hold them.
+    ``methods`` maps method name to ``Method``; the name seeds each run, and
+    a row records its method's weight scheme, or ``""`` for a method without
+    a planner. Plan metrics are computed on the first plan of each run,
+    which need not come from its first planning attempt: one
+    ``world.oracle_reachable`` call judges its hops, and fidelity rates the
+    candidates it searched (None when there are none). Every plan of a
+    result then drops its candidates, so that kept results do not hold
+    them.
     """
     rows = []
-    for method, (bundle, scheme) in bundles.items():
-        cfg = replace(plan_cfg, scheme=scheme) if scheme else None
+    for name, method in methods.items():
+        scheme = method.planning.scheme if method.planning else ""
         for task_id, task in enumerate(tasks):
-            task_seed = derived_seed(seed, method, task_id)
-            result = execute(world, task, bundle, cfg, exec_cfg, task_seed)
+            task_seed = derived_seed(seed, name, task_id)
+            result = execute(world, task, method, exec_cfg, task_seed)
             feas = comp = fid = None
             if result.plans:
                 first = result.plans[0]
@@ -193,8 +192,8 @@ def run_benchmark(
             rows.append(
                 TaskRow(
                     task_id,
-                    method,
-                    scheme or "",
+                    name,
+                    scheme,
                     result.success,
                     result.steps,
                     result.final_distance,

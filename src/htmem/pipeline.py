@@ -5,18 +5,18 @@ for the score-model x weight-scheme ablation."""
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .autodiff import derived_seed
 from .config import RunConfig, config_hash
 from .connectivity import ConnectivityModel, train_cpc, train_sptm
-from .controller import InverseModel, ModelBundle, train_inverse
+from .controller import InverseModel, Method, train_inverse
 from .cvae import CvaeModel, hallucinate, train_cvae
 from .data import TransitionDataset, collect_dataset, split_context_ids
 from .metrics import MetricsReport, make_benchmark_tasks, run_benchmark
-from .world import BlockWorld
+from .world import BlockWorld, TaskGenerationError
 
 log = logging.getLogger(__name__)
 
@@ -73,13 +73,12 @@ def zero_shot_benchmark(art: PipelineArtifacts, tasks=None) -> MetricsReport:
     """The headline comparison: full planner vs classifier-scored plans vs
     the inverse model pursuing the goal directly."""
     cfg = art.cfg
-    htm = ModelBundle(art.cvae, art.cpc, art.inverse)
-    bundles = {
-        "htm": (htm, cfg.planning.scheme),
-        "sptm": (ModelBundle(art.cvae, art.sptm, art.inverse), "sptm_exp"),
-        "inverse_only": (htm, None),
+    methods = {
+        "htm": Method(art.cvae, art.cpc, art.inverse, cfg.planning),
+        "sptm": Method(art.cvae, art.sptm, art.inverse, replace(cfg.planning, scheme="sptm_exp")),
+        "inverse_only": Method(art.cvae, art.cpc, art.inverse),
     }
-    return _run_benchmark(art, tasks, cfg.evaluation.n_tasks, bundles, cfg.evaluation.seed)
+    return _run_benchmark(art, tasks, cfg.evaluation.n_tasks, methods, cfg.evaluation.seed)
 
 
 ABLATION_SCHEMES = ("sptm_threshold", "inverse", "normalized")
@@ -91,31 +90,33 @@ def weight_scheme_ablation(art: PipelineArtifacts, tasks=None) -> MetricsReport:
     the headline rows' metrics; its mean final distance is
     ``aggregates()[method]["mean_final_distance"]``."""
     cfg = art.cfg
-    bundles = {
-        f"{score}/{scheme}": (ModelBundle(art.cvae, scorer, art.inverse), scheme)
+    methods = {
+        f"{score}/{scheme}": Method(art.cvae, scorer, art.inverse, replace(cfg.planning, scheme=scheme))
         for score, scorer in (("cpc", art.cpc), ("sptm", art.sptm))
         for scheme in ABLATION_SCHEMES
     }
     seed = derived_seed(cfg.evaluation.seed, "ablation")
-    return _run_benchmark(art, tasks, cfg.evaluation.ablation_tasks, bundles, seed)
+    return _run_benchmark(art, tasks, cfg.evaluation.ablation_tasks, methods, seed)
 
 
-def _run_benchmark(art: PipelineArtifacts, tasks, n_tasks: int, bundles: dict, seed: int) -> MetricsReport:
-    """``run_benchmark`` of the bundles under the run's settings, on
+def _run_benchmark(art: PipelineArtifacts, tasks, n_tasks: int, methods: dict, seed: int) -> MetricsReport:
+    """``run_benchmark`` of the methods under the run's settings, on
     ``tasks`` or else on ``n_tasks`` cross-wall tasks drawn round-robin over
     the held-out contexts."""
     cfg = art.cfg
     if tasks is None:
         _, _, holdout = split_context_ids(art.dataset)
         contexts = [art.dataset.context_by_id(cid) for cid in holdout]
-        tasks = make_benchmark_tasks(
-            art.world, contexts, n_tasks, cfg.evaluation.seed, success_threshold=cfg.execution.tau
-        )
+        try:
+            tasks = make_benchmark_tasks(
+                art.world, contexts, n_tasks, cfg.evaluation.seed, success_threshold=cfg.execution.tau
+            )
+        except TaskGenerationError as err:
+            raise TaskGenerationError(f"execution.tau: {err}") from err
     return run_benchmark(
         art.world,
         tasks,
-        bundles,
-        cfg.planning,
+        methods,
         cfg.execution,
         cfg.evaluation.oracle_horizon,
         seed,

@@ -515,14 +515,17 @@ class BlockWorld:
         if difficulty != "cross-wall":
             raise ConfigurationError(f"unknown difficulty {difficulty!r}")
         rng = np.random.default_rng(seed)
+        farthest = 0.0
         for _ in range(max_tries):
             start = self.sample_free_state(ctx, rng)
             goal = self.sample_free_state(ctx, rng)
             dist = math.hypot(start.x - goal.x, start.y - goal.y)
+            farthest = max(farthest, dist)
             if dist < max(min_separation, 1e-9):
                 continue
             if dist > success_threshold and not self.swept_free(ctx, (start.x, start.y), (goal.x, goal.y)):
                 return Task(ctx, start, goal)
         raise TaskGenerationError(
-            f"could not sample a {difficulty} task in context {ctx.id} within {max_tries} tries"
+            f"could not sample a {difficulty} task in context {ctx.id} within {max_tries} tries: "
+            f"success_threshold is {success_threshold}, the farthest sampled pair lay {farthest:.4g} apart"
         )

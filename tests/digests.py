@@ -12,11 +12,12 @@ split both validation sets into several chunks and a remainder, and of the
 near the edges and corners of the walls of generated contexts, and of the
 observations, actions and trajectory states of ``collect_dataset`` on the
 data configs of both benchmark workloads and of a raster world with one or
-two walls.
+two walls, and of ``scheme_weights`` under every scheme on the seeded logits
+of ``test_plangraph``.
 
     PYTHONPATH=src python3 tests/digests.py [--check FILE]
 
-A change that claims bit-identical outputs prints the same eighteen lines
+A change that claims bit-identical outputs prints the same nineteen lines
 before and after it. With ``--check FILE``, the lines printed are then
 compared with FILE, an earlier output of this script, and the script exits 1
 after naming each line that differs or that only one of the two has. Pytest
@@ -35,11 +36,11 @@ import numpy as np
 
 from htmem import controller, metrics
 from htmem.config import config_from_dict
-from htmem.controller import ExecutionConfig, ModelBundle, execute, train_inverse
+from htmem.controller import ExecutionConfig, Method, execute, train_inverse
 from htmem.cvae import train_cvae
 from htmem.data import DataConfig, collect_dataset
 from htmem.pipeline import train_all, weight_scheme_ablation, zero_shot_benchmark
-from htmem.plangraph import PlanningConfig
+from htmem.plangraph import WEIGHT_SCHEMES, PlanningConfig, scheme_weights
 from htmem.world import AgentState, BlockWorld, Task, WorldSpec
 from test_controller import (
     across_the_wall_plan,
@@ -49,6 +50,7 @@ from test_controller import (
     walled_context,
 )
 from test_pipeline import PRESSING, TINY, run_digests
+from test_plangraph import seeded_logits
 
 
 def execution_digest(results) -> str:
@@ -107,9 +109,9 @@ def waypoint_fast_forwards():
     world = BlockWorld(WorldSpec())
     cvae, scorer, _ = stub_bundle(world)
     task = Task(walled_context(), AgentState(1.1, 0.5), AgentState(2.4, 0.5))
-    pushing = ModelBundle(cvae, scorer, pushing_inverse(world))
+    pushing = Method(cvae, scorer, pushing_inverse(world), PlanningConfig(m_samples=12))
     results = [
-        execute(world, task, pushing, PlanningConfig(m_samples=12), exec_cfg, 1)
+        execute(world, task, pushing, exec_cfg, 1)
         for exec_cfg in (
             ExecutionConfig(n=60, r=25, waypoint_steps=5),
             ExecutionConfig(n=60, r=7, waypoint_steps=5),
@@ -117,13 +119,13 @@ def waypoint_fast_forwards():
         )
     ]
     plan = across_the_wall_plan(world, task)
-    greedy = ModelBundle(cvae, scorer, greedy_inverse(world, gain=60.0))
+    greedy = Method(cvae, scorer, greedy_inverse(world, gain=60.0), PlanningConfig(m_samples=0))
     planner = controller.plan_end_to_end
     controller.plan_end_to_end = lambda *args: (plan, None)
     try:
         for waypoint_steps, r in ((8, 40), (3, 7), (1, 25), (2, 5)):
             exec_cfg = ExecutionConfig(n=80, r=r, waypoint_steps=waypoint_steps)
-            results.append(execute(world, task, greedy, PlanningConfig(m_samples=0), exec_cfg, 1))
+            results.append(execute(world, task, greedy, exec_cfg, 1))
     finally:
         controller.plan_end_to_end = planner
     return results
@@ -197,6 +199,19 @@ def dataset_digest() -> str:
     return h.hexdigest()
 
 
+def plan_weights_digest() -> str:
+    """sha256 of ``scheme_weights`` under every scheme on each of the
+    seeded logits of ``test_plangraph``, special entries included."""
+    h = hashlib.sha256()
+    for logits in seeded_logits():
+        for scheme in WEIGHT_SCHEMES:
+            with np.errstate(invalid="ignore"):
+                w = scheme_weights(logits, scheme)
+            h.update(repr((scheme, w.shape)).encode())
+            h.update(w.tobytes())
+    return h.hexdigest()
+
+
 def digest_lines():
     """Yields the digest lines, each as soon as it is known."""
     with tempfile.TemporaryDirectory() as tmp:
@@ -218,6 +233,7 @@ def digest_lines():
     yield f"validation histories {validation_histories()[:12]}"
     yield f"swept-disc decisions {swept_disc_decisions()[:12]}"
     yield f"datasets {dataset_digest()[:12]}"
+    yield f"plan weights {plan_weights_digest()[:12]}"
 
 
 def mismatches(lines, saved) -> list:

@@ -10,7 +10,7 @@ from htmem.controller import (
     ExecutionConfig,
     InverseConfig,
     InverseModel,
-    ModelBundle,
+    Method,
     execute,
     infer_action,
     inverse_init,
@@ -208,8 +208,7 @@ def test_execute_immediate_success_zero_steps():
     res = execute(
         world,
         task,
-        ModelBundle(cvae, scorer, inverse),
-        PlanningConfig(m_samples=0),
+        Method(cvae, scorer, inverse, PlanningConfig(m_samples=0)),
         ExecutionConfig(),
         seed=0,
     )
@@ -223,14 +222,12 @@ def test_execute_respects_step_budget_and_replan_accounting():
     world = BlockWorld(WorldSpec())
     cvae, scorer, _ = stub_bundle(world)
     # inverse model that always pushes right at full speed
-    bundle = ModelBundle(cvae, scorer, pushing_inverse(world))
+    method = Method(cvae, scorer, pushing_inverse(world), PlanningConfig(m_samples=4))
 
     # into the wall: the run exhausts the budget
     ctx = walled_context()
     task = Task(ctx, AgentState(1.1, 0.5), AgentState(2.4, 0.5))
-    res = execute(
-        world, task, bundle, PlanningConfig(m_samples=4), ExecutionConfig(n=10, r=4), seed=1
-    )
+    res = execute(world, task, method, ExecutionConfig(n=10, r=4), seed=1)
     assert not res.success
     assert res.steps == 10
     assert res.replan_count == math.floor((res.steps - 1) / 4) == 2
@@ -244,9 +241,7 @@ def test_execute_respects_step_budget_and_replan_accounting():
     # open arena: 1.95 away at 0.1 per step, the run succeeds at step 15,
     # three steps into the fourth replanning period
     task = Task(free_context(), AgentState(0.45, 0.5), AgentState(2.4, 0.5))
-    res = execute(
-        world, task, bundle, PlanningConfig(m_samples=4), ExecutionConfig(n=20, r=4), seed=1
-    )
+    res = execute(world, task, method, ExecutionConfig(n=20, r=4), seed=1)
     assert res.success and not res.planless
     assert res.steps == 15
     assert res.replan_count == (res.steps - 1) // 4 == 3
@@ -274,8 +269,7 @@ def test_execute_observes_each_state_once(monkeypatch):
     res = execute(
         world,
         task,
-        ModelBundle(cvae, scorer, pushing_inverse(world)),
-        PlanningConfig(m_samples=4),
+        Method(cvae, scorer, pushing_inverse(world), PlanningConfig(m_samples=4)),
         ExecutionConfig(n=10, r=4),
         seed=1,
     )
@@ -311,8 +305,7 @@ def test_execute_raster_waypoints_ask_the_scorer_pairwise_logits_alone():
     res = execute(
         world,
         task,
-        ModelBundle(cvae, DecodedDistScorer(), inverse),
-        PlanningConfig(m_samples=3),
+        Method(cvae, DecodedDistScorer(), inverse, PlanningConfig(m_samples=3)),
         ExecutionConfig(n=12, r=6),
         seed=0,
     )
@@ -355,8 +348,7 @@ def test_execute_success_consistency_flag():
     res = execute(
         world,
         task,
-        ModelBundle(cvae, scorer, inverse),
-        PlanningConfig(m_samples=0),
+        Method(cvae, scorer, inverse, PlanningConfig(m_samples=0)),
         ExecutionConfig(n=30, r=10),
         seed=2,
     )
@@ -370,8 +362,7 @@ def test_execute_baseline_is_planless():
     res = execute(
         world,
         task,
-        ModelBundle(cvae, scorer, inverse),
-        None,
+        Method(cvae, scorer, inverse),
         ExecutionConfig(n=5),
         seed=3,
     )
@@ -384,10 +375,11 @@ def test_execute_baseline_is_planless():
 # stuck steps against the step-by-step loop
 
 
-def stepwise_execute(world, task, models, plan_cfg, exec_cfg, seed):
+def stepwise_execute(world, task, method, exec_cfg, seed):
     """``execute`` one tick at a time: every tick plans when due, infers an
     action, steps, observes and tests its waypoint. The reference for the
     fast-forward of stuck steps in ``execute``."""
+    plan_cfg = method.planning
     ctx = task.context
     ctx_enc = world.encode_context(ctx)
     goal_obs = world.observe(ctx, task.goal)
@@ -413,8 +405,8 @@ def stepwise_execute(world, task, models, plan_cfg, exec_cfg, seed):
                     ctx_enc,
                     obs,
                     goal_obs,
-                    models.cvae,
-                    models.scorer,
+                    method.cvae,
+                    method.scorer,
                     plan_cfg,
                     plan_seed(seed, steps // exec_cfg.r),
                 )
@@ -425,7 +417,7 @@ def stepwise_execute(world, task, models, plan_cfg, exec_cfg, seed):
                 plan = None
                 planless = True
         target_obs = plan.observations[wp_idx] if plan is not None else goal_obs
-        action = infer_action(models.inverse, obs, target_obs, ctx_enc)
+        action = infer_action(method.inverse, obs, target_obs, ctx_enc)
         state = world.step(ctx, state, action)
         steps += 1
         trace.append(np.array([state.x, state.y]))
@@ -435,7 +427,7 @@ def stepwise_execute(world, task, models, plan_cfg, exec_cfg, seed):
         if plan is not None and wp_idx < len(plan) - 1:
             steps_on_wp += 1
             if steps_on_wp >= exec_cfg.waypoint_steps or controller._reached(
-                world, models.scorer, obs, ctx_enc, state, plan, wp_idx, exec_cfg.eps_wp
+                world, method.scorer, obs, ctx_enc, state, plan, wp_idx, exec_cfg.eps_wp
             ):
                 wp_idx += 1
                 steps_on_wp = 0
@@ -451,7 +443,7 @@ def stepwise_execute(world, task, models, plan_cfg, exec_cfg, seed):
     )
 
 
-def execute_against_the_reference(monkeypatch, world, task, models, plan_cfg, exec_cfg, seed=1):
+def execute_against_the_reference(monkeypatch, world, task, method, exec_cfg, seed=1):
     """Run ``execute`` and ``stepwise_execute``, assert every result field
     equal byte for byte, and return the result with the number of
     ``infer_action`` calls ``execute`` made (the reference calls the
@@ -463,8 +455,8 @@ def execute_against_the_reference(monkeypatch, world, task, models, plan_cfg, ex
         return infer_action(*args)
 
     monkeypatch.setattr(controller, "infer_action", counting)
-    fast = execute(world, task, models, plan_cfg, exec_cfg, seed)
-    slow = stepwise_execute(world, task, models, plan_cfg, exec_cfg, seed)
+    fast = execute(world, task, method, exec_cfg, seed)
+    slow = stepwise_execute(world, task, method, exec_cfg, seed)
     for name in ("success", "steps", "replan_count", "planless", "seed"):
         assert getattr(fast, name) == getattr(slow, name), name
     assert struct.pack("<d", fast.final_distance) == struct.pack("<d", slow.final_distance)
@@ -487,7 +479,7 @@ def test_inverse_model_alone_pressing_into_a_wall_matches_the_reference(monkeypa
     cvae, scorer, _ = stub_bundle(world)
     task = Task(walled_context(), AgentState(0.85, 0.5), AgentState(2.4, 0.5))
     res, calls = execute_against_the_reference(
-        monkeypatch, world, task, ModelBundle(cvae, scorer, pushing_inverse(world)), None, ExecutionConfig(n=50)
+        monkeypatch, world, task, Method(cvae, scorer, pushing_inverse(world)), ExecutionConfig(n=50)
     )
     # three steps right, then one rejected step stands for the other 47
     assert res.steps == 50 and res.planless and stuck_steps(res) == 47
@@ -512,7 +504,7 @@ def test_a_planless_wall_pressing_run_infers_and_steps_at_most_twice(monkeypatch
     monkeypatch.setattr(BlockWorld, "step", counting_step)
     task = Task(walled_context(), AgentState(1.1, 0.5), AgentState(2.4, 0.5))
     res = execute(
-        world, task, ModelBundle(cvae, scorer, pushing_inverse(world)), None, ExecutionConfig(n=200), seed=0
+        world, task, Method(cvae, scorer, pushing_inverse(world)), ExecutionConfig(n=200), seed=0
     )
     assert res.steps == 200 and len(res.state_trace) == 201
     assert counts["infer_action"] <= 2 and counts["step"] <= 2
@@ -533,10 +525,8 @@ def test_a_stuck_planner_matches_the_reference(monkeypatch, exec_cfg):
     world = BlockWorld(WorldSpec())
     cvae, scorer, _ = stub_bundle(world)
     task = Task(walled_context(), AgentState(1.1, 0.5), AgentState(2.4, 0.5))
-    bundle = ModelBundle(cvae, scorer, pushing_inverse(world))
-    res, calls = execute_against_the_reference(
-        monkeypatch, world, task, bundle, PlanningConfig(m_samples=12), exec_cfg
-    )
+    method = Method(cvae, scorer, pushing_inverse(world), PlanningConfig(m_samples=12))
+    res, calls = execute_against_the_reference(monkeypatch, world, task, method, exec_cfg)
     assert res.steps == exec_cfg.n and len(res.plans) == (exec_cfg.n - 1) // exec_cfg.r + 1
     if exec_cfg.n > 1 and exec_cfg.r > 1:
         assert max(len(p) for p in res.plans) >= 3 and calls < res.steps
@@ -558,8 +548,7 @@ def test_a_no_path_fallback_matches_the_reference(monkeypatch):
         monkeypatch,
         world,
         task,
-        ModelBundle(cvae, scorer, pushing_inverse(world)),
-        PlanningConfig(m_samples=12),
+        Method(cvae, scorer, pushing_inverse(world), PlanningConfig(m_samples=12)),
         ExecutionConfig(n=40, r=10),
     )
     assert res.planless and len(res.plans) == 2 and calls < res.steps
@@ -596,8 +585,7 @@ def test_a_stuck_agent_moves_again_after_its_waypoint_advances(monkeypatch, wayp
         monkeypatch,
         world,
         task,
-        ModelBundle(cvae, scorer, greedy_inverse(world, gain=60.0)),
-        PlanningConfig(m_samples=0),
+        Method(cvae, scorer, greedy_inverse(world, gain=60.0), PlanningConfig(m_samples=0)),
         ExecutionConfig(n=80, r=r, waypoint_steps=waypoint_steps),
     )
     moved = (np.diff(res.state_trace, axis=0) != 0).any(axis=1)
@@ -615,7 +603,7 @@ def test_greedy_runs_between_random_states_match_the_reference(monkeypatch, seed
     task = Task(ctx, world.sample_free_state(ctx, rng), world.sample_free_state(ctx, rng))
     exec_cfg = ExecutionConfig(n=60, r=int(rng.integers(1, 20)), waypoint_steps=int(rng.integers(1, 8)))
     execute_against_the_reference(
-        monkeypatch, world, task, ModelBundle(cvae, scorer, greedy_inverse(world)), PlanningConfig(m_samples=10), exec_cfg, seed
+        monkeypatch, world, task, Method(cvae, scorer, greedy_inverse(world), PlanningConfig(m_samples=10)), exec_cfg, seed
     )
 
 
@@ -643,8 +631,7 @@ def test_a_stuck_raster_run_matches_the_reference(monkeypatch):
         monkeypatch,
         world,
         task,
-        ModelBundle(cvae, DecodedDistScorer(), pushing_inverse(world, (-50.0, 0.0))),
-        PlanningConfig(m_samples=3),
+        Method(cvae, DecodedDistScorer(), pushing_inverse(world, (-50.0, 0.0)), PlanningConfig(m_samples=3)),
         ExecutionConfig(n=40, r=15, waypoint_steps=6),
     )
     assert all(len(p) >= 3 for p in res.plans)
@@ -679,8 +666,7 @@ def test_benchmark_fidelity_rates_the_first_plan_after_a_failed_attempt(monkeypa
     report = metrics.run_benchmark(
         world,
         [task],
-        {"htm": (ModelBundle(cvae, scorer, inverse), "normalized")},
-        PlanningConfig(m_samples=m),
+        {"htm": Method(cvae, scorer, inverse, PlanningConfig(m_samples=m))},
         ExecutionConfig(n=10, r=4),
         oracle_horizon=5,
         seed=0,
@@ -746,8 +732,7 @@ def test_benchmark_fidelity_rates_the_nodes_the_plan_searched(monkeypatch):
     report = metrics.run_benchmark(
         world,
         [task],
-        {"htm": (ModelBundle(cvae, scorer, inverse), "normalized")},
-        PlanningConfig(m_samples=m),
+        {"htm": Method(cvae, scorer, inverse, PlanningConfig(m_samples=m))},
         ExecutionConfig(n=10, r=4),
         oracle_horizon=5,
         seed=0,
@@ -766,12 +751,13 @@ def test_benchmark_without_samples_reports_no_fidelity():
         Task(ctx, AgentState(1.1, 0.5), AgentState(2.4, 0.5)),
         Task(ctx, AgentState(0.5, 2.0), AgentState(2.2, 2.3)),
     ]
-    bundle = ModelBundle(cvae, scorer, inverse)
     report = metrics.run_benchmark(
         world,
         tasks,
-        {"htm": (bundle, "normalized"), "inverse_only": (bundle, None)},
-        PlanningConfig(m_samples=0),
+        {
+            "htm": Method(cvae, scorer, inverse, PlanningConfig(m_samples=0)),
+            "inverse_only": Method(cvae, scorer, inverse),
+        },
         ExecutionConfig(n=10, r=4),
         oracle_horizon=5,
         seed=0,

@@ -12,7 +12,7 @@ from htmem.controller import InverseModel
 from htmem.cvae import CvaeModel
 from htmem.data import split_context_ids, training_stacks
 from htmem.pipeline import train_all, weight_scheme_ablation, zero_shot_benchmark
-from htmem.world import BlockWorld
+from htmem.world import BlockWorld, TaskGenerationError
 
 # Small enough to train every model and run the benchmark in about a second
 # per mode; large enough that every stage draws random numbers.
@@ -102,6 +102,12 @@ def test_the_pressing_benchmark_rejects_steps_and_applies_their_repeats(monkeypa
     report = zero_shot_benchmark(art)
     assert rejected >= 1
     assert sum(row.steps for row in report.rows) > calls  # repeats taken without a call
+
+
+def test_a_tau_no_task_can_exceed_names_its_config_key():
+    art = train_all(config_from_dict({**TINY, "execution": {**TINY["execution"], "tau": 3.5}}))
+    with pytest.raises(TaskGenerationError, match=r"^execution\.tau: .*success_threshold is 3\.5,"):
+        zero_shot_benchmark(art)
 
 
 @pytest.mark.parametrize(

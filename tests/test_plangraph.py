@@ -270,6 +270,57 @@ def test_overflowed_weights_are_absent_edges_without_a_warning():
             assert np.array_equal(w == 0.0, want_free), scheme
 
 
+SPECIAL_LOGITS = (
+    0.0, -0.0, np.inf, -np.inf, np.nan, 709.0, -709.0, 745.0, -745.0, 800.0, -800.0, 5e-324, -5e-324
+)
+
+
+def seeded_logits():
+    """Seeded normal logits at scales 1, 30 and 300 and sizes 5, 17 and 302,
+    each with ``SPECIAL_LOGITS`` at random entries, in row-major order and
+    transposed (as a scorer may return them)."""
+    rng = np.random.default_rng(11)
+    for scale in (1.0, 30.0, 300.0):
+        for n in (5, 17, 302):
+            logits = rng.normal(scale=scale, size=(n, n))
+            logits.flat[rng.choice(n * n, size=len(SPECIAL_LOGITS), replace=False)] = SPECIAL_LOGITS
+            yield logits
+            yield logits.T
+
+
+def reference_scheme_weights(logits, scheme, s_shortcut=0.5):
+    """``scheme_weights`` with a sigmoid that computes both branches and
+    selects one: the reference for its branch-free sigmoid, byte for byte."""
+    e = np.exp(-np.abs(logits))
+    sig = np.where(logits >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    if scheme == "inverse":
+        with np.errstate(over="ignore"):
+            w = np.exp(-logits)
+    elif scheme == "normalized":
+        col_lse = logsumexp_np(logits, axis=0)
+        with np.errstate(over="ignore"):
+            w = np.exp(col_lse[None, :] - logits)
+    elif scheme == "sptm_threshold":
+        w = np.where(sig >= s_shortcut, 1.0, np.inf)
+    else:
+        w = np.exp(-sig)
+    np.fill_diagonal(w, np.inf)
+    return w
+
+
+def test_scheme_weights_equal_the_reference_byte_for_byte_and_keep_the_logits():
+    cases = 0
+    for logits in seeded_logits():
+        before = logits.tobytes()
+        for scheme in WEIGHT_SCHEMES:
+            with np.errstate(invalid="ignore"):  # inf - inf in the special entries
+                w, want = scheme_weights(logits, scheme), reference_scheme_weights(logits, scheme)
+            assert w.shape == want.shape and w.tobytes() == want.tobytes(), (scheme, logits.shape)
+            assert logits.tobytes() == before
+            cases += 1
+    assert cases == 3 * 3 * 2 * len(WEIGHT_SCHEMES)
+
+
 def test_build_graph_needs_two_nodes():
     with pytest.raises(ValueError):
         build_graph(np.zeros((1, 2)), FixedScorer(np.zeros((1, 1))), np.zeros(2))

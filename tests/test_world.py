@@ -710,6 +710,20 @@ def test_make_task_unsatisfiable_raises():
         world.make_task(ctx, seed=0, difficulty="cross-wall", max_tries=50)
 
 
+def test_a_threshold_no_sampled_pair_exceeds_is_named_with_its_value():
+    """At the default world ``validate_config`` accepts a tau of 3.5, below
+    the 3.54 bound, yet no start-goal pair drawn in 5,000 tries lies that
+    far apart; the error names the threshold, its value and the farthest
+    pair. (The pipeline adds the config key, see ``test_pipeline.py``.)"""
+    world = make_world()
+    with pytest.raises(TaskGenerationError) as err:
+        world.make_task(world.generate_context(0), seed=0, success_threshold=3.5)
+    message = str(err.value)
+    assert "success_threshold is 3.5" in message
+    farthest = float(message.rsplit("lay ", 1)[1].split()[0])
+    assert 0.0 < farthest <= 3.5
+
+
 # ---------------------------------------------------------------------------
 # array geometry against the scalar definitions, bit for bit
 
