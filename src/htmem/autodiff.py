@@ -34,6 +34,8 @@ log = logging.getLogger(__name__)
 # megabytes. glibc returns the free top of its heap to the system whenever it
 # exceeds the trim threshold, and the next step or query then faults every
 # page back in. Asking it to keep this much free at the top stops that.
+# Setting it also fixes glibc's mmap threshold at its 128 KB start, so arrays
+# of that size or more are mapped afresh once long-lived arrays fill the pad.
 HEAP_TOP_PAD = 64 << 20
 _M_TOP_PAD = -2  # mallopt parameter number in glibc's malloc.h
 
@@ -94,7 +96,8 @@ def derived_seed(*parts) -> int:
             entropy.extend(p.encode("utf-8"))
         else:
             entropy.append(int(p) & 0xFFFFFFFF)
-    return int(np.random.SeedSequence(entropy).generate_state(1)[0])
+    # an array skips SeedSequence's per-element coercion of a list; same seed
+    return int(np.random.SeedSequence(np.array(entropy, dtype=np.uint32)).generate_state(1)[0])
 
 
 # ---------------------------------------------------------------------------

@@ -4,8 +4,8 @@ from. The dataset's two arrays are the only copy of its rows: each
 trajectory and each ``ContextStack`` is a view of them.
 
 Collection rolls out every trajectory of the dataset in lockstep, one array
-move test per step, while each trajectory keeps its own random streams for
-its start and its actions."""
+move test and one array rasterization per step, while each trajectory keeps
+its own random streams for its start and its actions."""
 
 from __future__ import annotations
 
@@ -63,7 +63,8 @@ def collect_dataset(world: BlockWorld, cfg: DataConfig) -> TransitionDataset:
     are derived from the master seed. Each trajectory keeps its own two
     streams: its start is ``sample_free_state`` on the "start" stream and its
     T uniform actions are one draw on the "roll" stream. The rollouts then
-    run in lockstep (``_roll_out``). States, observations and actions are
+    run in lockstep (``_roll_out``): one array move test and, in raster mode,
+    one array rasterization per step. States, observations and actions are
     written into the dataset's arrays, and each trajectory views its rows
     there.
     """
@@ -94,8 +95,10 @@ def _roll_out(world: BlockWorld, contexts: list, states, actions, observations) 
     ``states[:, :, 0]`` under their ``actions``, all at once: fill the rest
     of ``states`` and all of ``observations`` with what ``step`` and
     ``observe`` give one move at a time. Step t of every trajectory is one
-    ``BlockWorld._moves_clear`` call. A raster is drawn only for a state that
-    a step moved; a step that leaves its state copies the previous row."""
+    ``BlockWorld._moves_clear`` call, and in raster mode one
+    ``BlockWorld._raster_discs`` call that writes the rasters of the states it
+    moved straight into ``observations``; a step that leaves its state copies
+    the previous row. The start rasters are one more such call."""
     spec = world.spec
     s, r = spec.arena_size, spec.agent_radius
     c, j, t1, _ = states.shape
@@ -105,17 +108,16 @@ def _roll_out(world: BlockWorld, contexts: list, states, actions, observations) 
     moves = np.minimum(np.maximum(actions.reshape(c * j, t1 - 1, 2), -spec.a_max), spec.a_max)
     raster = observations.reshape(c * j, t1, world.obs_dim) if spec.mode == "raster" else None
     if raster is not None:
-        for n, (x, y) in enumerate(xy[:, 0].tolist()):
-            raster[n, 0] = world._raster_disc(s, x, y)
+        world._raster_discs(s, xy[:, 0], raster[:, 0])
     for k in range(t1 - 1):
         p0 = xy[:, k]
         p1 = p0 + moves[:, k]
         xy[:, k + 1] = np.where(world._moves_clear(walls, s, p0, p1, r)[:, None], p1, p0)
         if raster is not None:
             moved = (xy[:, k + 1] != p0).any(axis=1)
+            # a NaN centre draws an empty row, which the copy then fills
+            world._raster_discs(s, np.where(moved[:, None], xy[:, k + 1], np.nan), raster[:, k + 1])
             raster[~moved, k + 1] = raster[~moved, k]
-            for n in np.flatnonzero(moved).tolist():
-                raster[n, k + 1] = world._raster_disc(s, *xy[n, k + 1].tolist())
     if raster is None:
         np.divide(states, s, out=observations)
 

@@ -100,6 +100,26 @@ def build_graph(node_obs, scorer, ctx_encoding, scheme="normalized", s_shortcut=
     return PlanGraph(node_obs, logits, weights, scheme)
 
 
+def _extends_less(paths, a, x, b, y):
+    """``paths[a] + (x,) < paths[b] + (y,)`` without building either tuple;
+    for equal arrays of nodes ``x`` and ``y``, a bool array or one bool for
+    all of them.
+
+    ``paths`` holds tree paths: the path of each settled node extends its
+    predecessor's, so ``pa`` is a prefix of ``pb`` exactly when it is empty
+    or ``pb`` holds ``a`` at its last position. After a common prefix the
+    extending node meets the next node of the longer path; otherwise the
+    paths differ before either ends."""
+    if a == b:
+        return x < y
+    pa, pb = paths[a], paths[b]
+    if len(pa) < len(pb) and (not pa or pb[len(pa) - 1] == a):
+        return x <= pb[len(pa)]  # equal: the shorter sequence is a prefix
+    if len(pb) < len(pa) and (not pb or pa[len(pb) - 1] == b):
+        return pa[len(pb)] < y
+    return pa < pb
+
+
 def shortest_path(graph: PlanGraph, start_idx: int, goal_idx: int) -> Plan:
     """Dijkstra over the dense digraph, settling every provably final node at once.
 
@@ -136,7 +156,14 @@ def shortest_path(graph: PlanGraph, start_idx: int, goal_idx: int) -> Plan:
             ties = np.flatnonzero(key == dmin if dmin < np.inf else frontier)
             if not len(ties):
                 raise NoPathError(f"no path from node {start_idx} to node {goal_idx}")
-            batch = np.array([min(ties.tolist(), key=lambda v: paths[int(pred[v])] + (v,))])
+            # the least tied node of each predecessor, the first in ascending order
+            preds, first = np.unique(pred[ties], return_index=True)
+            options = zip(preds.tolist(), ties[first].tolist())
+            best = next(options)
+            for p, v in options:
+                if _extends_less(paths, p, v, *best):
+                    best = p, v
+            batch = np.array([best[1]])
         for v, p in zip(batch.tolist(), pred[batch].tolist()):
             paths[v] = paths[p] + (v,)
         frontier[batch] = unsettled[batch] = False
@@ -154,9 +181,13 @@ def shortest_path(graph: PlanGraph, start_idx: int, goal_idx: int) -> Plan:
         edge = ~np.isnan(cand)
         v, cand, pick = todo[edge], cand[edge], pick[edge]
         better = ~frontier[v] | (cand < dist[v])
-        for i in np.flatnonzero(frontier[v] & (cand == dist[v])).tolist():  # exact ties
-            t = int(v[i])
-            better[i] = paths[int(pick[i])] + (t,) < paths[int(pred[t])] + (t,)
+        # exact ties, one comparison per (new, old) predecessor pair for all their nodes
+        tie = np.flatnonzero(frontier[v] & (cand == dist[v]))
+        if tie.size:
+            pairs, group = np.unique(pick[tie] * n + pred[v[tie]], return_inverse=True)
+            for k, (a, b) in enumerate(divmod(pair, n) for pair in pairs.tolist()):
+                i = tie[group == k]
+                better[i] = _extends_less(paths, a, v[i], b, v[i])
         v = v[better]
         dist[v] = key[v] = cand[better]
         pred[v] = pick[better]

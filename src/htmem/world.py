@@ -437,6 +437,39 @@ class BlockWorld:
                     grid[i * g + j] = (radius - d) / radius
         return grid
 
+    def _raster_discs(self, s, xy, out) -> None:
+        """Write ``_raster_disc`` of each centre row of the (n, 2) ``xy`` into
+        the same row of the (n, g*g) ``out``, which may be a view. Each axis
+        tests the cells of the ``_near_cells`` window, at most
+        ceil(2 radius / cell) + 1 wide, with its float operations, and
+        ``math.hypot`` takes the near cell pairs one at a time, so every row
+        is bit-equal to ``_raster_disc``'s. A row whose centre is NaN, or a
+        radius or more past an outer edge, is empty. ``observe`` keeps
+        ``_raster_disc``, several times faster for one centre."""
+        g, radius = self.spec.raster_size, self.spec.agent_radius
+        lo, hi = np.array(_cell_edges(s, g))
+        cell = hi[0]
+        out[...] = 0.0
+        xy = np.asarray(xy, dtype=float)
+        rows = np.flatnonzero(((lo[0] - xy < radius) & (xy - hi[-1] < radius)).all(axis=1))
+        x, y = xy[rows].T
+        # the window's two bounds are each widened by 1e-6; 1e-5 also covers their rounding
+        width = min(math.ceil(2 * radius / cell + 1e-5) + 1, g)
+        near = []
+        for c in (x[:, None], y[:, None]):
+            first = np.maximum((c - radius) / cell - 1e-6, 0.0).astype(int)
+            stop = np.minimum(((c + radius) / cell + 1e-6).astype(int) + 1, g)
+            k = first + np.arange(width)
+            k_in = np.minimum(k, g - 1)
+            d = np.maximum(np.maximum(lo[k_in] - c, c - hi[k_in]), 0.0)
+            near.append((k, d, (k < stop) & (d < radius)))
+        (kx, dx, near_x), (ky, dy, near_y) = near
+        n, i, j = np.nonzero(near_y[:, :, None] & near_x[:, None, :])
+        d = np.array(list(map(math.hypot, dx[n, j].tolist(), dy[n, i].tolist())))
+        hit = d < radius
+        n, i, j = n[hit], i[hit], j[hit]
+        out[rows[n], ky[n, i] * g + kx[n, j]] = (radius - d[hit]) / radius
+
     def _observations(self, obs) -> np.ndarray:
         """The (m, obs_dim) ``obs`` as a C-ordered float array, so that each
         row sums as it would alone; EvaluationError for any other shape."""

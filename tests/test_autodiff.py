@@ -499,6 +499,31 @@ def test_derived_seed_is_stable_and_distinct():
     assert a != ad.derived_seed(1, "x", 3)
 
 
+def list_derived_seed(*parts):
+    """``derived_seed`` as it first was: the entropy passed as a Python list."""
+    entropy = []
+    for p in parts:
+        if isinstance(p, str):
+            entropy.extend(p.encode("utf-8"))
+        else:
+            entropy.append(int(p) & 0xFFFFFFFF)
+    return int(np.random.SeedSequence(entropy).generate_state(1)[0])
+
+
+def test_derived_seed_equals_the_list_entropy_form():
+    rng = np.random.default_rng(43)
+    words = ["", "x", "roll", "ctx", "val-noise", "plan", "é", "日本", "\U0001f600", "a\x00b"]
+    cases = [(), ("",), (0,), (2**32 - 1,), (2**32,), (-1,), (-(2**31),), (-5, "é"), ("日本", 3, "")]
+    for _ in range(400):
+        n = int(rng.integers(1, 6))
+        cases.append(tuple(
+            words[int(rng.integers(len(words)))] if rng.random() < 0.4 else int(rng.integers(-(2**40), 2**40))
+            for _ in range(n)
+        ))
+    for parts in cases:
+        assert ad.derived_seed(*parts) == list_derived_seed(*parts), parts
+
+
 def test_uniform_softmax_loss_equals_log_n():
     # hand value: all-equal logits over 8 candidates
     tape = Tape()

@@ -470,6 +470,26 @@ def test_shortest_path_matches_sequential_search_when_tiny_weights_are_absorbed(
         assert_same_as_sequential(graph_from_weights(w), int(start), int(goal))
 
 
+def test_shortest_path_matches_sequential_search_on_deep_absorbed_trees():
+    # Weights span 1 to 1e80 and every hop out of the start weighs at least
+    # 1e60, so each later hop below about 1e44 is absorbed and ties exactly.
+    # Tied nodes then settle one at a time, and the lexicographic tie-break
+    # grows trees hundreds of nodes deep, whose tied paths are prefixes of
+    # one another. Whole powers of ten tie more routes, absent edges branch
+    # the trees.
+    rng = np.random.default_rng(11)
+    depths = []
+    for k in range(12):
+        n = int(rng.integers(60, 303))
+        w = 10.0 ** (rng.uniform(0, 80, (n, n)) if k % 2 else rng.integers(0, 81, (n, n)))
+        start, goal = n - 2, n - 1  # laid out as plan_end_to_end does
+        w[:, start] = np.maximum(w[:, start], 1e60)
+        w[rng.random((n, n)) < rng.uniform(0.0, 0.9)] = math.inf
+        assert_same_as_sequential(graph_from_weights(w), start, goal)
+        depths.append(len(shortest_path(graph_from_weights(w), start, goal)))
+    assert max(depths) > 200, depths
+
+
 def test_equal_cost_routes_from_nodes_settled_together_keep_the_smaller_path():
     # 3 and 4 settle together at distance 2 and both reach 5 at cost 3; 4's
     # path (0, 1, 4) is the smaller, although 3 is the smaller index

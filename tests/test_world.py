@@ -434,18 +434,23 @@ def test_rollout_replay_consistency():
 @pytest.mark.parametrize("mode", ["state", "raster"])
 def test_rollout_observes_each_state_a_step_changed_once(monkeypatch, mode):
     world = make_world(mode=mode)
-    drawn, observed = [], []
-    raster_disc, observe = BlockWorld._raster_disc, BlockWorld.observe
+    drawn, calls, observed = [], [], []
+    raster_discs, observe = BlockWorld._raster_discs, BlockWorld.observe
 
-    def counting_raster(self, s, cx, cy):
-        drawn.append((cx, cy))
-        return raster_disc(self, s, cx, cy)
+    def counting_rasters(self, s, xy, out):
+        calls.append(len(xy))
+        drawn.extend(p for p in map(tuple, xy.tolist()) if np.isfinite(p).all())  # NaN rows draw nothing
+        return raster_discs(self, s, xy, out)
+
+    def one_centre(self, s, cx, cy):
+        raise AssertionError("the rollout draws each raster with _raster_discs")
 
     def counting_observe(self, ctx, state):
         observed.append(state)
         return observe(self, ctx, state)
 
-    monkeypatch.setattr(BlockWorld, "_raster_disc", counting_raster)
+    monkeypatch.setattr(BlockWorld, "_raster_discs", counting_rasters)
+    monkeypatch.setattr(BlockWorld, "_raster_disc", one_centre)
     monkeypatch.setattr(BlockWorld, "observe", counting_observe)
     ds = collect_dataset(world, DataConfig(n_contexts=3, trajectories_per_context=8, trajectory_length=30, seed=4))
     monkeypatch.undo()
@@ -461,6 +466,8 @@ def test_rollout_observes_each_state_a_step_changed_once(monkeypatch, mode):
     assert observed == []
     want = starts + changed if mode == "raster" else []
     assert sorted(drawn) == sorted(want)
+    # one call for the starts and one per step, each over every trajectory
+    assert calls == ([3 * 8] * 31 if mode == "raster" else [])
 
 
 def test_rollout_state_marginal_covers_free_space():
@@ -864,16 +871,39 @@ def test_observe_raster_is_bit_equal_to_the_whole_axis_rasterizer(kw):
     ctx = Context(0, s, ())
     points = disc_centres(s, g, r, np.random.default_rng(41))
     assert len(points) > 1500
-    for x, y in points:
-        got = world.observe(ctx, AgentState(x, y))
-        assert got.tobytes() == raster_disc_numpy(s, g, x, y, r).tobytes(), (x, y)
+    want = [raster_disc_numpy(s, g, x, y, r) for x, y in points]
+    for (x, y), row in zip(points, want):
+        assert world.observe(ctx, AgentState(x, y)).tobytes() == row.tobytes(), (x, y)
+    # every centre in one array call, written over a dirty strided view
+    out = np.full((len(points), 2, g * g), 7.0)
+    world._raster_discs(s, np.array(points), out[:, 1])
+    for (x, y), got, row in zip(points, out[:, 1], want):
+        assert got.tobytes() == row.tobytes(), (x, y)
+    assert (out[:, 0] == 7.0).all()
+
+
+NON_FINITE_CENTRES = [(math.nan, 1.0), (1.0, math.nan), (math.inf, 1.0), (1.0, -math.inf), (math.nan, math.inf)]
 
 
 def test_observe_raster_of_a_non_finite_centre_is_empty():
     world = make_world(mode="raster")
     ctx = Context(0, 2.8, ())
-    for x, y in [(math.nan, 1.0), (1.0, math.nan), (math.inf, 1.0), (1.0, -math.inf)]:
+    for x, y in NON_FINITE_CENTRES:
         assert not world.observe(ctx, AgentState(x, y)).any()
+
+
+def test_raster_discs_of_non_finite_centres_are_empty_rows_among_the_others():
+    world = make_world(mode="raster")
+    s, d = world.spec.arena_size, world.obs_dim
+    centres = np.array([(1.0, 1.2), *NON_FINITE_CENTRES, (2.5, 0.3)])
+    out = np.full((len(centres), d), 7.0)
+    world._raster_discs(s, centres, out)
+    assert not out[1:-1].any()
+    assert out[0].tobytes() == world._raster_disc(s, 1.0, 1.2).tobytes()
+    assert out[-1].tobytes() == world._raster_disc(s, 2.5, 0.3).tobytes()
+    empty = np.zeros((0, d))
+    world._raster_discs(s, np.zeros((0, 2)), empty)
+    assert empty.shape == (0, d)
 
 
 def decode_inputs(world, rng):
