@@ -16,7 +16,7 @@ from .controller import InverseModel, Method, train_inverse
 from .cvae import CvaeModel, hallucinate, train_cvae
 from .data import TransitionDataset, collect_dataset, split_context_ids
 from .metrics import MetricsReport, make_benchmark_tasks, run_benchmark
-from .world import BlockWorld, TaskGenerationError
+from .world import BlockWorld
 
 log = logging.getLogger(__name__)
 
@@ -107,12 +107,9 @@ def _run_benchmark(art: PipelineArtifacts, tasks, n_tasks: int, methods: dict, s
     if tasks is None:
         _, _, holdout = split_context_ids(art.dataset)
         contexts = [art.dataset.context_by_id(cid) for cid in holdout]
-        try:
-            tasks = make_benchmark_tasks(
-                art.world, contexts, n_tasks, cfg.evaluation.seed, success_threshold=cfg.execution.tau
-            )
-        except TaskGenerationError as err:
-            raise TaskGenerationError(f"execution.tau: {err}") from err
+        tasks = make_benchmark_tasks(
+            art.world, contexts, n_tasks, cfg.evaluation.seed, success_threshold=cfg.execution.tau
+        )
     return run_benchmark(
         art.world,
         tasks,

@@ -5,6 +5,10 @@ swept disc would touch a wall or leave the arena leaves the state unchanged.
 Observations are either the normalized position (state mode) or a tiny
 occupancy raster (raster mode); obstacle layouts are likewise encoded as
 normalized wall parameters or an obstacle raster.
+
+Every failure a config causes is a ``ConfigError`` naming the key to change;
+each ``world.*`` field is checked once, by ``BlockWorld.__init__`` or, for
+the generation ranges, ``BlockWorld.check_generator``.
 """
 
 from __future__ import annotations
@@ -16,12 +20,17 @@ from dataclasses import dataclass
 import numpy as np
 
 
-class ConfigurationError(ValueError):
-    """A generation spec cannot produce a valid world object."""
+class ConfigError(ValueError):
+    """A config value the run cannot use; ``key`` is its ``section.field``."""
+
+    def __init__(self, key, message):
+        self.key = key
+        super().__init__(f"{key}: {message}")
 
 
-class TaskGenerationError(RuntimeError):
-    """Retry budget exhausted while sampling a task with the requested shape."""
+def require(cond, key, message):
+    if not cond:
+        raise ConfigError(key, message)
 
 
 class EvaluationError(ValueError):
@@ -215,12 +224,13 @@ class BlockWorld:
     """Simulator facade bundling the static parameters of one experiment."""
 
     def __init__(self, spec: WorldSpec):
-        if spec.mode not in MODES:
-            raise ConfigurationError(f"mode must be one of {MODES}, got {spec.mode!r}")
-        if spec.a_max <= 0:
-            raise ConfigurationError("a_max must be positive")
-        if not 0 < spec.agent_radius < spec.arena_size / 4:
-            raise ConfigurationError("agent_radius out of range for arena")
+        require(spec.mode in MODES, "world.mode", f"must be one of {MODES}")
+        require(spec.arena_size > 0, "world.arena_size", "must be positive")
+        require(spec.a_max > 0, "world.a_max", "must be positive")
+        r = spec.agent_radius
+        require(0 < r < spec.arena_size / 4, "world.agent_radius", "must be positive and below a quarter of the arena")
+        require(spec.raster_size >= 4, "world.raster_size", "must be at least 4")
+        require(spec.max_walls >= 0, "world.max_walls", "must be nonnegative")
         self.spec = spec
 
     # -- dimensions -------------------------------------------------------
@@ -338,22 +348,31 @@ class BlockWorld:
 
     # -- contexts ---------------------------------------------------------
 
+    def check_generator(self) -> None:
+        """ConfigError naming the first generation range of the spec from
+        which ``generate_context`` cannot draw a layout."""
+        sp, s, n = self.spec, self.spec.arena_size, self.spec.n_walls
+        # The benchmark's tasks are cross-wall, and a context without a wall has none.
+        ok = len(n) == 2 and 1 <= n[0] <= n[1] <= sp.max_walls
+        require(ok, "world.n_walls", "must be a (min, max) range within max_walls, with min at least 1")
+        for name in ("wall_thickness", "wall_length_frac", "wall_offset_frac"):
+            rng = getattr(sp, name)
+            require(len(rng) == 2 and 0 < rng[0] <= rng[1], f"world.{name}", "must be a positive (low, high) range")
+        longest = sp.wall_length_frac[1] * s
+        require(longest + sp.min_gap <= s, "world.wall_length_frac", "longest wall must leave min_gap open")
+        require(sp.wall_thickness[1] < s / 4, "world.wall_thickness", "must stay below a quarter of the arena")
+        require(sp.min_gap > 2 * sp.agent_radius, "world.min_gap", "must exceed the agent diameter")
+
     def generate_context(self, seed: int, context_id: int = 0) -> Context:
         """Deterministic obstacle layout with connected free space.
 
         Walls are anchored to one arena side, leaving a passage of at least
         min_gap past the tip; connectivity is still verified on a grid of cells
-        (``cells_connected``).
+        (``cells_connected``). A spec that ``check_generator`` refuses, or
+        that gives no such layout in 200 draws, raises ConfigError.
         """
-        sp = self.spec
-        s = sp.arena_size
-        lo, hi = sp.n_walls
-        if not (0 <= lo <= hi <= sp.max_walls):
-            raise ConfigurationError("n_walls range invalid or exceeds max_walls")
-        if sp.wall_length_frac[1] * s + sp.min_gap > s:
-            raise ConfigurationError("wall_length_frac leaves no passage gap")
-        if sp.wall_thickness[1] >= s / 4:
-            raise ConfigurationError("wall_thickness too large for arena")
+        self.check_generator()
+        sp, s, (lo, hi) = self.spec, self.spec.arena_size, self.spec.n_walls
         rng = np.random.default_rng(seed)
         for _ in range(200):
             n = int(rng.integers(lo, hi + 1))
@@ -379,8 +398,10 @@ class BlockWorld:
             ctx = Context(context_id, s, tuple(walls))
             if self._free_space_connected(ctx):
                 return ctx
-        raise ConfigurationError(
-            f"no connected layout found for seed {seed} under the given spec"
+        raise ConfigError(
+            "world.n_walls",
+            f"no connected layout found for seed {seed} in 200 draws; fewer walls,"
+            " a smaller wall_length_frac or a smaller min_gap leave more room",
         )
 
     def _free_space_connected(self, ctx: Context, cell=0.05) -> bool:
@@ -408,7 +429,7 @@ class BlockWorld:
             st = AgentState(x, y)
             if self.state_valid(ctx, st):
                 return st
-        raise ConfigurationError("free space too small to sample a state")
+        raise ConfigError("world.agent_radius", "free space too small to sample a state in 10,000 draws")
 
     # -- observations -----------------------------------------------------
 
@@ -501,8 +522,8 @@ class BlockWorld:
         s = ctx.arena_size
         if self.spec.mode == "state":
             if len(ctx.walls) > self.spec.max_walls:
-                raise ConfigurationError(
-                    f"context has {len(ctx.walls)} walls, max_walls is {self.spec.max_walls}"
+                raise ConfigError(
+                    "world.max_walls", f"context has {len(ctx.walls)} walls, max_walls is {self.spec.max_walls}"
                 )
             enc = np.zeros(4 * self.spec.max_walls)
             for k, w in enumerate(ctx.walls):
@@ -544,9 +565,13 @@ class BlockWorld:
         max_tries: int = 5000,
     ) -> Task:
         """A start and a goal in free space; the goal is hidden from the
-        start by a wall and lies farther than ``success_threshold``."""
+        start by a wall and lies farther than ``success_threshold``.
+
+        Once ``max_tries`` pairs are used up it raises ConfigError, naming
+        ``execution.tau`` if no pair lay farther apart than the threshold and
+        else ``world.wall_length_frac``. An unknown difficulty is a ValueError."""
         if difficulty != "cross-wall":
-            raise ConfigurationError(f"unknown difficulty {difficulty!r}")
+            raise ValueError(f"unknown difficulty {difficulty!r}")
         rng = np.random.default_rng(seed)
         farthest = 0.0
         for _ in range(max_tries):
@@ -558,7 +583,11 @@ class BlockWorld:
                 continue
             if dist > success_threshold and not self.swept_free(ctx, (start.x, start.y), (goal.x, goal.y)):
                 return Task(ctx, start, goal)
-        raise TaskGenerationError(
+        message = (
             f"could not sample a {difficulty} task in context {ctx.id} within {max_tries} tries: "
             f"success_threshold is {success_threshold}, the farthest sampled pair lay {farthest:.4g} apart"
         )
+        if farthest <= success_threshold:
+            raise ConfigError("execution.tau", message)
+        hint = "no wall hid a goal that far: walls too short, thin (wall_thickness) or cornered (wall_offset_frac)"
+        raise ConfigError("world.wall_length_frac", f"{message}; {hint}")

@@ -4,15 +4,17 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from htmem.autodiff import CheckpointError, MlpParams, save_parts
-from htmem.config import config_from_dict
+from htmem.config import config_from_dict, config_to_dict
 from htmem.connectivity import ConnectivityModel
 from htmem.controller import InverseModel
 from htmem.cvae import CvaeModel
 from htmem.data import split_context_ids, training_stacks
 from htmem.pipeline import train_all, weight_scheme_ablation, zero_shot_benchmark
-from htmem.world import BlockWorld, TaskGenerationError
+from htmem.world import BlockWorld, ConfigError
+from test_config import valid_overrides
 
 # Small enough to train every model and run the benchmark in about a second
 # per mode; large enough that every stage draws random numbers.
@@ -106,8 +108,34 @@ def test_the_pressing_benchmark_rejects_steps_and_applies_their_repeats(monkeypa
 
 def test_a_tau_no_task_can_exceed_names_its_config_key():
     art = train_all(config_from_dict({**TINY, "execution": {**TINY["execution"], "tau": 3.5}}))
-    with pytest.raises(TaskGenerationError, match=r"^execution\.tau: .*success_threshold is 3\.5,"):
+    with pytest.raises(ConfigError, match=r"^execution\.tau: .*success_threshold is 3\.5,"):
         zero_shot_benchmark(art)
+
+
+def capped(overrides):
+    """``overrides`` merged over TINY, section by section, with the data
+    and planning sizes capped so that a run costs about a second; the caps
+    keep every bound ``validate_config`` sets."""
+    merged = {key: {**TINY.get(key, {}), **overrides.get(key, {})} for key in TINY.keys() | overrides.keys()}
+    data = merged["data"]
+    for key, cap in (("n_contexts", 12), ("trajectories_per_context", 6), ("trajectory_length", 80)):
+        data[key] = min(data[key], cap)
+    data["n_holdout"] = min(data["n_holdout"], data["n_contexts"] - 1)
+    merged["planning"]["m_samples"] = min(merged["planning"]["m_samples"], 40)
+    return merged
+
+
+@settings(derandomize=True, deadline=None, max_examples=20, database=None)
+@given(valid_overrides())
+def test_every_accepted_config_runs_or_names_its_key(overrides):
+    cfg = config_from_dict(capped(overrides))
+    try:
+        art = train_all(cfg)
+        zero_shot_benchmark(art)
+        weight_scheme_ablation(art)
+    except ConfigError as err:
+        section, _, name = err.key.partition(".")
+        assert name in config_to_dict(cfg).get(section, {}), err
 
 
 @pytest.mark.parametrize(

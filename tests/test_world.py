@@ -14,10 +14,9 @@ from htmem.data import DataConfig, collect_dataset
 from htmem.world import (
     AgentState,
     BlockWorld,
-    ConfigurationError,
+    ConfigError,
     Context,
     EvaluationError,
-    TaskGenerationError,
     Wall,
     WorldSpec,
     point_rect_distance,
@@ -276,11 +275,41 @@ def test_generated_contexts_all_connected():
 
 
 def test_infeasible_spec_rejected():
-    with pytest.raises(ConfigurationError):
+    with pytest.raises(ConfigError):
         make_world(a_max=-0.1)
     world = make_world(wall_length_frac=(0.9, 0.95), min_gap=0.6)
-    with pytest.raises(ConfigurationError):
+    with pytest.raises(ConfigError):
         world.generate_context(0)
+
+
+@pytest.mark.parametrize(
+    "kw",
+    [{"mode": "pixels"}, {"arena_size": -1.0}, {"a_max": 0.0}, {"agent_radius": 0.7}, {"raster_size": 3}, {"max_walls": -1}],
+)
+def test_the_simulator_checks_name_their_key_at_construction(kw):
+    with pytest.raises(ConfigError) as err:
+        make_world(**kw)
+    assert err.value.key == f"world.{next(iter(kw))}"
+
+
+@pytest.mark.parametrize(
+    "kw",
+    [
+        {"n_walls": (0, 1)},
+        {"n_walls": (1, 3)},
+        {"wall_thickness": (0.1, 0.05)},
+        {"wall_length_frac": (0.0, 0.5)},
+        {"wall_offset_frac": (0.5,)},
+        {"wall_length_frac": (0.5, 0.8)},
+        {"wall_thickness": (0.05, 0.7)},
+        {"min_gap": 0.3},
+    ],
+)
+def test_the_generator_checks_name_their_key_when_a_layout_is_drawn(kw):
+    world = make_world(**kw)
+    with pytest.raises(ConfigError) as err:
+        world.generate_context(0)
+    assert err.value.key == f"world.{next(iter(kw))}"
 
 
 # ---------------------------------------------------------------------------
@@ -706,14 +735,15 @@ def test_twenty_cross_wall_tasks_per_context():
 
 def test_make_task_knows_only_cross_wall_tasks():
     world = make_world()
-    with pytest.raises(ConfigurationError, match="unknown difficulty"):
+    with pytest.raises(ValueError, match="unknown difficulty") as err:
         world.make_task(world.generate_context(7), seed=3, difficulty="any")
+    assert not isinstance(err.value, ConfigError)  # a caller's mistake, not the config's
 
 
 def test_make_task_unsatisfiable_raises():
     world = make_world()
     ctx = Context(0, 2.8, ())  # nothing to cross
-    with pytest.raises(TaskGenerationError):
+    with pytest.raises(ConfigError):
         world.make_task(ctx, seed=0, difficulty="cross-wall", max_tries=50)
 
 
@@ -721,14 +751,49 @@ def test_a_threshold_no_sampled_pair_exceeds_is_named_with_its_value():
     """At the default world ``validate_config`` accepts a tau of 3.5, below
     the 3.54 bound, yet no start-goal pair drawn in 5,000 tries lies that
     far apart; the error names the threshold, its value and the farthest
-    pair. (The pipeline adds the config key, see ``test_pipeline.py``.)"""
+    pair."""
     world = make_world()
-    with pytest.raises(TaskGenerationError) as err:
+    with pytest.raises(ConfigError) as err:
         world.make_task(world.generate_context(0), seed=0, success_threshold=3.5)
     message = str(err.value)
+    assert err.value.key == "execution.tau"
     assert "success_threshold is 3.5" in message
     farthest = float(message.rsplit("lay ", 1)[1].split()[0])
     assert 0.0 < farthest <= 3.5
+
+
+def test_a_short_thin_wall_in_a_corner_that_hides_no_far_goal_names_its_key():
+    world = make_world(wall_length_frac=(0.1, 0.1), wall_thickness=(0.001, 0.001), wall_offset_frac=(1.0, 1.0))
+    with pytest.raises(ConfigError) as err:
+        world.make_task(world.generate_context(0), seed=0)
+    assert err.value.key == "world.wall_length_frac"
+    message = str(err.value)
+    assert "wall_thickness" in message and "wall_offset_frac" in message
+    assert float(message.rsplit("lay ", 1)[1].split()[0]) > 0.5
+
+
+def test_a_spec_whose_layouts_never_connect_names_n_walls():
+    # four walls this long, one from each side, always pinch a passage
+    world = make_world(max_walls=4, n_walls=(4, 4), wall_length_frac=(0.7, 0.78))
+    with pytest.raises(ConfigError, match="wall_length_frac.*min_gap") as err:
+        world.generate_context(0)
+    assert err.value.key == "world.n_walls"
+
+
+def test_a_context_with_more_walls_than_max_walls_names_its_key():
+    world = make_world(max_walls=2)
+    ctx = Context(0, 2.8, (Wall(0.5, 0.5, 0.1, 0.1), Wall(1.4, 1.4, 0.1, 0.1), Wall(2.3, 2.3, 0.1, 0.1)))
+    with pytest.raises(ConfigError) as err:
+        world.encode_context(ctx)
+    assert err.value.key == "world.max_walls"
+
+
+def test_a_context_with_no_free_space_names_agent_radius():
+    world = make_world()
+    ctx = Context(0, 2.8, (Wall(1.4, 1.4, 1.4, 1.4),))
+    with pytest.raises(ConfigError) as err:
+        world.sample_free_state(ctx, np.random.default_rng(0))
+    assert err.value.key == "world.agent_radius"
 
 
 # ---------------------------------------------------------------------------
