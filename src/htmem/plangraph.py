@@ -5,7 +5,9 @@ every ordered pair gets a directed logit from the connectivity model, turned
 into non-negative edge weights under a selectable scheme. The normalized scheme
 divides each column's total score mass by the edge's own score, so shortest
 paths maximize a likelihood bound along the way (checkable via
-``jensen_bound_check``).
+``jensen_bound_check``). The search settles provably final nodes in batches,
+and an equal-cost route goes through the predecessor first in (settled
+distance, index) order.
 """
 
 from __future__ import annotations
@@ -100,26 +102,6 @@ def build_graph(node_obs, scorer, ctx_encoding, scheme="normalized", s_shortcut=
     return PlanGraph(node_obs, logits, weights, scheme)
 
 
-def _extends_less(paths, a, x, b, y):
-    """``paths[a] + (x,) < paths[b] + (y,)`` without building either tuple;
-    for equal arrays of nodes ``x`` and ``y``, a bool array or one bool for
-    all of them.
-
-    ``paths`` holds tree paths: the path of each settled node extends its
-    predecessor's, so ``pa`` is a prefix of ``pb`` exactly when it is empty
-    or ``pb`` holds ``a`` at its last position. After a common prefix the
-    extending node meets the next node of the longer path; otherwise the
-    paths differ before either ends."""
-    if a == b:
-        return x < y
-    pa, pb = paths[a], paths[b]
-    if len(pa) < len(pb) and (not pa or pb[len(pa) - 1] == a):
-        return x <= pb[len(pa)]  # equal: the shorter sequence is a prefix
-    if len(pb) < len(pa) and (not pb or pa[len(pb) - 1] == b):
-        return pa[len(pb)] < y
-    return pa < pb
-
-
 def shortest_path(graph: PlanGraph, start_idx: int, goal_idx: int) -> Plan:
     """Dijkstra over the dense digraph, settling every provably final node at once.
 
@@ -128,19 +110,23 @@ def shortest_path(graph: PlanGraph, start_idx: int, goal_idx: int) -> Plan:
     ``min_in[v]`` the cheapest edge into ``v``, and relaxes all their out-edges
     in one vector minimum. Weights are non-negative and rounding is monotone,
     so a route into ``v`` through any unsettled node costs at least ``dmin +
-    min_in[v]``: it can neither beat nor tie ``dist[v]``. When no node passes
-    (``dmin`` is inf, or tiny weights are absorbed into it), the step settles
-    one closest node, as plain Dijkstra does. A node whose cheapest in-edge
-    weighs 0.0 (a free edge) never passes, so it is always settled that way. Equal-cost ties, in that choice
-    and in relaxing edges, go to the lexicographically smallest node-index
-    sequence, so plans and totals are those of a one-node-per-step search.
-    Non-finite weights, NaN included, are absent edges.
+    min_in[v]``: it can neither beat nor tie ``dist[v]``. A batch node must
+    also have no out-edge absorbed at its own distance, ``dist[v] < dist[v] +
+    min_out[v]``, as such an edge ties a node at that distance, and the order
+    in which those nodes settle decides the tie. When no node passes, the step
+    settles the least-index node at ``dmin``, as a one-node-per-step search
+    does; a node with a free (0.0) edge in or out never passes. An equal-cost
+    route replaces a node's predecessor only when its own predecessor was
+    settled at a smaller distance, or at the same distance with a smaller
+    index, so plans and totals are those of a one-node-per-step search under
+    the same rule. Non-finite weights, NaN included, are absent edges.
     """
     n = graph.n_nodes
     w = graph.weights
     if not (0 <= start_idx < n and 0 <= goal_idx < n):
         raise ValueError("start/goal index out of range")
-    min_in = np.fmin.reduce(w, axis=1)  # skips NaN; a -inf keeps its node out of batches
+    # skip NaN; a -inf keeps its node out of batches
+    min_in, min_out = np.fmin.reduce(w, axis=1), np.fmin.reduce(w, axis=0)
     dist = np.full(n, np.inf)
     key = np.full(n, np.inf)  # dist on the frontier, inf elsewhere
     dist[start_idx] = key[start_idx] = 0.0
@@ -148,31 +134,21 @@ def shortest_path(graph: PlanGraph, start_idx: int, goal_idx: int) -> Plan:
     frontier = np.zeros(n, dtype=bool)  # reached, not yet settled
     frontier[start_idx] = True
     unsettled = np.ones(n, dtype=bool)
-    paths = {-1: ()}  # settled node -> its path; a settled path never changes
     while True:
         dmin = key.min()
-        batch = np.flatnonzero(key < dmin + min_in) if dmin < np.inf else []
+        batch = np.flatnonzero((key < dmin + min_in) & (key < key + min_out)) if dmin < np.inf else []
         if not len(batch):
+            # a finite path can still sum to inf; then every frontier node ties
             ties = np.flatnonzero(key == dmin if dmin < np.inf else frontier)
             if not len(ties):
                 raise NoPathError(f"no path from node {start_idx} to node {goal_idx}")
-            # the least tied node of each predecessor, the first in ascending order
-            preds, first = np.unique(pred[ties], return_index=True)
-            options = zip(preds.tolist(), ties[first].tolist())
-            best = next(options)
-            for p, v in options:
-                if _extends_less(paths, p, v, *best):
-                    best = p, v
-            batch = np.array([best[1]])
-        for v, p in zip(batch.tolist(), pred[batch].tolist()):
-            paths[v] = paths[p] + (v,)
+            batch = ties[:1]
         frontier[batch] = unsettled[batch] = False
         key[batch] = np.inf
         if not unsettled[goal_idx]:
             break
-        # no path in a batch is a prefix of another (its nodes settled earlier), so
-        # sorted by path, the first of several equal-cost sources wins the tie
-        src = np.array(sorted(batch.tolist(), key=paths.__getitem__))
+        # in (distance, index) order, the first of several equal-cost sources wins
+        src = batch[np.argsort(dist[batch], kind="stable")]
         todo = np.flatnonzero(unsettled)
         cols = w[np.ix_(todo, src)]  # [i, j]: cost of the edge src[j] -> todo[i]
         cost = np.where(np.isfinite(cols), cols + dist[src], np.nan)  # NaN: no edge
@@ -180,19 +156,16 @@ def shortest_path(graph: PlanGraph, start_idx: int, goal_idx: int) -> Plan:
         pick = src[(cost == cand[:, None]).argmax(axis=1)]
         edge = ~np.isnan(cand)
         v, cand, pick = todo[edge], cand[edge], pick[edge]
-        better = ~frontier[v] | (cand < dist[v])
-        # exact ties, one comparison per (new, old) predecessor pair for all their nodes
-        tie = np.flatnonzero(frontier[v] & (cand == dist[v]))
-        if tie.size:
-            pairs, group = np.unique(pick[tie] * n + pred[v[tie]], return_inverse=True)
-            for k, (a, b) in enumerate(divmod(pair, n) for pair in pairs.tolist()):
-                i = tie[group == k]
-                better[i] = _extends_less(paths, a, v[i], b, v[i])
+        old = pred[v]
+        earlier = (dist[pick] < dist[old]) | ((dist[pick] == dist[old]) & (pick < old))
+        better = ~frontier[v] | (cand < dist[v]) | ((cand == dist[v]) & earlier)
         v = v[better]
         dist[v] = key[v] = cand[better]
         pred[v] = pick[better]
         frontier[v] = True
-    idx = list(paths[goal_idx])
+    idx = [goal_idx]
+    while idx[0] != start_idx:
+        idx.insert(0, int(pred[idx[0]]))
     return Plan(
         idx,
         graph.observations[idx],

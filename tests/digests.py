@@ -13,11 +13,13 @@ near the edges and corners of the walls of generated contexts, and of the
 observations, actions and trajectory states of ``collect_dataset`` on the
 data configs of both benchmark workloads and of a raster world with one or
 two walls, and of ``scheme_weights`` under every scheme on the seeded logits
-of ``test_plangraph``.
+of ``test_plangraph``, and of the node indices and totals of
+``shortest_path`` on the seeded integer-weight, absorbed and tied search
+problems of ``test_plangraph``.
 
     PYTHONPATH=src python3 tests/digests.py [--check FILE]
 
-A change that claims bit-identical outputs prints the same nineteen lines
+A change that claims bit-identical outputs prints the same twenty lines
 before and after it. With ``--check FILE``, the lines printed are then
 compared with FILE, an earlier output of this script, and the script exits 1
 after naming each line that differs or that only one of the two has. Pytest
@@ -40,7 +42,7 @@ from htmem.controller import ExecutionConfig, Method, execute, train_inverse
 from htmem.cvae import train_cvae
 from htmem.data import DataConfig, collect_dataset
 from htmem.pipeline import train_all, weight_scheme_ablation, zero_shot_benchmark
-from htmem.plangraph import WEIGHT_SCHEMES, PlanningConfig, scheme_weights
+from htmem.plangraph import WEIGHT_SCHEMES, NoPathError, PlanningConfig, scheme_weights, shortest_path
 from htmem.world import AgentState, BlockWorld, Task, WorldSpec
 from test_controller import (
     across_the_wall_plan,
@@ -50,7 +52,14 @@ from test_controller import (
     walled_context,
 )
 from test_pipeline import PRESSING, TINY, run_digests
-from test_plangraph import seeded_logits
+from test_plangraph import (
+    absorbed_problems,
+    deep_absorbed_problems,
+    graph_from_weights,
+    integer_weight_problems,
+    seeded_logits,
+    small_tied_problems,
+)
 
 
 def execution_digest(results) -> str:
@@ -212,6 +221,23 @@ def plan_weights_digest() -> str:
     return h.hexdigest()
 
 
+def plans_digest() -> str:
+    """sha256 of the node indices and total of ``shortest_path`` on each of
+    the seeded search problems of ``test_plangraph``, or of its
+    ``NoPathError``."""
+    h = hashlib.sha256()
+    for problems in (integer_weight_problems, absorbed_problems, deep_absorbed_problems, small_tied_problems):
+        for w, start, goal in problems():
+            try:
+                plan = shortest_path(graph_from_weights(w), start, goal)
+            except NoPathError:
+                h.update(b"no path")
+                continue
+            h.update(np.asarray(plan.node_indices, dtype=np.int64).tobytes())
+            h.update(struct.pack("<d", plan.total_weight))
+    return h.hexdigest()
+
+
 def digest_lines():
     """Yields the digest lines, each as soon as it is known."""
     with tempfile.TemporaryDirectory() as tmp:
@@ -234,6 +260,7 @@ def digest_lines():
     yield f"swept-disc decisions {swept_disc_decisions()[:12]}"
     yield f"datasets {dataset_digest()[:12]}"
     yield f"plan weights {plan_weights_digest()[:12]}"
+    yield f"plans {plans_digest()[:12]}"
 
 
 def mismatches(lines, saved) -> list:

@@ -73,31 +73,15 @@ def brute_force_shortest(weights, start, goal):
     return best
 
 
-def lexicographic_brute_force(weights, start, goal):
-    """Minimum of (total summed in path order, path) over all simple paths,
-    or None when the goal is unreachable."""
-    if start == goal:
-        return 0.0, (start,)
-    nodes = [v for v in range(len(weights)) if v not in (start, goal)]
-    best = None
-    for r in range(len(nodes) + 1):
-        for mid in itertools.permutations(nodes, r):
-            path = (start, *mid, goal)
-            total = 0.0
-            for a, b in zip(path, path[1:]):
-                total += weights[b][a]
-            if math.isfinite(total) and (best is None or (total, path) < best):
-                best = (total, path)
-    return best
-
-
-def sequential_shortest_path(weights, start, goal):
+def sequential_shortest_path(weights, start, goal, ties=None):
     """Dijkstra settling one node per step: (node indices, total weight).
 
-    The reference for ``shortest_path``. Equal-cost ties, both in choosing
-    the node to settle and in relaxing an edge, resolve to the
-    lexicographically smallest node-index sequence; non-finite weights are
-    absent edges.
+    The reference for ``shortest_path``. Each step settles the least-index
+    node at the least frontier distance. An equal-cost route replaces a
+    node's predecessor only when its own predecessor was settled at a
+    smaller distance, or at the same distance with a smaller index; each such
+    decision joins ``ties``, when given, as the (distance, index) pairs of
+    the new and the old predecessor. Non-finite weights are absent edges.
     """
     w = np.asarray(weights, dtype=float)
     n = len(w)
@@ -109,29 +93,29 @@ def sequential_shortest_path(weights, start, goal):
     frontier = np.zeros(n, dtype=bool)  # reached, not yet settled
     frontier[start] = True
     unsettled = np.ones(n, dtype=bool)
-    paths = {-1: ()}  # settled node -> its path
-
-    def path_via(v):
-        return paths[int(pred[v])] + (int(v),)
-
     while True:
         dmin = key.min()
         # a finite path can still sum to inf; then every frontier node ties
-        ties = np.flatnonzero(key == dmin if dmin < np.inf else frontier)
-        if not len(ties):
+        ties_at_dmin = np.flatnonzero(key == dmin if dmin < np.inf else frontier)
+        if not len(ties_at_dmin):
             raise NoPathError(f"no path from node {start} to node {goal}")
-        u = min((int(v) for v in ties), key=path_via)
-        paths[u] = path_via(u)
+        u = int(ties_at_dmin[0])
         frontier[u] = unsettled[u] = False
         key[u] = np.inf
         if u == goal:
-            return list(paths[u]), float(dist[u])
+            path = [u]
+            while path[-1] != start:
+                path.append(int(pred[path[-1]]))
+            return path[::-1], float(dist[u])
         row = out[u]
         cand = dist[u] + row
         edge = unsettled & np.isfinite(row)
         better = edge & (~frontier | (cand < dist))
         for v in np.flatnonzero(edge & frontier & (cand == dist)):
-            better[v] = paths[u] + (int(v),) < paths[int(pred[v])] + (int(v),)
+            p = int(pred[v])
+            better[v] = (dist[u], u) < (dist[p], p)
+            if ties is not None:
+                ties.append(((dist[u], u), (dist[p], p)))
         np.copyto(dist, cand, where=better)
         np.copyto(key, cand, where=better)
         np.copyto(pred, u, where=better)
@@ -385,13 +369,14 @@ def test_tie_break_lexicographic_smallest_sequence():
     w[3, 2] = 1.0  # 2 -> 3
     g = graph_from_weights(w)
     plan = shortest_path(g, 0, 3)
+    # 1 and 2 settle together at distance 1, and 1 is the smaller index
     assert plan.node_indices == [0, 1, 3]
 
 
 def test_tie_break_when_tiny_weights_are_absorbed():
     # 1.0 + 1e-20 == 1.0, so nodes 1, 3 and 4 all tie at distance 1 with
-    # different predecessors; settling 3 before 1 would lose the smaller
-    # route to 3 through 1, and with it the smallest route to 4
+    # different predecessors, and none is provably final by its cheapest
+    # in-edge; they settle one at a time, the least index first
     inf, tiny = math.inf, 1e-20
     w = np.full((5, 5), inf)
     w[2, 0] = tiny  # 0 -> 2
@@ -402,7 +387,9 @@ def test_tie_break_when_tiny_weights_are_absorbed():
     w[1, 4] = tiny  # 4 -> 1
     w[4, 3] = tiny  # 3 -> 4
     plan = shortest_path(graph_from_weights(w), 0, 4)
-    assert plan.node_indices == [0, 2, 1, 3, 4]
+    # 1 and then 3 settle before 4; 3's route to 4 ties with the one from 2,
+    # which was settled at the smaller distance 1e-20, and 2 keeps it
+    assert plan.node_indices == [0, 2, 4]
     assert plan.total_weight == 1.0
 
 
@@ -416,9 +403,9 @@ def test_path_whose_total_overflows_is_still_a_path():
     assert plan.total_weight == math.inf
 
 
-def assert_same_as_sequential(graph, start, goal):
+def assert_same_as_sequential(graph, start, goal, ties=None):
     try:
-        want = sequential_shortest_path(graph.weights, start, goal)
+        want = sequential_shortest_path(graph.weights, start, goal, ties)
     except NoPathError:
         with pytest.raises(NoPathError):
             shortest_path(graph, start, goal)
@@ -444,11 +431,12 @@ def test_shortest_path_matches_sequential_search_on_dense_graphs(scheme):
             assert_same_as_sequential(graph_from_logits(logits, scheme), 300, 301)
 
 
-def test_shortest_path_matches_sequential_search_on_integer_weights():
-    # weights in {1, 2, 3} make exact cost ties common, both between nodes
-    # settled together and against a frontier node's current distance; in
-    # {0, 1, 2, 3}, a quarter of the edges are free, as an underflowed
-    # ``inverse`` weight is
+def integer_weight_problems():
+    """(weights, start, goal) of 400 seeded graphs of 20-60 nodes. Weights in
+    {1, 2, 3} make exact cost ties common, both between nodes settled
+    together and against a frontier node's current distance; in {0, 1, 2,
+    3}, a quarter of the edges are free, as an underflowed ``inverse``
+    weight is."""
     for low in (1, 0):
         rng = np.random.default_rng(8)
         for _ in range(200):
@@ -456,51 +444,104 @@ def test_shortest_path_matches_sequential_search_on_integer_weights():
             w = rng.integers(low, 4, size=(n, n)).astype(float)
             w[rng.random((n, n)) < rng.uniform(0.3, 0.95)] = math.inf
             start, goal = rng.integers(n, size=2)
-            assert_same_as_sequential(graph_from_weights(w), int(start), int(goal))
+            yield w, int(start), int(goal)
 
 
-def test_shortest_path_matches_sequential_search_when_tiny_weights_are_absorbed():
-    # 1.0 + 1e-20 == 1.0: no frontier node is then provably final by the
-    # cheapest edge into it, and the search settles one tied node at a time
+def absorbed_problems():
+    """(weights, start, goal) of 500 seeded graphs of 4-12 nodes with weights
+    in {1e-20, 1, 2}. 1.0 + 1e-20 == 1.0: no frontier node is then provably
+    final by the cheapest edge into it, and the search settles one tied node
+    at a time."""
     rng = np.random.default_rng(10)
     for _ in range(500):
         n = int(rng.integers(4, 13))
         w = rng.choice([1e-20, 1.0, 2.0, math.inf], size=(n, n), p=[0.3, 0.2, 0.1, 0.4])
         start, goal = rng.integers(n, size=2)
-        assert_same_as_sequential(graph_from_weights(w), int(start), int(goal))
+        yield w, int(start), int(goal)
 
 
-def test_shortest_path_matches_sequential_search_on_deep_absorbed_trees():
-    # Weights span 1 to 1e80 and every hop out of the start weighs at least
-    # 1e60, so each later hop below about 1e44 is absorbed and ties exactly.
-    # Tied nodes then settle one at a time, and the lexicographic tie-break
-    # grows trees hundreds of nodes deep, whose tied paths are prefixes of
-    # one another. Whole powers of ten tie more routes, absent edges branch
-    # the trees.
+def deep_absorbed_problems():
+    """(weights, start, goal) of 12 seeded graphs of 60-302 nodes, start and
+    goal laid out as ``plan_end_to_end`` does. Weights span 1 to 1e80 and
+    every hop out of the start weighs at least 1e60, so each later hop below
+    about 1e44 is absorbed and ties exactly. Whole powers of ten tie more
+    routes, absent edges branch the trees."""
     rng = np.random.default_rng(11)
-    depths = []
     for k in range(12):
         n = int(rng.integers(60, 303))
         w = 10.0 ** (rng.uniform(0, 80, (n, n)) if k % 2 else rng.integers(0, 81, (n, n)))
-        start, goal = n - 2, n - 1  # laid out as plan_end_to_end does
-        w[:, start] = np.maximum(w[:, start], 1e60)
+        w[:, n - 2] = np.maximum(w[:, n - 2], 1e60)
         w[rng.random((n, n)) < rng.uniform(0.0, 0.9)] = math.inf
+        yield w, n - 2, n - 1
+
+
+def small_tied_problems():
+    """(weights, start, goal) of 1,500 seeded graphs of 3-11 nodes with
+    weights in {0, 1, 2}, and as many with weights in {1e-30, 1, 1e20}, a
+    quarter of the edges absent in both: free, absorbed and exactly tied
+    routes of every kind, small enough for every tie order to matter."""
+    for values in ((0.0, 1.0, 2.0), (1e-30, 1.0, 1e20)):
+        rng = np.random.default_rng(12)
+        for _ in range(1500):
+            n = int(rng.integers(3, 12))
+            w = rng.choice([*values, math.inf], size=(n, n))
+            start, goal = rng.integers(n, size=2)
+            yield w, int(start), int(goal)
+
+
+def test_shortest_path_matches_sequential_search_on_integer_weights():
+    for w, start, goal in integer_weight_problems():
         assert_same_as_sequential(graph_from_weights(w), start, goal)
-        depths.append(len(shortest_path(graph_from_weights(w), start, goal)))
-    assert max(depths) > 200, depths
 
 
-def test_equal_cost_routes_from_nodes_settled_together_keep_the_smaller_path():
-    # 3 and 4 settle together at distance 2 and both reach 5 at cost 3; 4's
-    # path (0, 1, 4) is the smaller, although 3 is the smaller index
+def test_shortest_path_matches_sequential_search_when_tiny_weights_are_absorbed():
+    for w, start, goal in absorbed_problems():
+        assert_same_as_sequential(graph_from_weights(w), start, goal)
+
+
+def test_shortest_path_matches_sequential_search_on_deep_absorbed_trees():
+    # tied nodes settle one at a time; the graphs must still make the rule
+    # decide equal-cost routes, both by the predecessors' distance and, at
+    # equal distances, by their index
+    ties = []
+    for w, start, goal in deep_absorbed_problems():
+        assert_same_as_sequential(graph_from_weights(w), start, goal, ties)
+    assert any(new[0] != old[0] for new, old in ties)
+    assert any(new[0] == old[0] and new[1] < old[1] for new, old in ties)
+
+
+def test_shortest_path_matches_sequential_search_on_small_tied_graphs():
+    # fails if the search settles a whole tie class at once, batches a node
+    # with an absorbed out-edge, or orders tied predecessors by distance or
+    # by index alone
+    for w, start, goal in small_tied_problems():
+        assert_same_as_sequential(graph_from_weights(w), start, goal)
+
+
+def test_equal_cost_routes_from_nodes_settled_together_keep_the_smaller_index():
+    # 3 and 4 settle together at distance 2 and both reach 5 at cost 3; 3 is
+    # the smaller index, although 4's path (0, 1, 4) is the smaller sequence
     w = np.full((6, 6), math.inf)
     w[1, 0] = w[2, 0] = 1.0  # 0 -> 1, 0 -> 2
     w[4, 1] = 1.0  # 1 -> 4
     w[3, 2] = 1.0  # 2 -> 3
     w[5, 3] = w[5, 4] = 1.0  # 3 -> 5, 4 -> 5
     plan = shortest_path(graph_from_weights(w), 0, 5)
-    assert plan.node_indices == [0, 1, 4, 5]
+    assert plan.node_indices == [0, 2, 3, 5]
     assert plan.total_weight == 3.0
+
+
+def test_a_node_with_an_absorbed_out_edge_waits_for_its_turn():
+    # 2 and 4 both settle at distance 1, and each reaches 0 at cost 1. 4 is
+    # provably final by its in-edge, but batched early it would reach 0
+    # before 2 does, and 0, the least index at distance 1, would settle
+    # through 4; one node at a time, 2 settles first and keeps 0's route
+    w = np.full((5, 5), math.inf)
+    w[0, 3], w[2, 3], w[4, 3] = 2.0, 1.0, 1.0  # 3 -> 0, 3 -> 2, 3 -> 4
+    w[0, 2] = w[0, 4] = w[2, 0] = 0.0  # 2 -> 0, 4 -> 0, 0 -> 2
+    plan = shortest_path(graph_from_weights(w), 3, 0)
+    assert plan.node_indices == [3, 2, 0]
+    assert plan.total_weight == 1.0
 
 
 def test_nan_weights_are_absent_edges():
@@ -540,17 +581,16 @@ def search_problems(draw):
 
 @settings(max_examples=400, deadline=None)
 @given(search_problems())
-def test_shortest_path_is_the_lexicographic_minimum_of_cost_and_path(problem):
+def test_shortest_path_matches_sequential_search_at_the_least_cost(problem):
     weights, start, goal = problem
     g = graph_from_weights(weights)
-    want = lexicographic_brute_force(g.weights, start, goal)
-    if want is None:
+    assert_same_as_sequential(g, start, goal)
+    want = brute_force_shortest(g.weights, start, goal)
+    if want == math.inf:
         with pytest.raises(NoPathError):
             shortest_path(g, start, goal)
-        return
-    plan = shortest_path(g, start, goal)
-    assert tuple(plan.node_indices) == want[1]
-    assert plan.total_weight == want[0]  # identical, not approximately equal
+    else:
+        assert shortest_path(g, start, goal).total_weight == want  # identical, not approximately equal
 
 
 def test_no_path_under_threshold_scheme():
