@@ -33,9 +33,10 @@ log = logging.getLogger(__name__)
 # Training steps and plan queries each allocate and free the same few
 # megabytes. glibc returns the free top of its heap to the system whenever it
 # exceeds the trim threshold, and the next step or query then faults every
-# page back in. Asking it to keep this much free at the top stops that.
-# Setting it also fixes glibc's mmap threshold at its 128 KB start, so arrays
-# of that size or more are mapped afresh once long-lived arrays fill the pad.
+# page back in. Asking it to keep this much free at the top stops that. It
+# also fixes glibc's mmap threshold at 128 KB: arrays that large are mapped and
+# faulted afresh whenever the free top cannot hold them, as in a process whose
+# heap has not grown yet and once long-lived arrays fill the pad.
 HEAP_TOP_PAD = 64 << 20
 _M_TOP_PAD = -2  # mallopt parameter number in glibc's malloc.h
 

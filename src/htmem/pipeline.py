@@ -31,6 +31,7 @@ class PipelineArtifacts:
     cpc: ConnectivityModel
     sptm: ConnectivityModel
     inverse: InverseModel
+    tasks: list  # max(n_tasks, ablation_tasks) held-out tasks, drawn before any model trains
 
 
 def build_hallucination_pools(world, dataset, cvae, context_ids, size, seed) -> np.ndarray:
@@ -44,16 +45,19 @@ def build_hallucination_pools(world, dataset, cvae, context_ids, size, seed) -> 
 
 
 def train_all(cfg: RunConfig, dataset: TransitionDataset | None = None) -> PipelineArtifacts:
-    """Collect (unless given) and train generator, both scorers, and the
-    policy. Scorer training consumes generated negatives from the trained
-    generator, mirroring the intended deployment order."""
+    """Collect (unless given), draw both benchmarks' tasks round-robin over
+    the held-out contexts, so a config that admits none fails before any model
+    trains, then train generator, both scorers (on its samples) and policy."""
     world = BlockWorld(cfg.world)
     if dataset is None:
         log.info("collecting dataset")
         dataset = collect_dataset(world, cfg.data)
+    train_ids, val_ids, holdout = split_context_ids(dataset)
+    contexts = [dataset.context_by_id(cid) for cid in holdout]
+    n_tasks = max(cfg.evaluation.n_tasks, cfg.evaluation.ablation_tasks)
+    tasks = make_benchmark_tasks(world, contexts, n_tasks, cfg.evaluation.seed, success_threshold=cfg.execution.tau)
     log.info("training generator")
     cvae = train_cvae(dataset, world, cfg.cvae)
-    train_ids, val_ids, _ = split_context_ids(dataset)
     # the split puts every pooled context before the held-out ones, so row cid is id cid's pool
     pooled = train_ids + val_ids
     pools = build_hallucination_pools(
@@ -66,12 +70,12 @@ def train_all(cfg: RunConfig, dataset: TransitionDataset | None = None) -> Pipel
     log.info("training inverse model")
     inverse = train_inverse(dataset, world, cfg.inverse)
     pools = dict(zip(pooled, pools))
-    return PipelineArtifacts(cfg, world, dataset, cvae, pools, cpc, sptm, inverse)
+    return PipelineArtifacts(cfg, world, dataset, cvae, pools, cpc, sptm, inverse, tasks)
 
 
 def zero_shot_benchmark(art: PipelineArtifacts, tasks=None) -> MetricsReport:
-    """The headline comparison: full planner vs classifier-scored plans vs
-    the inverse model pursuing the goal directly."""
+    """The headline comparison on ``tasks``, or else ``art.tasks[:n_tasks]``:
+    full planner vs classifier-scored plans vs the inverse model alone."""
     cfg = art.cfg
     methods = {
         "htm": Method(art.cvae, art.cpc, art.inverse, cfg.planning),
@@ -85,10 +89,10 @@ ABLATION_SCHEMES = ("sptm_threshold", "inverse", "normalized")
 
 
 def weight_scheme_ablation(art: PipelineArtifacts, tasks=None) -> MetricsReport:
-    """The paper's ablation: each score model under each weight scheme, as
-    the methods ``"{score}/{scheme}"`` of one benchmark run. Every cell gets
-    the headline rows' metrics; its mean final distance is
-    ``aggregates()[method]["mean_final_distance"]``."""
+    """The paper's ablation on ``tasks``, or else ``art.tasks[:ablation_tasks]``:
+    each score model under each weight scheme, as the methods
+    ``"{score}/{scheme}"`` of one benchmark run. Every cell gets the headline
+    rows' metrics, ``aggregates()[method]["mean_final_distance"]`` among them."""
     cfg = art.cfg
     methods = {
         f"{score}/{scheme}": Method(art.cvae, scorer, art.inverse, replace(cfg.planning, scheme=scheme))
@@ -101,15 +105,10 @@ def weight_scheme_ablation(art: PipelineArtifacts, tasks=None) -> MetricsReport:
 
 def _run_benchmark(art: PipelineArtifacts, tasks, n_tasks: int, methods: dict, seed: int) -> MetricsReport:
     """``run_benchmark`` of the methods under the run's settings, on
-    ``tasks`` or else on ``n_tasks`` cross-wall tasks drawn round-robin over
-    the held-out contexts."""
+    ``tasks`` or else on the first ``n_tasks`` of ``art.tasks``, which
+    ``train_all`` drew; it draws no task of its own."""
     cfg = art.cfg
-    if tasks is None:
-        _, _, holdout = split_context_ids(art.dataset)
-        contexts = [art.dataset.context_by_id(cid) for cid in holdout]
-        tasks = make_benchmark_tasks(
-            art.world, contexts, n_tasks, cfg.evaluation.seed, success_threshold=cfg.execution.tau
-        )
+    tasks = art.tasks[:n_tasks] if tasks is None else tasks
     return run_benchmark(
         art.world,
         tasks,

@@ -15,11 +15,13 @@ data configs of both benchmark workloads and of a raster world with one or
 two walls, and of ``scheme_weights`` under every scheme on the seeded logits
 of ``test_plangraph``, and of the node indices and totals of
 ``shortest_path`` on the seeded integer-weight, absorbed and tied search
-problems of ``test_plangraph``.
+problems of ``test_plangraph``, and of the context id, start and goal of
+every benchmark task that ``train_all`` draws for ``test_pipeline.TINY`` in
+either mode.
 
     PYTHONPATH=src python3 tests/digests.py [--check FILE]
 
-A change that claims bit-identical outputs prints the same twenty lines
+A change that claims bit-identical outputs prints the same twenty-one lines
 before and after it. With ``--check FILE``, the lines printed are then
 compared with FILE, an earlier output of this script, and the script exits 1
 after naming each line that differs or that only one of the two has. Pytest
@@ -238,6 +240,16 @@ def plans_digest() -> str:
     return h.hexdigest()
 
 
+def tasks_digest() -> str:
+    """sha256 of the context id, start and goal of each task in
+    ``train_all(TINY).tasks``, state mode first, then raster."""
+    h = hashlib.sha256()
+    for mode in ("state", "raster"):
+        for task in train_all(config_from_dict({**TINY, "world": {"mode": mode}})).tasks:
+            h.update(struct.pack("<qdddd", task.context.id, task.start.x, task.start.y, task.goal.x, task.goal.y))
+    return h.hexdigest()
+
+
 def digest_lines():
     """Yields the digest lines, each as soon as it is known."""
     with tempfile.TemporaryDirectory() as tmp:
@@ -261,6 +273,7 @@ def digest_lines():
     yield f"datasets {dataset_digest()[:12]}"
     yield f"plan weights {plan_weights_digest()[:12]}"
     yield f"plans {plans_digest()[:12]}"
+    yield f"tasks {tasks_digest()[:12]}"
 
 
 def mismatches(lines, saved) -> list:

@@ -1,3 +1,4 @@
+import contextlib
 import hashlib
 import json
 import struct
@@ -6,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
+from htmem import pipeline
 from htmem.autodiff import CheckpointError, MlpParams, save_parts
 from htmem.config import config_from_dict, config_to_dict
 from htmem.connectivity import ConnectivityModel
@@ -58,6 +60,22 @@ def run_digests(tmp_path, mode):
     return {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(tmp_path.iterdir())}
 
 
+@contextlib.contextmanager
+def recorded_cvae_trainings():
+    """Yields a list that gains the arguments of each ``pipeline.train_cvae``
+    call made in the block."""
+    calls = []
+    train_cvae = pipeline.train_cvae
+
+    def recorded(*args, **kwargs):
+        calls.append(args)
+        return train_cvae(*args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pipeline, "train_cvae", recorded)
+        yield calls
+
+
 def reject_constant(token):
     raise ValueError(f"{token} is not JSON")
 
@@ -107,9 +125,18 @@ def test_the_pressing_benchmark_rejects_steps_and_applies_their_repeats(monkeypa
 
 
 def test_a_tau_no_task_can_exceed_names_its_config_key():
-    art = train_all(config_from_dict({**TINY, "execution": {**TINY["execution"], "tau": 3.5}}))
     with pytest.raises(ConfigError, match=r"^execution\.tau: .*success_threshold is 3\.5,"):
-        zero_shot_benchmark(art)
+        train_all(config_from_dict({**TINY, "execution": {**TINY["execution"], "tau": 3.5}}))
+
+
+def test_a_config_that_admits_no_task_fails_before_any_model_trains():
+    # the short, thin cornered walls of test_world's no-far-goal test hide no goal
+    walls = {"wall_length_frac": [0.1, 0.1], "wall_thickness": [0.001, 0.001], "wall_offset_frac": [1, 1]}
+    cfg = config_from_dict({**TINY, "world": {"mode": "state", **walls}})
+    with recorded_cvae_trainings() as trained, pytest.raises(ConfigError) as err:
+        train_all(cfg)
+    assert err.value.key == "world.wall_length_frac"
+    assert trained == []
 
 
 def capped(overrides):
@@ -129,13 +156,15 @@ def capped(overrides):
 @given(valid_overrides())
 def test_every_accepted_config_runs_or_names_its_key(overrides):
     cfg = config_from_dict(capped(overrides))
-    try:
-        art = train_all(cfg)
-        zero_shot_benchmark(art)
-        weight_scheme_ablation(art)
-    except ConfigError as err:
-        section, _, name = err.key.partition(".")
-        assert name in config_to_dict(cfg).get(section, {}), err
+    with recorded_cvae_trainings() as trained:
+        try:
+            art = train_all(cfg)
+            zero_shot_benchmark(art)
+            weight_scheme_ablation(art)
+        except ConfigError as err:
+            section, _, name = err.key.partition(".")
+            assert name in config_to_dict(cfg).get(section, {}), err
+            assert trained == [], f"raised after training: {err}"
 
 
 @pytest.mark.parametrize(
