@@ -83,14 +83,9 @@ class ConnectivityModel:
     def parameters(self):
         return self.encoder.parameters() + [self.bilinear]
 
-    def encode(self, obs, ctx) -> np.ndarray:
-        """Encodings of observation rows under one shared context (c,) or
-        one context per row (rows, c)."""
-        return mlp_apply(self.encoder, np.atleast_2d(obs), context=ctx)
-
     def pairwise_logits(self, obs_matrix, ctx) -> np.ndarray:
         """L[i, j] = logit of the directed edge j -> i over all node pairs."""
-        z = self.encode(obs_matrix, ctx)
+        z = mlp_apply(self.encoder, obs_matrix, context=ctx)
         return z @ self.bilinear @ z.T
 
     def save(self, path):
@@ -315,27 +310,22 @@ def successor_ranking_rate(
     seed=0,
 ) -> float:
     """Fraction of anchors whose true k-step successor ranks in the top
-    ``top_fraction`` of a random same-context candidate set by logit."""
+    ``top_fraction`` of a random same-context candidate set by logit, read
+    from one ``pairwise_logits`` matrix over the context's observations."""
     rng = np.random.default_rng(seed)
-    stack = ContextStack.build(dataset, world, [context_id])
-    trajs, all_obs = stack.observations[0], stack.flat_observations()[0]
-    ctx_enc = stack.encodings[0]
-    horizon = model.horizon
-    t_len = trajs.shape[1] - 1
+    trajs = dataset.observations[context_id]
+    n_traj, t1 = trajs.shape[:2]
+    all_obs = trajs.reshape(n_traj * t1, -1)
+    logits = model.pairwise_logits(all_obs, world.encode_context(dataset.context_by_id(context_id)))
+    t_len = t1 - 1
     cutoff = max(1, int(math.floor(top_fraction * n_candidates)))
     hits = 0
     for _ in range(n_anchors):
-        ti = int(rng.integers(len(trajs)))
-        k = int(rng.integers(1, min(horizon, t_len) + 1))
-        t0 = int(rng.integers(0, t_len - k + 1))
-        anchor = trajs[ti, t0]
-        succ = trajs[ti, t0 + k]
-        cands = all_obs[rng.integers(len(all_obs), size=n_candidates - 1)]
-        cand_obs = np.concatenate([succ[None], cands])
-        z_anchor = model.encode(anchor, ctx_enc)[0]
-        z_cands = model.encode(cand_obs, ctx_enc)
-        logits = z_cands @ model.bilinear @ z_anchor
-        rank = int((logits > logits[0]).sum())  # 0 = best
-        if rank < cutoff:
-            hits += 1
+        ti = int(rng.integers(n_traj))
+        k = int(rng.integers(1, min(model.horizon, t_len) + 1))
+        anchor = ti * t1 + int(rng.integers(0, t_len - k + 1))
+        cands = rng.integers(len(all_obs), size=n_candidates - 1)
+        # L[i, j] scores the edge j -> i, so column ``anchor`` scores its candidates
+        scores = logits[np.concatenate([[anchor + k], cands]), anchor]
+        hits += int((scores > scores[0]).sum()) < cutoff  # rank 0 is best
     return hits / n_anchors

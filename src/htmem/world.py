@@ -34,7 +34,7 @@ def require(cond, key, message):
 
 
 class EvaluationError(ValueError):
-    """An observation could not be decoded for oracle evaluation."""
+    """Observations of a shape that cannot be decoded."""
 
 
 MODES = ("state", "raster")
@@ -491,21 +491,15 @@ class BlockWorld:
         n, i, j = n[hit], i[hit], j[hit]
         out[rows[n], ky[n, i] * g + kx[n, j]] = (radius - d[hit]) / radius
 
-    def _observations(self, obs) -> np.ndarray:
-        """The (m, obs_dim) ``obs`` as a C-ordered float array, so that each
-        row sums as it would alone; EvaluationError for any other shape."""
-        obs = np.asarray(obs, dtype=float, order="C")
-        d = self.obs_dim
-        if obs.ndim != 2 or obs.shape[1] != d:
-            raise EvaluationError(f"{self.spec.mode} observations have shape (m, {d}); got {obs.shape}")
-        return obs
-
     def decode_xy(self, obs) -> np.ndarray:
         """Positions (m, 2) of the observations (m, obs_dim): a state times the
         arena side, a raster's intensity centroid. A raster summing to zero or
         less has no centroid and gives a NaN row, without a warning. A row's
-        bits do not depend on the rest of the batch."""
-        obs = self._observations(obs)
+        bits do not depend on the rest of the batch, since ``obs`` is taken as
+        a C-ordered array; any other shape raises EvaluationError."""
+        obs = np.asarray(obs, dtype=float, order="C")
+        if obs.ndim != 2 or obs.shape[1] != self.obs_dim:
+            raise EvaluationError(f"{self.spec.mode} observations have shape (m, {self.obs_dim}); got {obs.shape}")
         s = self.spec.arena_size
         if self.spec.mode == "state":
             return obs * s
@@ -545,10 +539,8 @@ class BlockWorld:
     def oracle_reachable(self, ctx: Context, obs, horizon: int) -> list:
         """Conservative ground truth per hop between consecutive rows of the (n, obs_dim)
         ``obs``, each decoded once: the straight swept-disc path is free and the displacement
-        fits within ``horizon`` maximal action steps per axis. An empty raster raises EvaluationError."""
-        obs = self._observations(obs)
-        if self.spec.mode == "raster" and (obs.sum(axis=1) <= 0).any():
-            raise EvaluationError("empty raster cannot be decoded")
+        fits within ``horizon`` maximal action steps per axis. A hop with an empty raster end,
+        which decodes to NaN, is not reachable."""
         xy, reach = self.decode_xy(obs).tolist(), horizon * self.spec.a_max
         return [
             max(abs(a[0] - b[0]), abs(a[1] - b[1])) <= reach and self.swept_free(ctx, a, b)

@@ -17,11 +17,12 @@ of ``test_plangraph``, and of the node indices and totals of
 ``shortest_path`` on the seeded integer-weight, absorbed and tied search
 problems of ``test_plangraph``, and of the context id, start and goal of
 every benchmark task that ``train_all`` draws for ``test_pipeline.TINY`` in
-either mode.
+either mode, and of the held-out ``successor_ranking_rate`` of both scorers
+of those two runs.
 
     PYTHONPATH=src python3 tests/digests.py [--check FILE]
 
-A change that claims bit-identical outputs prints the same twenty-one lines
+A change that claims bit-identical outputs prints the same twenty-two lines
 before and after it. With ``--check FILE``, the lines printed are then
 compared with FILE, an earlier output of this script, and the script exits 1
 after naming each line that differs or that only one of the two has. Pytest
@@ -40,9 +41,10 @@ import numpy as np
 
 from htmem import controller, metrics
 from htmem.config import config_from_dict
+from htmem.connectivity import successor_ranking_rate
 from htmem.controller import ExecutionConfig, Method, execute, train_inverse
 from htmem.cvae import train_cvae
-from htmem.data import DataConfig, collect_dataset
+from htmem.data import DataConfig, collect_dataset, split_context_ids
 from htmem.pipeline import train_all, weight_scheme_ablation, zero_shot_benchmark
 from htmem.plangraph import WEIGHT_SCHEMES, NoPathError, PlanningConfig, scheme_weights, shortest_path
 from htmem.world import AgentState, BlockWorld, Task, WorldSpec
@@ -250,6 +252,20 @@ def tasks_digest() -> str:
     return h.hexdigest()
 
 
+def successor_ranks_digest() -> str:
+    """sha256 of ``successor_ranking_rate`` of the CPC and SPTM scorers of
+    ``train_all(TINY)`` on each held-out context at seeds 0-4, state mode
+    first, then raster."""
+    h = hashlib.sha256()
+    for mode in ("state", "raster"):
+        art = train_all(config_from_dict({**TINY, "world": {"mode": mode}}))
+        for model in (art.cpc, art.sptm):
+            for cid in split_context_ids(art.dataset)[2]:
+                for seed in range(5):
+                    h.update(struct.pack("<d", successor_ranking_rate(model, art.dataset, art.world, cid, seed=seed)))
+    return h.hexdigest()
+
+
 def digest_lines():
     """Yields the digest lines, each as soon as it is known."""
     with tempfile.TemporaryDirectory() as tmp:
@@ -274,6 +290,7 @@ def digest_lines():
     yield f"plan weights {plan_weights_digest()[:12]}"
     yield f"plans {plans_digest()[:12]}"
     yield f"tasks {tasks_digest()[:12]}"
+    yield f"successor ranks {successor_ranks_digest()[:12]}"
 
 
 def mismatches(lines, saved) -> list:

@@ -174,7 +174,7 @@ def test_context_models_keep_their_checkpoint_bytes(tmp_path):
     loaded = type(models["cpc"]).load(tmp_path / "cpc")
     obs, ctx = np.random.default_rng(5).normal(size=(4, 3)), np.array([0.2, -0.7])
     appended = np.concatenate([obs, np.broadcast_to(ctx, (4, 2))], axis=1)
-    assert np.max(np.abs(loaded.encode(obs, ctx) - mlp_apply(loaded.encoder, appended))) < 1e-12
+    assert np.max(np.abs(mlp_apply(loaded.encoder, obs, context=ctx) - mlp_apply(loaded.encoder, appended))) < 1e-12
 
 
 def test_backward_linear_loss_gradient_is_input():

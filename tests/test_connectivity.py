@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from htmem.autodiff import MlpParams, evaluate, sigmoid
+from htmem.autodiff import MlpParams, evaluate, mlp_apply, sigmoid
+from htmem.config import config_from_dict
 from htmem.connectivity import (
     ConnectivityModel,
     CpcBatch,
@@ -20,8 +21,10 @@ from htmem.connectivity import (
     train_sptm,
 )
 from htmem.data import ContextStack, DataConfig, collect_dataset, split_context_ids
+from htmem.pipeline import train_all
 from htmem.world import BlockWorld, WorldSpec
 from gradcheck import grad_check
+from test_pipeline import TINY
 
 CHI2_CRIT_DF4_P01 = 13.2767  # chi-square critical value, df=4, alpha=0.01
 CHI2_CRIT_DF72_P001 = 114.835  # df=72, alpha=0.001
@@ -121,7 +124,7 @@ def test_pairwise_logits_match_the_per_pair_bilinear_product():
     logits = model.pairwise_logits(obs, ctx)
     for i in range(5):
         for j in range(5):
-            z_to, z_from = model.encode(obs[i], ctx)[0], model.encode(obs[j], ctx)[0]
+            z_to, z_from = (mlp_apply(model.encoder, obs[[k]], context=ctx)[0] for k in (i, j))
             assert logits[i, j] == pytest.approx(z_to @ model.bilinear @ z_from, abs=1e-12)
 
 
@@ -433,6 +436,57 @@ def test_train_cpc_beats_uniform_and_is_deterministic():
     )
     rate = successor_ranking_rate(m1, ds, world, context_id=3, n_anchors=20, n_candidates=50, seed=1)
     assert 0.0 <= rate <= 1.0
+
+
+def successor_ranking_loop(
+    model, dataset, world, context_id, n_anchors=100, n_candidates=300, top_fraction=0.1, seed=0
+):
+    """The rank anchor by anchor, with the anchor and its candidates encoded
+    apart and scored by a hand-written bilinear product: the loop that one
+    ``pairwise_logits`` matrix per context replaced."""
+    rng = np.random.default_rng(seed)
+    stack = ContextStack.build(dataset, world, [context_id])
+    trajs, all_obs = stack.observations[0], stack.flat_observations()[0]
+    ctx_enc = stack.encodings[0]
+    t_len = trajs.shape[1] - 1
+    cutoff = max(1, int(math.floor(top_fraction * n_candidates)))
+    hits = 0
+    for _ in range(n_anchors):
+        ti = int(rng.integers(len(trajs)))
+        k = int(rng.integers(1, min(model.horizon, t_len) + 1))
+        t0 = int(rng.integers(0, t_len - k + 1))
+        cands = all_obs[rng.integers(len(all_obs), size=n_candidates - 1)]
+        z_anchor = mlp_apply(model.encoder, trajs[ti, [t0]], context=ctx_enc)[0]
+        z_cands = mlp_apply(model.encoder, np.concatenate([trajs[ti, [t0 + k]], cands]), context=ctx_enc)
+        logits = z_cands @ model.bilinear @ z_anchor
+        hits += int((logits > logits[0]).sum()) < cutoff
+    return hits / n_anchors
+
+
+@pytest.mark.parametrize("mode", ["state", "raster"])
+def test_successor_ranking_rate_equals_the_per_anchor_loop(monkeypatch, mode):
+    """Both scorers of TINY, on every held-out context at seeds 0-4, with one
+    ``pairwise_logits`` call over the context's observations per rate."""
+    art = train_all(config_from_dict({**TINY, "world": {"mode": mode}}))
+    rows = []
+    pairwise_logits = ConnectivityModel.pairwise_logits
+
+    def counting(self, obs, ctx):
+        rows.append(len(obs))
+        return pairwise_logits(self, obs, ctx)
+
+    monkeypatch.setattr(ConnectivityModel, "pairwise_logits", counting)
+    n_traj, t1 = art.dataset.observations.shape[1:3]
+    rates = []
+    for model in (art.cpc, art.sptm):
+        for cid in split_context_ids(art.dataset)[2]:
+            for seed in range(5):
+                want = successor_ranking_loop(model, art.dataset, art.world, cid, seed=seed)
+                rows.clear()
+                assert successor_ranking_rate(model, art.dataset, art.world, cid, seed=seed) == want
+                assert rows == [n_traj * t1]
+                rates.append(want)
+    assert len(rates) == 20 and len(set(rates)) > 1
 
 
 def test_train_sptm_beats_chance_and_scores_one_step_pairs():

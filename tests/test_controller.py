@@ -769,3 +769,37 @@ def test_benchmark_without_samples_reports_no_fidelity():
     agg = report.aggregates()
     assert "mean_fidelity" not in agg["htm"]
     assert agg["htm"]["no_plan_rate"] == 0.0
+
+
+def test_benchmark_rates_a_first_plan_through_an_empty_raster_node():
+    """A generated node that renders nothing decodes to NaN: the oracle fails
+    both of its hops, and the benchmark completes."""
+    world = BlockWorld(WorldSpec(mode="raster"))
+    ctx = free_context()
+    task = Task(ctx, AgentState(0.5, 1.4), AgentState(2.3, 1.4))
+    d_z, obs_dim, ctx_dim = 2, world.obs_dim, world.ctx_dim
+    enc = MlpParams([np.zeros((2 * d_z, obs_dim + ctx_dim))], [np.zeros(2 * d_z)])
+    dec = MlpParams([np.zeros((obs_dim, d_z + ctx_dim))], [np.zeros(obs_dim)])
+    cvae = CvaeModel(enc, dec, obs_dim, ctx_dim, d_z)
+    inverse = inverse_init(obs_dim, ctx_dim, world.spec.a_max, InverseConfig(hidden=(4,)))
+
+    class ViaEmptyScorer:
+        """Scores an edge high exactly when one of its ends is empty."""
+
+        def pairwise_logits(self, obs, ctx):
+            empty = obs.sum(axis=1) <= 0
+            return np.where(empty[:, None] != empty[None, :], 5.0, -5.0)
+
+    report = metrics.run_benchmark(
+        world,
+        [task],
+        {"htm": Method(cvae, ViaEmptyScorer(), inverse, PlanningConfig(m_samples=1))},
+        ExecutionConfig(n=4, r=2),
+        oracle_horizon=50,
+        seed=0,
+    )
+    # at this horizon the open arena's direct edge would pass, so both hops
+    # fail only because the plan runs through the empty node
+    (row,) = report.rows
+    assert row.feasibility == 0.0 and not row.completeness
+    assert row.fidelity == 0.0
