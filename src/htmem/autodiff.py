@@ -211,45 +211,35 @@ class _ForwardTape:
         return Node(self, value)
 
 
-def _as_node(tape: Tape, x) -> Node:
-    if isinstance(x, Node):
-        return x
-    return tape.leaf(x)
-
-
 # ---------------------------------------------------------------------------
 # ops
 
 
-def add(a: Node, b) -> Node:
-    b = _as_node(a.tape, b)
-    value = a.value + b.value
-
-    def vjp(g):
-        return _unbroadcast(g, a.value.shape), _unbroadcast(g, b.value.shape)
-
-    return a.tape._push(value, (a, b), vjp)
-
-
-def sub(a: Node, b) -> Node:
-    b = _as_node(a.tape, b)
-    value = a.value - b.value
-
-    def vjp(g):
-        return _unbroadcast(g, a.value.shape), _unbroadcast(-g, b.value.shape)
-
-    return a.tape._push(value, (a, b), vjp)
-
-
-def mul(a: Node, b) -> Node:
-    b = _as_node(a.tape, b)
-    value = a.value * b.value
+def _binary(a: Node, b, value, grads) -> Node:
+    """Record ``value(av, bv)`` for node ``a`` and a node or constant ``b``.
+    ``grads(g, av, bv)`` gives the two operands' gradients, and each is
+    summed back to its operand's shape after numpy broadcasting."""
+    if not isinstance(b, Node):
+        b = a.tape.leaf(b)
     av, bv = a.value, b.value
 
     def vjp(g):
-        return _unbroadcast(g * bv, av.shape), _unbroadcast(g * av, bv.shape)
+        ga, gb = grads(g, av, bv)
+        return _unbroadcast(ga, av.shape), _unbroadcast(gb, bv.shape)
 
-    return a.tape._push(value, (a, b), vjp)
+    return a.tape._push(value(av, bv), (a, b), vjp)
+
+
+def add(a: Node, b) -> Node:
+    return _binary(a, b, np.add, lambda g, av, bv: (g, g))
+
+
+def sub(a: Node, b) -> Node:
+    return _binary(a, b, np.subtract, lambda g, av, bv: (g, -g))
+
+
+def mul(a: Node, b) -> Node:
+    return _binary(a, b, np.multiply, lambda g, av, bv: (g * bv, g * av))
 
 
 def _first_inputs(x, context):

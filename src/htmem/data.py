@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import derived_seed
-from .world import BlockWorld, Context, WorldSpec, wall_array
+from .world import BlockWorld, Context, wall_array
 
 
 @dataclass
@@ -42,7 +42,6 @@ class TransitionDataset:
     """Context ``i`` has id ``i``; ``observations[i, j]`` and ``actions[i, j]``
     are trajectory ``j`` of context ``i``."""
 
-    spec: WorldSpec
     data_config: DataConfig
     contexts: list
     trajectories: dict  # context_id -> list[Trajectory]
@@ -87,7 +86,7 @@ def collect_dataset(world: BlockWorld, cfg: DataConfig) -> TransitionDataset:
         i: [Trajectory(i, j, observations[i, j], actions[i, j], states[i, j]) for j in range(n_traj)]
         for i in range(cfg.n_contexts)
     }
-    return TransitionDataset(world.spec, cfg, contexts, trajectories, observations, actions)
+    return TransitionDataset(cfg, contexts, trajectories, observations, actions)
 
 
 def _roll_out(world: BlockWorld, contexts: list, states, actions, observations) -> None:

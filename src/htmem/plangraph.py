@@ -36,10 +36,6 @@ class PlanGraph:
     weights: np.ndarray  # (n, n); inf marks absent edges and the diagonal
     scheme: str
 
-    @property
-    def n_nodes(self) -> int:
-        return len(self.observations)
-
 
 @dataclass
 class Plan:
@@ -74,7 +70,6 @@ def scheme_weights(logits: np.ndarray, scheme: str, s_shortcut=0.5) -> np.ndarra
     """
     if scheme not in WEIGHT_SCHEMES:
         raise ValueError(f"unknown weight scheme {scheme!r}")
-    n = logits.shape[0]
     if scheme == "inverse":
         with np.errstate(over="ignore"):
             w = np.exp(-logits)
@@ -90,16 +85,6 @@ def scheme_weights(logits: np.ndarray, scheme: str, s_shortcut=0.5) -> np.ndarra
         w = np.exp(-sigmoid(logits))
     np.fill_diagonal(w, np.inf)  # no self-loops
     return w
-
-
-def build_graph(node_obs, scorer, ctx_encoding, scheme="normalized", s_shortcut=0.5) -> PlanGraph:
-    """Score all ordered node pairs and apply the weight scheme."""
-    node_obs = np.atleast_2d(np.asarray(node_obs, dtype=float))
-    if len(node_obs) < 2:
-        raise ValueError("graph needs at least start and goal nodes")
-    logits = scorer.pairwise_logits(node_obs, ctx_encoding)
-    weights = scheme_weights(logits, scheme, s_shortcut)
-    return PlanGraph(node_obs, logits, weights, scheme)
 
 
 def shortest_path(graph: PlanGraph, start_idx: int, goal_idx: int) -> Plan:
@@ -121,8 +106,8 @@ def shortest_path(graph: PlanGraph, start_idx: int, goal_idx: int) -> Plan:
     index, so plans and totals are those of a one-node-per-step search under
     the same rule. Non-finite weights, NaN included, are absent edges.
     """
-    n = graph.n_nodes
     w = graph.weights
+    n = len(w)
     if not (0 <= start_idx < n and 0 <= goal_idx < n):
         raise ValueError("start/goal index out of range")
     # skip NaN; a -inf keeps its node out of batches
@@ -201,7 +186,8 @@ def plan_end_to_end(
     nodes = np.concatenate(
         [samples, np.atleast_2d(o_start), np.atleast_2d(o_goal)], axis=0
     )
-    graph = build_graph(nodes, scorer, ctx_encoding, cfg.scheme, cfg.s_shortcut)
+    logits = scorer.pairwise_logits(nodes, ctx_encoding)
+    graph = PlanGraph(nodes, logits, scheme_weights(logits, cfg.scheme, cfg.s_shortcut), cfg.scheme)
     plan = shortest_path(graph, cfg.m_samples, cfg.m_samples + 1)
     plan.candidates = samples
     return plan, graph

@@ -29,6 +29,39 @@ def unused_imports(source: str) -> list:
     return unused
 
 
+def _stored_targets(node):
+    """Assignment, ``for`` and ``with`` targets in ``node``'s own scope;
+    a nested ``def`` is scanned on its own."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.FunctionDef):
+            continue
+        if isinstance(child, ast.Assign):
+            yield from child.targets
+        elif isinstance(child, (ast.AnnAssign, ast.For)):
+            yield child.target
+        elif isinstance(child, ast.With):
+            yield from (item.optional_vars for item in child.items if item.optional_vars)
+        yield from _stored_targets(child)
+
+
+def unread_locals(source: str) -> list:
+    """Names a ``def`` stores, by assignment, tuple target, or ``for`` or
+    ``with`` target, and never reads anywhere inside it, nested functions
+    included. ``_`` is exempt, and an augmented assignment is a read."""
+    unread = []
+    for fn in ast.walk(ast.parse(source)):
+        if not isinstance(fn, ast.FunctionDef):
+            continue
+        inside = list(ast.walk(fn))
+        read = {"_"} | {n.id for n in inside if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        read |= {n.target.id for n in inside if isinstance(n, ast.AugAssign) and isinstance(n.target, ast.Name)}
+        for target in _stored_targets(fn):
+            for name in ast.walk(target):
+                if isinstance(name, ast.Name) and name.id not in read:
+                    unread.append(f"line {name.lineno}: {name.id} in {fn.name}")
+    return unread
+
+
 def calls_to(source: str, name: str) -> list:
     """Lines that call ``name``, by bare name or as a module attribute."""
     return [
@@ -52,6 +85,35 @@ def test_the_scan_finds_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
 def test_every_import_is_used(path):
     assert unused_imports(path.read_text()) == []
+
+
+def test_the_scan_finds_an_unread_local():
+    source = (
+        "def f(xs):\n"
+        "    n = len(xs)\n"
+        "    a, (b, _) = xs\n"
+        "    for i in xs:\n"
+        "        with open(a) as fh:\n"
+        "            pass\n"
+        "    total = 0\n"
+        "    total += 1\n"
+        "    seen = 0\n"
+        "    def g():\n"
+        "        unused = seen\n"
+        "    return g\n"
+    )
+    assert unread_locals(source) == [
+        "line 2: n in f",
+        "line 3: b in f",
+        "line 4: i in f",
+        "line 5: fh in f",
+        "line 11: unused in g",
+    ]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_no_local_is_assigned_and_never_read(path):
+    assert unread_locals(path.read_text()) == []
 
 
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])

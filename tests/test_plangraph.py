@@ -7,14 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from htmem.autodiff import MlpParams, logsumexp_np
-from htmem.cvae import CvaeModel
+from htmem.cvae import CvaeModel, hallucinate
 from htmem.plangraph import (
     NoPathError,
     Plan,
     PlanGraph,
     PlanningConfig,
     WEIGHT_SCHEMES,
-    build_graph,
     jensen_bound_check,
     plan_end_to_end,
     scheme_weights,
@@ -33,9 +32,8 @@ class FixedScorer:
 
 
 def graph_from_logits(logits, scheme="normalized", s_shortcut=0.5):
-    n = len(logits)
-    obs = np.zeros((n, 2))
-    return build_graph(obs, FixedScorer(logits), np.zeros(2), scheme, s_shortcut)
+    obs = np.zeros((len(logits), 2))
+    return PlanGraph(obs, logits, scheme_weights(logits, scheme, s_shortcut), scheme)
 
 
 def graph_from_weights(weights):
@@ -303,11 +301,6 @@ def test_scheme_weights_equal_the_reference_byte_for_byte_and_keep_the_logits():
             assert logits.tobytes() == before
             cases += 1
     assert cases == 3 * 3 * 2 * len(WEIGHT_SCHEMES)
-
-
-def test_build_graph_needs_two_nodes():
-    with pytest.raises(ValueError):
-        build_graph(np.zeros((1, 2)), FixedScorer(np.zeros((1, 1))), np.zeros(2))
 
 
 # ---------------------------------------------------------------------------
@@ -631,7 +624,7 @@ def test_plan_end_to_end_zero_samples_is_direct_edge():
         np.zeros(2), np.array([0.1, 0.1]), np.array([0.9, 0.9]), cvae, scorer, cfg, seed=0
     )
     assert plan.node_indices == [0, 1]
-    assert graph.n_nodes == 2
+    assert len(graph.observations) == 2
     assert np.allclose(plan.observations[0], [0.1, 0.1])
     assert np.allclose(plan.observations[-1], [0.9, 0.9])
 
@@ -651,6 +644,25 @@ def test_plan_end_to_end_deterministic():
     assert p1.node_indices == p2.node_indices
     assert p1.total_weight == p2.total_weight
     assert p1.node_indices[0] == 10 and p1.node_indices[-1] == 11
+
+
+@pytest.mark.parametrize("m", [0, 5])
+@pytest.mark.parametrize("scheme", WEIGHT_SCHEMES)
+def test_plan_end_to_end_searches_the_graph_it_builds(scheme, m):
+    """Rows are the candidates, then start, then goal; the weights are the
+    scheme's over the scored logits; the plan is the search of that graph."""
+    logits = np.random.default_rng(40 + m).normal(scale=2.0, size=(m + 2, m + 2))
+    logits[m + 1, m] = 3.0  # start -> goal clears every scheme's threshold
+    ctx, start, goal = np.array([0.2, -0.3]), np.array([0.1, 0.2]), np.array([0.8, 0.7])
+    cfg = PlanningConfig(m_samples=m, scheme=scheme, s_shortcut=0.6)
+    plan, graph = plan_end_to_end(ctx, start, goal, tiny_cvae(), FixedScorer(logits), cfg, seed=3)
+    samples = hallucinate(tiny_cvae(), ctx, m, 3)
+    assert np.array_equal(graph.observations, np.vstack([samples, start, goal]))
+    assert np.array_equal(plan.candidates, samples)
+    assert graph.scheme == scheme and np.array_equal(graph.logits, logits)
+    assert graph.weights.tobytes() == scheme_weights(graph.logits, scheme, 0.6).tobytes()
+    want = shortest_path(graph, m, m + 1)
+    assert plan.node_indices == want.node_indices and plan.total_weight == want.total_weight
 
 
 # ---------------------------------------------------------------------------
